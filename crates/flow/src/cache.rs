@@ -22,6 +22,8 @@ use tms_cnn::CnvDesign;
 use tms_device::{Device, DeviceName};
 use tms_fault::{FaultInjector, FaultPoint, NoopInjector, Retry};
 use tms_netlist::{Netlist, NetlistStats};
+use tms_obs::{span, Phase, Recorder};
+use tms_pack::{observe_pack_reuse, pack_memories, MemPackConfig, PackKey, PackedMemories};
 use tms_store::{Store, StoreSnapshot};
 use tms_verify::Auditor;
 
@@ -111,6 +113,12 @@ struct CacheSlot {
 /// accumulating many designs/devices.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4_096;
 
+/// Bound on stored weight-packing results. One entry serves every compile
+/// of a (design shape, device, packing config) triple, so a few dozen
+/// cover any working set; past the bound the memo is dropped wholesale,
+/// as the verified-digest set is.
+const PACK_MEMO_CAPACITY: usize = 64;
+
 /// Cache of pre-implemented modules, across compiles of evolving designs.
 ///
 /// Lookups take `&self`: hit/miss counters and recency stamps are atomic,
@@ -118,6 +126,18 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4_096;
 /// `get`s from server workers (inserts still need `&mut self` / the write
 /// side). The entry count is bounded; inserting past capacity evicts the
 /// least-recently-used implementation.
+///
+/// A warm [`run_rw_flow_cached`] pays only for the modules that changed
+/// and the stitch. Besides the implementations, the cache therefore keeps
+/// a **weight-packing memo**: the packed weights modules and report for
+/// each [`PackKey`] seen. The key is exactly what the packing phase reads,
+/// so a hit is the result the search would return, bit for bit. The memo
+/// is bounded and cleared wholesale when full, lives and dies with this
+/// cache, and is never persisted. The other input a warm flow used to
+/// re-derive, the statistics behind each fingerprint, needs no entry here:
+/// every [`Netlist`] keeps its own after the first
+/// [`stats`](Netlist::stats) call, and the memo's packed netlists carry
+/// theirs.
 ///
 /// Persistable to disk two ways:
 ///
@@ -166,6 +186,9 @@ pub struct ImplementationCache {
     /// what keeps read verification inside its 2% hot-path budget.
     /// Fault-armed caches bypass the memo entirely.
     verified: Mutex<HashSet<u64>>,
+    /// Weight-packing results by the exact inputs that produced them,
+    /// bounded by [`PACK_MEMO_CAPACITY`].
+    pack_memo: HashMap<PackKey, Arc<PackedMemories>>,
 }
 
 impl Default for ImplementationCache {
@@ -197,6 +220,7 @@ impl ImplementationCache {
             quarantined: AtomicU64::new(0),
             insert_rejected: AtomicU64::new(0),
             verified: Mutex::new(HashSet::new()),
+            pack_memo: HashMap::new(),
         }
     }
 
@@ -494,6 +518,30 @@ impl ImplementationCache {
         );
     }
 
+    /// The packing phase of a cached flow: the stored result for the
+    /// inputs [`PackKey`] names, or a fresh [`pack_memories`] run that is
+    /// stored for next time. `None` when the configuration packs nothing.
+    fn pack(
+        &mut self,
+        design: &CnvDesign,
+        device: &Device,
+        cfg: &MemPackConfig,
+        obs: &dyn Recorder,
+    ) -> Option<Arc<PackedMemories>> {
+        let key = PackKey::of(design, device, cfg)?;
+        if let Some(hit) = self.pack_memo.get(&key) {
+            let _sp = span(obs, Phase::MemPack, "memo");
+            observe_pack_reuse(&hit.report, obs);
+            return Some(Arc::clone(hit));
+        }
+        let packed = Arc::new(pack_memories(design, device, cfg, obs)?);
+        if self.pack_memo.len() >= PACK_MEMO_CAPACITY {
+            self.pack_memo.clear();
+        }
+        self.pack_memo.insert(key, Arc::clone(&packed));
+        Some(packed)
+    }
+
     /// Verified reads that failed (digest mismatch, audit violation, or
     /// injected corruption that broke the encoding).
     pub fn verify_failures(&self) -> u64 {
@@ -724,21 +772,25 @@ pub(crate) fn run_cached(
     // Packing phase first: fingerprints are taken against the packed
     // netlists, so a different packing policy is automatically a cache
     // miss — no risk of serving an unpacked macro to a packed request.
-    let packed = tms_pack::pack_design(design, device, &cfg.mem_pack, cfg.obs);
-    let (design, pack_report) = match &packed {
-        Some((d, r)) => (d, Some(r.clone())),
-        None => (design, None),
-    };
+    let packed = cache.pack(design, device, &cfg.mem_pack, cfg.obs);
+    // Each module's netlist: the packed one where packing regenerated it,
+    // the input's otherwise. Stitching reads only names, instances and
+    // nets, which packing leaves alone, so the input design serves it.
+    let mut netlists: Vec<&Netlist> = design.modules.iter().map(|m| &m.netlist).collect();
+    for (idx, m) in packed.iter().flat_map(|p| &p.modules) {
+        netlists[*idx] = &m.netlist;
+    }
     // Look up every module; record hits and the indices still to implement.
     let obs = cfg.obs;
     let auditor = Auditor::new(device);
+    let mut keys: Vec<ModuleFingerprint> = Vec::with_capacity(netlists.len());
     let mut hits: HashMap<usize, ImplementedModule> = HashMap::new();
     let mut missing: Vec<usize> = Vec::new();
     let mut quarantined = 0u64;
     {
-        let mut sp = tms_obs::span(obs, tms_obs::Phase::Cache, "lookup");
-        for (idx, m) in design.modules.iter().enumerate() {
-            let key = ModuleFingerprint::of(&m.netlist, device);
+        let mut sp = span(obs, Phase::Cache, "lookup");
+        for (idx, netlist) in netlists.iter().enumerate() {
+            let key = ModuleFingerprint::of(netlist, device);
             if read_verify {
                 match cache.get_verified(&key, &auditor) {
                     VerifiedLookup::Hit(hit) => {
@@ -771,6 +823,7 @@ pub(crate) fn run_cached(
                     }
                 }
             }
+            keys.push(key);
         }
         sp.field("hits", hits.len() as f64);
         sp.field("misses", missing.len() as f64);
@@ -782,10 +835,10 @@ pub(crate) fn run_cached(
     let fresh_results: Vec<(usize, Result<ImplementedModule, String>)> = missing
         .par_iter()
         .map(|&idx| {
-            let m = &design.modules[idx];
+            let name = &design.modules[idx].name;
             (
                 idx,
-                crate::resilient::implement_module_resilient(&m.name, &m.netlist, device, cfg, res),
+                crate::resilient::implement_module_resilient(name, netlists[idx], device, cfg, res),
             )
         })
         .collect();
@@ -793,19 +846,19 @@ pub(crate) fn run_cached(
     if recompute_audit {
         // Audit mode: recompute every hit and check the cache told the truth.
         for (&idx, hit) in &hits {
-            let m = &design.modules[idx];
-            let recomputed = implement_module(&m.name, &m.netlist, device, cfg)
+            let name = &design.modules[idx].name;
+            let recomputed = implement_module(name, netlists[idx], device, cfg)
                 .expect("cached module must still implement");
             assert_eq!(
                 hit.pblock.rect, recomputed.pblock.rect,
-                "cache incoherence on {}",
-                m.name
+                "cache incoherence on {name}"
             );
-            assert_eq!(hit.cf, recomputed.cf, "cache incoherence on {}", m.name);
+            assert_eq!(hit.cf, recomputed.cf, "cache incoherence on {name}");
         }
     }
 
-    // Account and fill the cache with the fresh implementations.
+    // Account and fill the cache with the fresh implementations, under the
+    // keys the lookup already computed.
     let reused = hits.len();
     let mut fresh = 0;
     let mut tool_runs_spent = 0;
@@ -814,8 +867,7 @@ pub(crate) fn run_cached(
             Ok(m) => {
                 fresh += 1;
                 tool_runs_spent += m.attempts;
-                let key = ModuleFingerprint::of(&design.modules[*idx].netlist, device);
-                if cache.try_insert(key, m.clone()).is_err() {
+                if cache.try_insert(keys[*idx].clone(), m.clone()).is_err() {
                     // The implementation still flows into the stitch; only
                     // its persistence failed (counted in the cache's
                     // failure statistics for the degrade decision).
@@ -835,7 +887,7 @@ pub(crate) fn run_cached(
     per_module.sort_by_key(|&(idx, _)| idx);
     crate::resilient::absorb_route_faults(cfg, res);
     let mut result = stitch_implemented(design, device, cfg, per_module);
-    result.pack = pack_report;
+    result.pack = packed.map(|p| p.report.clone());
 
     CachedFlowResult {
         result,
@@ -1101,5 +1153,191 @@ mod tests {
             "recently used entry survives"
         );
         assert!(cache.get(&keys[3]).is_none(), "LRU entry evicted");
+    }
+
+    fn quick_pack(policy: tms_pack::MemPackPolicy, seed: u64, threads: usize) -> MemPackConfig {
+        MemPackConfig {
+            rounds: 6,
+            moves_per_round: 1_024,
+            threads,
+            ..MemPackConfig::new(policy, seed)
+        }
+    }
+
+    /// cnvW1A1 with one non-weight module resynthesised at a new size.
+    fn edited_cnvw1a1(seed: u64) -> CnvDesign {
+        let mut design = cnvw1a1(seed);
+        let idx = design
+            .modules
+            .iter()
+            .position(|m| m.name == "act_l5")
+            .unwrap();
+        design.modules[idx].netlist =
+            tms_cnn::synth_module(tms_cnn::ModuleRole::Activation, 33, "act_l5", 999);
+        design
+    }
+
+    /// The packed flow the memo tests run, recording through `obs`.
+    fn packed_cfg(obs: &dyn Recorder) -> RwFlowConfig<'_> {
+        cfg(1)
+            .with_mem_pack(quick_pack(tms_pack::MemPackPolicy::Packed, 1, 1))
+            .with_recorder(obs)
+    }
+
+    /// A pack report with its one machine-dependent field cleared.
+    fn pack_fields(report: &tms_pack::PackReport) -> String {
+        let mut r = report.clone();
+        if let Some(s) = &mut r.search {
+            s.wall_ms = 0.0;
+        }
+        serde_json::to_string(&r).unwrap()
+    }
+
+    #[test]
+    fn warm_pack_memo_reproduces_the_memo_less_flow() {
+        let dev = Device::xc7z020();
+        let mut cache = ImplementationCache::new();
+        run_rw_flow_cached(&cnvw1a1(1), &dev, &packed_cfg(tms_obs::noop()), &mut cache);
+        // The edit leaves the weights alone: the memo serves the packing,
+        // the module cache all but the edited module.
+        let design = edited_cnvw1a1(1);
+        let sink = tms_obs::AggregatingSink::new();
+        let warm = run_rw_flow_cached(&design, &dev, &packed_cfg(&sink), &mut cache);
+        assert_eq!(sink.counter("pack.memo.hit"), 1);
+        assert_eq!((warm.fresh, warm.reused), (1, 73));
+        let reference = crate::rwflow::run_rw_flow(&design, &dev, &packed_cfg(tms_obs::noop()));
+        let (w, r) = (&warm.result, &reference);
+        assert_eq!(w.stitch.positions, r.stitch.positions);
+        assert_eq!(w.stitch.final_cost.to_bits(), r.stitch.final_cost.to_bits());
+        assert_eq!(w.total_tool_runs, r.total_tool_runs);
+        assert_eq!(w.implemented.len(), r.implemented.len());
+        for (a, b) in w.implemented.iter().zip(&r.implemented) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(a.cf.to_bits(), b.cf.to_bits(), "{}", a.name);
+            assert_eq!(a.pblock.rect, b.pblock.rect, "{}", a.name);
+        }
+        assert_eq!(
+            pack_fields(w.pack.as_ref().unwrap()),
+            pack_fields(r.pack.as_ref().unwrap())
+        );
+    }
+
+    #[test]
+    fn pack_memo_hits_exactly_when_the_packing_inputs_match() {
+        use tms_pack::MemPackPolicy::{Naive, Packed};
+        let design = cnvw1a1(1);
+        let dev = Device::xc7z020();
+        let base = quick_pack(Packed, 1, 1);
+        let mut cache = ImplementationCache::new();
+        let first = cache.pack(&design, &dev, &base, tms_obs::noop()).unwrap();
+        let mut hits = |d: &CnvDesign, dev: &Device, pack: &MemPackConfig| {
+            let sink = tms_obs::AggregatingSink::new();
+            let got = cache.pack(d, dev, pack, &sink).unwrap();
+            let hit = sink.counter("pack.memo.hit") == 1;
+            assert_eq!(hit, Arc::ptr_eq(&got, &first));
+            hit
+        };
+        assert!(hits(&design, &dev, &base), "identical inputs");
+        assert!(hits(&edited_cnvw1a1(1), &dev, &base), "non-weight edit");
+        assert!(hits(&design, &dev, &quick_pack(Packed, 1, 8)), "threads");
+        assert!(!hits(&design, &dev, &quick_pack(Naive, 1, 1)), "policy");
+        assert!(!hits(&design, &dev, &quick_pack(Packed, 2, 1)), "seed");
+        let rounds = MemPackConfig {
+            rounds: 7,
+            ..base.clone()
+        };
+        assert!(!hits(&design, &dev, &rounds), "rounds");
+        let moves = MemPackConfig {
+            moves_per_round: 2_048,
+            ..base.clone()
+        };
+        assert!(!hits(&design, &dev, &moves), "moves");
+        assert!(!hits(&design, &Device::xc7z045(), &base), "device");
+        let w = design.modules.iter().position(|m| m.mem.is_some()).unwrap();
+        let mut spec = design.clone();
+        let mem = spec.modules[w].mem.as_mut().unwrap();
+        mem.cols += mem.simd;
+        assert!(!hits(&spec, &dev, &base), "weight spec");
+        let mut instances = design.clone();
+        instances.modules[w].instances += 1;
+        assert!(!hits(&instances, &dev, &base), "instance count");
+        // Packing off, or nothing to pack, never touches the memo.
+        let entries = cache.pack_memo.len();
+        assert!(cache
+            .pack(&design, &dev, &MemPackConfig::off(), tms_obs::noop())
+            .is_none());
+        assert_eq!(cache.pack_memo.len(), entries);
+    }
+
+    #[test]
+    fn pack_memo_hits_book_outcomes_but_no_search_work() {
+        use tms_obs::{AggregatingSink, Phase};
+        let design = cnvw1a1(1);
+        let dev = Device::xc7z020();
+        let mut cache = ImplementationCache::new();
+        let cold_sink = AggregatingSink::new();
+        let cold = run_rw_flow_cached(&design, &dev, &packed_cfg(&cold_sink), &mut cache);
+        let warm_sink = AggregatingSink::new();
+        let warm = run_rw_flow_cached(&design, &dev, &packed_cfg(&warm_sink), &mut cache);
+        let report = warm.result.pack.as_ref().unwrap();
+        assert_eq!(
+            pack_fields(report),
+            pack_fields(cold.result.pack.as_ref().unwrap())
+        );
+        for (sink, hit) in [(&cold_sink, 0), (&warm_sink, 1)] {
+            assert_eq!(sink.counter("pack.memo.hit"), hit);
+            assert_eq!(sink.phase_spans(Phase::MemPack), 1);
+            assert_eq!(sink.counter("pack.runs"), 1);
+            assert_eq!(sink.counter("pack.modules"), report.modules.len() as u64);
+            assert_eq!(sink.counter("pack.bram36_saved"), report.bram36_saved);
+            assert_eq!(sink.counter("pack.bins.bram36"), report.banks_bram36);
+            assert_eq!(sink.counter("pack.bins.bram18_half"), report.banks_bram18);
+            assert_eq!(sink.counter("pack.bins.lutram"), report.banks_lutram);
+        }
+        let search = report.search.as_ref().unwrap();
+        assert_eq!(cold_sink.counter("pack.search.moves"), search.moves);
+        assert_eq!(
+            cold_sink.counter("pack.win.sa") + cold_sink.counter("pack.win.ea"),
+            1
+        );
+        for counter in [
+            "pack.search.rounds",
+            "pack.search.moves",
+            "pack.search.adoptions",
+            "pack.lane.wins.sa",
+            "pack.lane.wins.ea",
+            "pack.win.sa",
+            "pack.win.ea",
+        ] {
+            assert_eq!(warm_sink.counter(counter), 0, "{counter}");
+        }
+    }
+
+    #[test]
+    fn pack_memo_is_capped_and_cleared_wholesale() {
+        // The naive policy runs no search, so distinct keys are cheap: the
+        // seed is part of the key.
+        let design = cnvw1a1(1);
+        let dev = Device::xc7z020();
+        let naive = |seed| MemPackConfig::new(tms_pack::MemPackPolicy::Naive, seed);
+        let mut cache = ImplementationCache::new();
+        for seed in 0..PACK_MEMO_CAPACITY as u64 {
+            cache.pack(&design, &dev, &naive(seed), tms_obs::noop());
+        }
+        assert_eq!(cache.pack_memo.len(), PACK_MEMO_CAPACITY);
+        cache.pack(
+            &design,
+            &dev,
+            &naive(PACK_MEMO_CAPACITY as u64),
+            tms_obs::noop(),
+        );
+        assert_eq!(cache.pack_memo.len(), 1, "a full memo is dropped wholesale");
+        let sink = tms_obs::AggregatingSink::new();
+        cache.pack(&design, &dev, &naive(0), &sink);
+        assert_eq!(
+            sink.counter("pack.memo.hit"),
+            0,
+            "entries before the clear are gone"
+        );
     }
 }

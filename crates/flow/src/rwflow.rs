@@ -487,6 +487,7 @@ mod tests {
         // One span per module per phase, regardless of policy.
         assert_eq!(sink.phase_spans(Phase::Synth), n);
         assert_eq!(sink.phase_spans(Phase::Pack), n);
+        assert_eq!(sink.phase_spans(Phase::MemPack), 0, "packing is off");
         assert_eq!(sink.phase_spans(Phase::Place), n);
         assert_eq!(sink.phase_spans(Phase::Estimate), n);
         assert_eq!(sink.phase_spans(Phase::Stitch), 1);

@@ -2,6 +2,7 @@
 
 use crate::cell::{CellId, CellKind};
 use crate::stats::NetlistStats;
+use std::sync::OnceLock;
 
 /// Index of a net within its [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,16 +29,27 @@ impl Net {
 /// A structural netlist: the unit the flow synthesises, packs, places and
 /// sizes a PBlock for. Corresponds to one *module/block* of the RapidWright
 /// block design.
+///
+/// Immutable once built: only [`NetlistBuilder::finish`](crate::NetlistBuilder::finish)
+/// creates one, and [`Netlist::with_name`] changes nothing the statistics
+/// read. That is what lets the netlist keep its [`NetlistStats`] after the
+/// first [`Netlist::stats`] call, and lets clones carry them along.
 #[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
     cells: Vec<CellKind>,
     nets: Vec<Net>,
+    stats: OnceLock<NetlistStats>,
 }
 
 impl Netlist {
     pub(crate) fn from_parts(name: String, cells: Vec<CellKind>, nets: Vec<Net>) -> Self {
-        Netlist { name, cells, nets }
+        Netlist {
+            name,
+            cells,
+            nets,
+            stats: OnceLock::new(),
+        }
     }
 
     /// Module name.
@@ -76,10 +88,14 @@ impl Netlist {
         self.nets.len()
     }
 
-    /// Compute the derived statistics (resource counts, control sets,
-    /// fanout profile, logic depth, carry chains). O(cells + nets).
+    /// The derived statistics (resource counts, control sets, fanout
+    /// profile, logic depth, carry chains). The first call computes them in
+    /// O(cells + nets) and stores them; later calls, on this netlist or on
+    /// any clone made after it, return a copy of the stored value.
     pub fn stats(&self) -> NetlistStats {
-        NetlistStats::compute(self)
+        self.stats
+            .get_or_init(|| NetlistStats::compute(self))
+            .clone()
     }
 
     /// Longest combinational path measured in LUT/carry levels.
@@ -93,9 +109,67 @@ impl Netlist {
         if n == 0 {
             return 0;
         }
-        // Build combinational adjacency: driver -> sinks where both ends
-        // are combinational (paths launched from sequential cells start at
-        // depth 0 on their first combinational sink).
+        // Combinational adjacency (driver -> sinks where both ends are
+        // combinational; paths launched from sequential cells start at
+        // depth 0 on their first combinational sink) in CSR form: the
+        // edges of cell `u` are `targets[offsets[u]..offsets[u + 1]]`, in
+        // net order. The first pass counts edges, the second fills them.
+        let comb: Vec<bool> = self.cells.iter().map(|c| c.is_combinational()).collect();
+        let mut offsets: Vec<u32> = vec![0; n + 1];
+        let mut indeg: Vec<u32> = vec![0; n];
+        for net in &self.nets {
+            let Some(d) = net.driver.filter(|d| comb[d.index()]) else {
+                continue;
+            };
+            for sink in net.sinks.iter().filter(|s| comb[s.index()]) {
+                offsets[d.index() + 1] += 1;
+                indeg[sink.index()] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut targets: Vec<u32> = vec![0; offsets[n] as usize];
+        for net in &self.nets {
+            let Some(d) = net.driver.filter(|d| comb[d.index()]) else {
+                continue;
+            };
+            for sink in net.sinks.iter().filter(|s| comb[s.index()]) {
+                targets[cursor[d.index()] as usize] = sink.0;
+                cursor[d.index()] += 1;
+            }
+        }
+        let mut depth: Vec<u32> = comb.iter().map(|&c| u32::from(c)).collect();
+        let mut queue: Vec<u32> = (0..n as u32)
+            .filter(|&i| indeg[i as usize] == 0 && comb[i as usize])
+            .collect();
+        let mut best = depth.iter().copied().max().unwrap_or(0);
+        while let Some(u) = queue.pop() {
+            let du = depth[u as usize];
+            best = best.max(du);
+            let edges = offsets[u as usize] as usize..offsets[u as usize + 1] as usize;
+            for &v in &targets[edges] {
+                if depth[v as usize] < du + 1 {
+                    depth[v as usize] = du + 1;
+                }
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    queue.push(v);
+                }
+            }
+        }
+        best
+    }
+
+    /// The `Vec<Vec<u32>>`-adjacency `logic_depth` the CSR version
+    /// replaced, kept as the oracle its tests compare against.
+    #[cfg(test)]
+    pub(crate) fn logic_depth_reference(&self) -> u32 {
+        let n = self.cells.len();
+        if n == 0 {
+            return 0;
+        }
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut indeg: Vec<u32> = vec![0; n];
         for net in &self.nets {
@@ -122,7 +196,6 @@ impl Netlist {
         while let Some(u) = queue.pop() {
             let du = depth[u as usize];
             best = best.max(du);
-            // Split borrow: take the adjacency list out while updating depth.
             let neighbours = std::mem::take(&mut adj[u as usize]);
             for v in neighbours {
                 if depth[v as usize] < du + 1 {
@@ -140,8 +213,11 @@ impl Netlist {
 
 #[cfg(test)]
 mod tests {
+    use super::Netlist;
     use crate::builder::NetlistBuilder;
-    use crate::cell::ControlSet;
+    use crate::cell::{CellId, ControlSet};
+    use crate::stats::NetlistStats;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_netlist() {
@@ -219,5 +295,82 @@ mod tests {
         b.connect(d, &sinks);
         let nl = b.finish();
         assert_eq!(nl.nets()[0].fanout(), 7);
+    }
+
+    #[test]
+    fn stats_are_stored_and_travel_with_clones() {
+        let mut b = NetlistBuilder::new("memo");
+        let cs = ControlSet::basic();
+        let chain = b.carry_chain(6);
+        let l = b.lut(4);
+        let f = b.ff(cs);
+        b.connect(chain[5], &[l]);
+        b.connect(l, &[f]);
+        let nl = b.finish();
+        let fresh = NetlistStats::compute(&nl);
+        // A clone taken before the first call computes its own copy.
+        let early = nl.clone();
+        assert_eq!(nl.stats(), fresh);
+        assert_eq!(nl.stats(), fresh);
+        assert_eq!(early.stats(), fresh);
+        assert_eq!(nl.clone().stats(), fresh);
+        assert_eq!(nl.with_name("renamed").stats(), fresh);
+    }
+
+    /// A random netlist over every primitive kind (LUTs weighted up so
+    /// combinational paths get long), with driven and primary-input nets.
+    /// Unless `dag` is set, edges run in any direction, so combinational
+    /// cycles and self-loops occur; with no cells there are no nets.
+    fn arb_netlist() -> impl Strategy<Value = Netlist> {
+        let net = (
+            any::<bool>(),
+            0u32..1_000,
+            proptest::collection::vec(0u32..1_000, 0..6),
+        );
+        (
+            proptest::collection::vec(0u8..11, 0..48),
+            proptest::collection::vec(net, 0..96),
+            any::<bool>(),
+        )
+            .prop_map(|(kinds, nets, dag)| {
+                let mut b = NetlistBuilder::new("random");
+                let cs = ControlSet::basic();
+                for kind in &kinds {
+                    match kind {
+                        0..=4 => b.lut(3),
+                        5 => b.carry_chain(1)[0],
+                        6 => b.ff(cs),
+                        7 => b.lutram(cs),
+                        8 => b.srl(cs),
+                        9 => b.bram(),
+                        _ => b.dsp(),
+                    };
+                }
+                let n = kinds.len() as u32;
+                for (driven, d, sinks) in nets.into_iter().filter(|_| n > 0) {
+                    let d = d % n;
+                    let sinks: Vec<CellId> = sinks
+                        .iter()
+                        .map(|s| s % n)
+                        .filter(|&s| !dag || s > d)
+                        .map(CellId)
+                        .collect();
+                    if driven {
+                        b.connect(CellId(d), &sinks);
+                    } else {
+                        b.input_net(&sinks);
+                    }
+                }
+                b.finish()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn csr_logic_depth_matches_the_reference(nl in arb_netlist()) {
+            prop_assert_eq!(nl.logic_depth(), nl.logic_depth_reference());
+        }
     }
 }

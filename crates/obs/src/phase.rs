@@ -7,6 +7,10 @@
 /// parse free-form span names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Phase {
+    /// Weight-memory packing across BRAM36 / BRAM18-half / LUTRAM bins,
+    /// run once per flow before any module is sized (searched, or reused
+    /// from the implementation cache's packing memo).
+    MemPack,
     /// Netlist synthesis / statistics extraction.
     Synth,
     /// Slice packing (control sets, carry shapes, M-type).
@@ -29,7 +33,8 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 10] = [
+        Phase::MemPack,
         Phase::Synth,
         Phase::Pack,
         Phase::Place,
@@ -45,6 +50,7 @@ impl Phase {
     /// Prometheus labels and report tables.
     pub fn label(self) -> &'static str {
         match self {
+            Phase::MemPack => "mempack",
             Phase::Synth => "synth",
             Phase::Pack => "pack",
             Phase::Place => "place",

@@ -20,8 +20,11 @@
 //!   [`BankSplit`] per weights module, O(1) move deltas, a budget penalty
 //!   that keeps SA delta-tracking exact.
 //! - [`phase`] — the flow phase: [`MemPackPolicy`] (`Off` / `Naive` /
-//!   `Packed`), the portfolio-driven [`pack_design`] entry point,
-//!   netlist regeneration via [`apply_packing`], and `pack.*` telemetry.
+//!   `Packed`), the portfolio-driven [`pack_design`] entry point (and
+//!   [`pack_memories`], which returns only the regenerated weights
+//!   modules), `pack.*` telemetry, and [`PackKey`], the exact inputs the
+//!   phase reads, under which a caller may store a [`PackedMemories`]
+//!   result and reuse it.
 //!
 //! The search runs on the `tms-search` portfolio (SA + EA lanes,
 //! deterministic per-lane seeds), so packing results are bit-identical
@@ -39,8 +42,8 @@ pub use bins::{
     LUTRAM_MAX_DEPTH,
 };
 pub use phase::{
-    apply_packing, observe_pack, pack_design, MemPackConfig, MemPackPolicy, ModuleAssignment,
-    PackReport, PackSearchStats,
+    observe_pack_reuse, pack_design, pack_memories, MemPackConfig, MemPackPolicy, ModuleAssignment,
+    PackKey, PackReport, PackSearchStats, PackedMemories,
 };
 pub use problem::{
     design_memories, module_lutram, module_sites36, BankSplit, MemBudget, ModuleMem, PackProblem,

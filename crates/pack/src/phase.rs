@@ -13,14 +13,14 @@
 //! against, and [`MemPackPolicy::Off`] leaves the seed design untouched.
 
 use crate::problem::{module_lutram, module_sites36, MemBudget, PackProblem, PackSolution};
-use tms_cnn::CnvDesign;
+use tms_cnn::{CnvDesign, CnvModule, WeightSpec};
 use tms_device::Device;
 use tms_obs::{span, Phase, Recorder};
 use tms_rtlgen::{Generator, MixedParams};
 use tms_search::{run_portfolio, LaneKind, PortfolioConfig, PortfolioOutcome};
 
 /// How the flow treats weight memories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MemPackPolicy {
     /// No packing: the seed netlists (LUT-ROM weight stores) are used as-is.
     #[default]
@@ -166,18 +166,93 @@ pub struct PackReport {
     pub search: Option<PackSearchStats>,
 }
 
+/// Everything [`pack_design`] reads from its inputs: for each module that
+/// carries a [`WeightSpec`], its index, name, instance count and spec; the
+/// device's [`MemBudget`]; and the [`MemPackConfig`] without `threads`,
+/// which never changes a result. Two calls whose keys are equal return the
+/// same packed netlists and the same [`PackReport`], apart from the
+/// machine-dependent `search.wall_ms`. This is what lets a caller store a
+/// packing result and reuse it instead of searching again.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PackKey {
+    memories: Vec<(usize, String, u32, WeightSpec)>,
+    budget: MemBudget,
+    policy: MemPackPolicy,
+    seed: u64,
+    rounds: u32,
+    moves_per_round: u64,
+}
+
+impl PackKey {
+    /// The key of `pack_design(design, device, cfg, _)`, or `None` when that
+    /// call packs nothing (policy off, or no weight memories).
+    pub fn of(design: &CnvDesign, device: &Device, cfg: &MemPackConfig) -> Option<PackKey> {
+        // Destructured so that a new config field must be classified here.
+        let MemPackConfig {
+            policy,
+            seed,
+            rounds,
+            moves_per_round,
+            threads: _,
+        } = *cfg;
+        if policy == MemPackPolicy::Off {
+            return None;
+        }
+        let memories: Vec<_> = design
+            .modules
+            .iter()
+            .enumerate()
+            .filter_map(|(i, m)| Some((i, m.name.clone(), m.instances, m.mem?)))
+            .collect();
+        if memories.is_empty() {
+            return None;
+        }
+        Some(PackKey {
+            memories,
+            budget: MemBudget::for_device(device),
+            policy,
+            seed,
+            rounds,
+            moves_per_round,
+        })
+    }
+}
+
+/// The packing phase's output without the design around it.
+#[derive(Debug, Clone)]
+pub struct PackedMemories {
+    /// Each regenerated weights module with its index in the design, in
+    /// module order. Every other module passes through unchanged.
+    pub modules: Vec<(usize, CnvModule)>,
+    /// The phase report.
+    pub report: PackReport,
+}
+
 /// Run the packing phase on `design` for `device`.
 ///
 /// Returns `None` when the policy is [`MemPackPolicy::Off`] or the design
 /// has no packable memories — the caller keeps the original design.
 /// Otherwise returns the regenerated design plus the report, recording
-/// `pack.*` telemetry and a `Pack`-phase `mempack` span through `obs`.
+/// `pack.*` telemetry and a `MemPack`-phase `mempack` span through `obs`.
 pub fn pack_design(
     design: &CnvDesign,
     device: &Device,
     cfg: &MemPackConfig,
     obs: &dyn Recorder,
 ) -> Option<(CnvDesign, PackReport)> {
+    let PackedMemories { modules, report } = pack_memories(design, device, cfg, obs)?;
+    Some((splice(design, modules), report))
+}
+
+/// [`pack_design`] without copying the design: only the regenerated
+/// weights modules come back. Returns `None` exactly when
+/// [`PackKey::of`] does.
+pub fn pack_memories(
+    design: &CnvDesign,
+    device: &Device,
+    cfg: &MemPackConfig,
+    obs: &dyn Recorder,
+) -> Option<PackedMemories> {
     if cfg.policy == MemPackPolicy::Off {
         return None;
     }
@@ -185,7 +260,7 @@ pub fn pack_design(
     if problem.memories().is_empty() {
         return None;
     }
-    let mut sp = span(obs, Phase::Pack, "mempack");
+    let mut sp = span(obs, Phase::MemPack, "mempack");
     let naive = problem.naive_solution();
     let (solution, search) = match cfg.policy {
         MemPackPolicy::Off => unreachable!("handled above"),
@@ -208,8 +283,8 @@ pub fn pack_design(
     sp.field("modules", report.modules.len() as f64);
     sp.field("bram36_saved", report.bram36_saved as f64);
     sp.field("cost", report.cost);
-    let packed = apply_packing(design, &problem, &solution, cfg.seed);
-    Some((packed, report))
+    let modules = packed_modules(design, &problem, &solution, cfg.seed);
+    Some(PackedMemories { modules, report })
 }
 
 fn search_stats<S>(out: &PortfolioOutcome<S>) -> PackSearchStats {
@@ -275,19 +350,10 @@ fn build_report(
     }
 }
 
-/// Record a report's `pack.*` counters through `obs`. Called by
-/// [`pack_design`]; exposed so cache-replay paths can re-book a stored
-/// report against a fresh sink.
-pub fn observe_pack(report: &PackReport, obs: &dyn Recorder) {
-    obs.count("pack.runs", 1);
-    obs.count("pack.modules", report.modules.len() as u64);
-    obs.count("pack.bram36_saved", report.bram36_saved);
-    obs.count("pack.bins.bram36", report.banks_bram36);
-    obs.count("pack.bins.bram18_half", report.banks_bram18);
-    obs.count("pack.bins.lutram", report.banks_lutram);
-    if !report.feasible {
-        obs.count("pack.infeasible", 1);
-    }
+/// Record a searched report's `pack.*` counters through `obs`; a result
+/// reused without a search is booked with [`observe_pack_reuse`] instead.
+fn observe_pack(report: &PackReport, obs: &dyn Recorder) {
+    observe_outcome(report, obs);
     if let Some(s) = &report.search {
         obs.count("pack.search.rounds", u64::from(s.rounds));
         obs.count("pack.search.moves", s.moves);
@@ -306,36 +372,80 @@ pub fn observe_pack(report: &PackReport, obs: &dyn Recorder) {
     }
 }
 
-/// Regenerate the weight-store netlists of `design` to reflect
-/// `solution`: BRAM banks become RAMB36 primitives, LUTRAM banks become
+/// Record a stored packing result reused in place of a search:
+/// `pack.memo.hit` plus the outcome counters a search books (`pack.runs`,
+/// `pack.modules`, `pack.bram36_saved`, `pack.bins.*`, `pack.infeasible`),
+/// so `pack.runs` still counts once per flow. The search-work counters
+/// (`pack.search.*`, `pack.lane.*`, `pack.win.*`) stay untouched, since
+/// no search ran.
+pub fn observe_pack_reuse(report: &PackReport, obs: &dyn Recorder) {
+    obs.count("pack.memo.hit", 1);
+    observe_outcome(report, obs);
+}
+
+fn observe_outcome(report: &PackReport, obs: &dyn Recorder) {
+    obs.count("pack.runs", 1);
+    obs.count("pack.modules", report.modules.len() as u64);
+    obs.count("pack.bram36_saved", report.bram36_saved);
+    obs.count("pack.bins.bram36", report.banks_bram36);
+    obs.count("pack.bins.bram18_half", report.banks_bram18);
+    obs.count("pack.bins.lutram", report.banks_lutram);
+    if !report.feasible {
+        obs.count("pack.infeasible", 1);
+    }
+}
+
+/// Regenerate the weight-store modules of `design` to reflect `solution`:
+/// BRAM banks become RAMB36 primitives, LUTRAM banks become
 /// distributed-RAM LUTs, and the LUT-ROM fabric of the seed recipe is
-/// replaced by a small addressing/control skeleton. Non-weight modules
-/// are untouched. Deterministic in `seed`.
-pub fn apply_packing(
+/// replaced by a small addressing/control skeleton. Returns each
+/// regenerated module with its design index; non-weight modules are not
+/// touched. Deterministic in `seed`.
+fn packed_modules(
     design: &CnvDesign,
     problem: &PackProblem,
     solution: &PackSolution,
     seed: u64,
-) -> CnvDesign {
+) -> Vec<(usize, CnvModule)> {
+    problem
+        .memories()
+        .iter()
+        .zip(&solution.splits)
+        .map(|(m, split)| {
+            let params = MixedParams {
+                // Address decode and bank-select control.
+                luts: 8 + 4 * m.banks,
+                // Double-buffered output registers per bank word.
+                ffs: (m.width * m.banks * 2).max(16),
+                control_sets: 1,
+                carry_chains: (0, 0),
+                lutrams: module_lutram(m, split),
+                srls: 0,
+                brams: module_sites36(m, split),
+                dsps: 0,
+                depth: 4,
+            };
+            let src = &design.modules[m.module_idx];
+            let module = CnvModule {
+                name: src.name.clone(),
+                role: src.role,
+                layer: src.layer,
+                netlist: params
+                    .generate(seed ^ ((m.module_idx as u64) << 8))
+                    .with_name(format!("{}_packed", m.name)),
+                instances: src.instances,
+                mem: src.mem,
+            };
+            (m.module_idx, module)
+        })
+        .collect()
+}
+
+/// A copy of `design` with `modules` put in at their indices.
+fn splice(design: &CnvDesign, modules: Vec<(usize, CnvModule)>) -> CnvDesign {
     let mut out = design.clone();
-    for (m, split) in problem.memories().iter().zip(&solution.splits) {
-        let params = MixedParams {
-            // Address decode and bank-select control.
-            luts: 8 + 4 * m.banks,
-            // Double-buffered output registers per bank word.
-            ffs: (m.width * m.banks * 2).max(16),
-            control_sets: 1,
-            carry_chains: (0, 0),
-            lutrams: module_lutram(m, split),
-            srls: 0,
-            brams: module_sites36(m, split),
-            dsps: 0,
-            depth: 4,
-        };
-        let module = &mut out.modules[m.module_idx];
-        module.netlist = params
-            .generate(seed ^ ((m.module_idx as u64) << 8))
-            .with_name(format!("{}_packed", m.name));
+    for (idx, m) in modules {
+        out.modules[idx] = m;
     }
     out
 }
@@ -483,7 +593,8 @@ mod tests {
         let dev = Device::xc7z020();
         let sink = AggregatingSink::new();
         let (_, report) = pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), &sink).unwrap();
-        assert_eq!(sink.phase_spans(Phase::Pack), 1);
+        assert_eq!(sink.phase_spans(Phase::MemPack), 1);
+        assert_eq!(sink.phase_spans(Phase::Pack), 0);
         assert_eq!(sink.counter("pack.runs"), 1);
         assert_eq!(sink.counter("pack.bram36_saved"), report.bram36_saved);
         assert_eq!(sink.counter("pack.bins.bram36"), report.banks_bram36);

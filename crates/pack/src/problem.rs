@@ -89,7 +89,7 @@ pub fn design_memories(design: &CnvDesign) -> Vec<ModuleMem> {
 }
 
 /// Device memory budget the packed design must fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemBudget {
     /// RAMB36 sites available to weight stores.
     pub bram36: u32,

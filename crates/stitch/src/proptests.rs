@@ -2,9 +2,12 @@
 
 #![cfg(test)]
 
+use crate::fabric::net_cost;
 use crate::problem::{MacroBlock, StitchProblem};
-use crate::sa::{stitch, StitchConfig};
+use crate::sa::{stitch, try_insert, State, StitchConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tms_device::{Device, Rect};
 
 /// Arbitrary stitching problems on the xc7z020: up to 40 instances of up
@@ -109,5 +112,45 @@ proptest! {
         }
         prop_assert!((r.final_cost - expected).abs() < 1e-6,
             "tracked {} vs recomputed {}", r.final_cost, expected);
+    }
+
+    /// The annealer's net-cost cache stays exact: after random
+    /// insertions, legal moves and undos — on nets with up to four
+    /// endpoints, repeated endpoints included — every cached net cost
+    /// equals a fresh `net_cost` bit for bit.
+    #[test]
+    fn cached_net_costs_stay_exact(problem in arb_problem(), seed in any::<u64>()) {
+        let dev = Device::xc7z020();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut problem = problem;
+        let n = problem.instances.len() as u32;
+        for _ in 0..rng.gen_range(0..6u32) {
+            let ends: Vec<u32> = (0..rng.gen_range(1..5u32))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            problem.add_net(&ends, rng.gen_range(1..9u32) as f64 / 4.0);
+        }
+        let mut state = State::new(&dev, &problem);
+        for _ in 0..300 {
+            let inst = rng.gen_range(0..n);
+            let old = state.positions[inst as usize];
+            if old.is_none() {
+                try_insert(&mut state, inst, &mut rng);
+            } else {
+                let cand = &state.candidates[problem.instances[inst as usize]];
+                let (x, y) = cand.nth(rng.gen_range(0..cand.count));
+                let b = problem.block_of(inst);
+                if state.grid.is_free(x, y, b.width, b.height, old) {
+                    let delta = state.apply_move(inst, x, y);
+                    if rng.gen_range(0..2u32) == 0 {
+                        state.undo_move(inst, old, delta);
+                    }
+                }
+            }
+            for (i, &c) in state.net_costs.iter().enumerate() {
+                let fresh = net_cost(&problem, &state.positions, i as u32);
+                prop_assert_eq!(c.to_bits(), fresh.to_bits(), "net {}", i);
+            }
+        }
     }
 }

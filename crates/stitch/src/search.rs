@@ -111,11 +111,11 @@ impl<'p> StitchSearch<'p> {
         let b = self.problem.block_of(inst);
         let before = incident_cost(self.problem, &self.incident, &s.positions, inst);
         if let Some((ox, oy)) = s.positions[inst as usize] {
-            s.grid.set(ox, oy, b.width, b.height, 0);
+            s.grid.clear(ox, oy, b.width, b.height);
         } else {
             s.unplaced -= 1;
         }
-        s.grid.set(x, y, b.width, b.height, inst + 1);
+        s.grid.fill(x, y, b.width, b.height);
         s.positions[inst as usize] = Some((x, y));
         let after = incident_cost(self.problem, &self.incident, &s.positions, inst);
         s.cost += after - before;
@@ -123,13 +123,11 @@ impl<'p> StitchSearch<'p> {
     }
 
     /// Exchange the anchors of two placed same-module instances: identical
-    /// footprints, so the move is always legal on any occupancy pattern.
+    /// footprints, so the move is always legal on any occupancy pattern
+    /// and leaves the occupancy grid unchanged.
     fn swap_cells(&self, s: &mut StitchSolution, a: u32, b: u32) {
         let pa = s.positions[a as usize].expect("swap of a placed pair");
         let pb = s.positions[b as usize].expect("swap of a placed pair");
-        let blk = self.problem.block_of(a);
-        s.grid.set(pa.0, pa.1, blk.width, blk.height, b + 1);
-        s.grid.set(pb.0, pb.1, blk.width, blk.height, a + 1);
         s.positions[a as usize] = Some(pb);
         s.positions[b as usize] = Some(pa);
     }
@@ -153,18 +151,12 @@ impl<'p> StitchSearch<'p> {
         }
         let b = self.problem.block_of(inst);
         let cand = self.cand_of(inst);
-        let count = cand.count();
-        if count == 0 {
+        if cand.count == 0 {
             return None;
         }
-        let start = rng.gen_range(0..count);
-        for k in 0..count {
-            let (x, y) = cand.nth((start + k) % count);
-            if s.grid.is_free(x, y, b.width, b.height, inst) {
-                return Some(self.apply_move(s, inst, x, y));
-            }
-        }
-        None
+        let start = rng.gen_range(0..cand.count);
+        let (x, y) = s.grid.first_free(cand, start, b.width, b.height)?;
+        Some(self.apply_move(s, inst, x, y))
     }
 }
 
@@ -221,7 +213,7 @@ impl SearchProblem for StitchSearch<'_> {
             };
         }
         let cand = self.cand_of(inst);
-        let count = cand.count();
+        let count = cand.count;
         if count == 0 {
             return Proposal::Illegal;
         }
@@ -260,14 +252,14 @@ impl SearchProblem for StitchSearch<'_> {
             let hi = (lo + window).min(count);
             cand.nth(rng.gen_range(lo..hi))
         };
-        if s.positions[inst as usize] == Some((x, y)) {
+        let old = s.positions[inst as usize];
+        if old == Some((x, y)) {
             return Proposal::Illegal;
         }
         let b = self.problem.block_of(inst);
-        if !s.grid.is_free(x, y, b.width, b.height, inst) {
+        if !s.grid.is_free(x, y, b.width, b.height, old) {
             return Proposal::Illegal;
         }
-        let old = s.positions[inst as usize];
         let delta = self.apply_move(s, inst, x, y);
         Proposal::Applied {
             delta,
@@ -282,10 +274,10 @@ impl SearchProblem for StitchSearch<'_> {
             UndoKind::Move { inst, old, delta } => {
                 let b = self.problem.block_of(inst);
                 if let Some((x, y)) = s.positions[inst as usize] {
-                    s.grid.set(x, y, b.width, b.height, 0);
+                    s.grid.clear(x, y, b.width, b.height);
                 }
                 if let Some((ox, oy)) = old {
-                    s.grid.set(ox, oy, b.width, b.height, inst + 1);
+                    s.grid.fill(ox, oy, b.width, b.height);
                 }
                 s.positions[inst as usize] = old;
                 s.cost -= delta;
@@ -335,9 +327,10 @@ impl SearchProblem for StitchSearch<'_> {
                 continue;
             }
             let blk = self.problem.block_of(inst);
-            // `is_free` ignores cells owned by `inst` itself, so a placed
+            // `is_free` counts `inst`'s own footprint as free, so a placed
             // instance can slide onto an overlapping target.
-            if child.grid.is_free(x, y, blk.width, blk.height, inst) {
+            let own = child.positions[inst as usize];
+            if child.grid.is_free(x, y, blk.width, blk.height, own) {
                 self.apply_move(&mut child, inst, x, y);
             }
         }

@@ -4,6 +4,7 @@
 use tms_cnn::ModuleRole;
 use tms_estimator::{CfEstimator, EstimatorKind, FeatureSet};
 use tms_ml::Dataset;
+use tms_obs::Phase;
 use tms_serve::{serve, Client, ClientError, ModuleSpec, ServeConfig};
 
 /// A quickly-trained linear estimator over the six `Additional` features —
@@ -137,8 +138,15 @@ fn repeated_preimpl_is_cached_and_measurably_faster() {
 fn warm_flow_does_strictly_less_implementation_work() {
     let handle = start_server(4);
     let mut client = Client::connect(handle.addr()).expect("connect");
+    // Place-and-route spans the server has recorded so far.
+    let place_spans = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        stats.pipeline.phase(Phase::Place).map_or(0, |p| p.spans)
+    };
 
+    let before = place_spans(&mut client);
     let cold = client.flow(5, "xc7z045", None).expect("cold flow");
+    let after_cold = place_spans(&mut client);
     assert_eq!(cold.reused, 0);
     assert_eq!(cold.fresh, 74);
     assert_eq!(cold.implemented, 74);
@@ -147,17 +155,20 @@ fn warm_flow_does_strictly_less_implementation_work() {
     assert!(cold.placed_count > 0);
 
     let warm = client.flow(5, "xc7z045", None).expect("warm flow");
+    let after_warm = place_spans(&mut client);
     assert_eq!(warm.reused, 74, "fully warm cache serves every module");
     assert_eq!(warm.fresh, 0);
     assert_eq!(warm.tool_runs_spent, 0, "strictly less implementation work");
     assert_eq!(warm.total_tool_runs, cold.total_tool_runs);
     assert_eq!(warm.placed_count, cold.placed_count);
+    // Exact, unlike wall-clock: the cold flow places every module at
+    // least once, the warm flow places none.
     assert!(
-        warm.micros < cold.micros,
-        "warm {}µs !< cold {}µs",
-        warm.micros,
-        cold.micros
+        after_cold - before >= 74,
+        "cold flow recorded {} place spans",
+        after_cold - before
     );
+    assert_eq!(after_warm, after_cold, "warm flow recorded place spans");
     handle.stop();
 }
 

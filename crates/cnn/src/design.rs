@@ -2,6 +2,7 @@
 
 use crate::mem::WeightSpec;
 use crate::role::{synth_module, ModuleRole};
+use rayon::prelude::*;
 use tms_netlist::Netlist;
 
 /// One unique module of the block design.
@@ -82,11 +83,43 @@ pub(crate) fn jitter(k: u64, amp: f64) -> f64 {
     1.0 + amp * (2.0 * unit - 1.0)
 }
 
+/// A module the builder has laid out but not yet synthesised: everything
+/// [`CnvModule`] holds except the netlist, plus the synthesis inputs.
+struct PendingModule {
+    name: String,
+    role: ModuleRole,
+    layer: u32,
+    target: u32,
+    seed: u64,
+    instances: u32,
+    mem: Option<WeightSpec>,
+}
+
+impl PendingModule {
+    fn synthesise(self) -> CnvModule {
+        CnvModule {
+            netlist: synth_module(self.role, self.target, &self.name, self.seed),
+            name: self.name,
+            role: self.role,
+            layer: self.layer,
+            instances: self.instances,
+            mem: self.mem,
+        }
+    }
+}
+
+/// Lays out a block design, then synthesises its modules.
+///
+/// Assembly reads only names, instance ids and nets, never a netlist, so
+/// [`Builder::module`] merely records each module's synthesis inputs and
+/// [`Builder::finish`] synthesises them all in parallel. Each netlist
+/// depends on its own inputs alone, so the design is identical however
+/// the work is split.
 pub(crate) struct Builder {
-    pub(crate) modules: Vec<CnvModule>,
-    pub(crate) instances: Vec<(usize, String)>,
-    pub(crate) nets: Vec<(Vec<u32>, f64)>,
-    pub(crate) seed: u64,
+    modules: Vec<PendingModule>,
+    instances: Vec<(usize, String)>,
+    nets: Vec<(Vec<u32>, f64)>,
+    seed: u64,
 }
 
 impl Builder {
@@ -109,12 +142,12 @@ impl Builder {
         count: u32,
     ) -> Vec<u32> {
         let idx = self.modules.len();
-        let netlist = synth_module(role, target, name, self.seed ^ (idx as u64) << 8);
-        self.modules.push(CnvModule {
+        self.modules.push(PendingModule {
             name: name.to_string(),
             role,
             layer,
-            netlist,
+            target,
+            seed: self.seed ^ (idx as u64) << 8,
             instances: count,
             mem: None,
         });
@@ -141,12 +174,55 @@ impl Builder {
         }
     }
 
+    /// Synthesise every module, in parallel, and assemble the design.
     pub(crate) fn finish(self) -> CnvDesign {
         CnvDesign {
-            modules: self.modules,
+            modules: self
+                .modules
+                .into_par_iter()
+                .map(PendingModule::synthesise)
+                .collect(),
             instances: self.instances,
             nets: self.nets,
         }
+    }
+
+    /// [`Builder::finish`] one module at a time: the oracle the parallel
+    /// build is checked against.
+    #[cfg(test)]
+    pub(crate) fn finish_sequential(self) -> CnvDesign {
+        CnvDesign {
+            modules: self
+                .modules
+                .into_iter()
+                .map(PendingModule::synthesise)
+                .collect(),
+            instances: self.instances,
+            nets: self.nets,
+        }
+    }
+}
+
+/// Assert two designs equal cell for cell and net for net, plus
+/// everything else a module and the diagram carry.
+#[cfg(test)]
+pub(crate) fn assert_same_design(a: &CnvDesign, b: &CnvDesign) {
+    assert_eq!(a.modules.len(), b.modules.len());
+    for (ma, mb) in a.modules.iter().zip(&b.modules) {
+        assert_eq!(ma.name, mb.name);
+        assert_eq!(ma.role, mb.role);
+        assert_eq!(ma.layer, mb.layer);
+        assert_eq!(ma.instances, mb.instances);
+        assert_eq!(ma.mem, mb.mem);
+        assert_eq!(ma.netlist.name(), mb.netlist.name());
+        assert_eq!(ma.netlist.cells(), mb.netlist.cells(), "{}", ma.name);
+        assert_eq!(ma.netlist.nets(), mb.netlist.nets(), "{}", ma.name);
+    }
+    assert_eq!(a.instances, b.instances);
+    assert_eq!(a.nets.len(), b.nets.len());
+    for ((ea, wa), (eb, wb)) in a.nets.iter().zip(&b.nets) {
+        assert_eq!(ea, eb);
+        assert_eq!(wa.to_bits(), wb.to_bits());
     }
 }
 
@@ -167,6 +243,12 @@ pub(crate) fn weight_fold(layer: u32) -> (u32, u32) {
 /// 1–2, 20 shared by layers 3–4, four instances of `mvau_18`, and the large
 /// `weights_14` weight store. Per-module sizes are deterministic in `seed`.
 pub fn cnvw1a1(seed: u64) -> CnvDesign {
+    cnvw1a1_layout(seed).finish()
+}
+
+/// The cnvW1A1 block diagram with its modules' synthesis inputs, before
+/// any netlist is synthesised.
+fn cnvw1a1_layout(seed: u64) -> Builder {
     let mut b = Builder::new(seed);
 
     // ---- MVAUs ------------------------------------------------------
@@ -300,13 +382,23 @@ pub fn cnvw1a1(seed: u64) -> CnvDesign {
         });
     }
 
-    b.finish()
+    b
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tms_synth::pack;
+
+    #[test]
+    fn parallel_synthesis_matches_the_sequential_builder() {
+        for seed in [1, 7, 306] {
+            assert_same_design(
+                &cnvw1a1_layout(seed).finish(),
+                &cnvw1a1_layout(seed).finish_sequential(),
+            );
+        }
+    }
 
     #[test]
     fn paper_statistics_match() {

@@ -76,7 +76,7 @@ pub fn zoo_names() -> Vec<&'static str> {
 pub fn zoo(seed: u64) -> Vec<(String, CnvDesign)> {
     SHAPES
         .iter()
-        .map(|s| (s.name.to_string(), build_bnn(*s, seed)))
+        .map(|s| (s.name.to_string(), bnn_layout(*s, seed).finish()))
         .collect()
 }
 
@@ -86,10 +86,12 @@ pub fn zoo_design(name: &str, seed: u64) -> Option<CnvDesign> {
     SHAPES
         .iter()
         .find(|s| s.name == name)
-        .map(|s| build_bnn(*s, seed))
+        .map(|s| bnn_layout(*s, seed).finish())
 }
 
-fn build_bnn(shape: ZooShape, seed: u64) -> CnvDesign {
+/// One zoo member's block diagram with its modules' synthesis inputs,
+/// before any netlist is synthesised.
+fn bnn_layout(shape: ZooShape, seed: u64) -> Builder {
     // Decorrelate members sharing a seed without losing determinism.
     let mix = shape
         .name
@@ -186,13 +188,26 @@ fn build_bnn(shape: ZooShape, seed: u64) -> CnvDesign {
         });
     }
 
-    b.finish()
+    b
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::assert_same_design;
     use tms_synth::pack;
+
+    #[test]
+    fn parallel_synthesis_matches_the_sequential_builder() {
+        for shape in SHAPES {
+            for seed in [1, 9] {
+                assert_same_design(
+                    &bnn_layout(shape, seed).finish(),
+                    &bnn_layout(shape, seed).finish_sequential(),
+                );
+            }
+        }
+    }
 
     #[test]
     fn zoo_has_four_distinct_members() {

@@ -10,7 +10,8 @@
 use crate::integrity::{audit_module, verify_sealed, SealedModule};
 use crate::resilient::Resilience;
 use crate::rwflow::{
-    implement_module, stitch_implemented, CfPolicy, ImplementedModule, RwFlowConfig, RwFlowResult,
+    implement_module, stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig,
+    RwFlowResult,
 };
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -23,7 +24,9 @@ use tms_device::{Device, DeviceName};
 use tms_fault::{FaultInjector, FaultPoint, NoopInjector, Retry};
 use tms_netlist::{Netlist, NetlistStats};
 use tms_obs::{span, Phase, Recorder};
-use tms_pack::{observe_pack_reuse, pack_memories, MemPackConfig, PackKey, PackedMemories};
+use tms_pack::{
+    observe_pack_reuse, pack_memories, MemPackConfig, MemPackPolicy, PackKey, PackedMemories,
+};
 use tms_store::{Store, StoreSnapshot};
 use tms_verify::Auditor;
 
@@ -34,8 +37,16 @@ pub type MacroStore = Store<ModuleFingerprint, SealedModule>;
 
 /// A structural fingerprint of a module: device, name, and the statistics
 /// the implementation depends on. Two netlists with equal fingerprints get
-/// identical PBlocks and placements under a fixed seed, so the cached
-/// implementation is safe to reuse.
+/// identical PBlocks and placements under a fixed seed and CF policy, so
+/// the cached implementation is safe to reuse.
+///
+/// **One CF policy per cache.** The fingerprint carries no CF policy: an
+/// implementation cached under `Minimal` is served to a `Constant(1.5)`
+/// flow of the same module, and vice versa. A cache, and the store behind
+/// it, must therefore only ever see one policy, or its replies depend on
+/// which policy filled it first (see [`run_rw_flow_cached`]). The flow seed
+/// is not part of the key either, and needs not be: it changes no
+/// module's implementation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ModuleFingerprint {
     device: DeviceName,
@@ -290,6 +301,16 @@ impl ImplementationCache {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Whether a record is stored under `key`. Moves no hit/miss counter
+    /// or recency stamp and verifies nothing: a probe for deciding whether
+    /// a [`lookup`](ImplementationCache::lookup) can come back all hits.
+    pub fn contains(&self, key: &ModuleFingerprint) -> bool {
+        match &self.store {
+            Some(store) => store.contains(key),
+            None => self.entries.contains_key(key),
+        }
+    }
+
     /// Look up a module implementation without integrity checks. The
     /// batch flows use [`get_verified`](ImplementationCache::get_verified)
     /// instead; this stays for statistics probes and tests.
@@ -392,6 +413,71 @@ impl ImplementationCache {
                 VerifiedLookup::Hit(sealed.module)
             }
             Err(reason) => self.quarantine_read(key, reason),
+        }
+    }
+
+    /// Look up one cached flow's modules — `keys` in design order — with
+    /// verified reads, under one `cache` span. Hits count `cache.hit`;
+    /// misses and quarantined records count `cache.miss` (and
+    /// `cache.quarantined`) and join the modules still to implement.
+    /// Takes `&self`, so it runs under a reader lock.
+    pub fn lookup(
+        &self,
+        keys: Vec<ModuleFingerprint>,
+        device: &Device,
+        obs: &dyn Recorder,
+    ) -> CacheLookup {
+        self.lookup_with(keys, device, obs, true)
+    }
+
+    /// [`lookup`](ImplementationCache::lookup), optionally without read
+    /// verification (the `verifybench` baseline).
+    fn lookup_with(
+        &self,
+        keys: Vec<ModuleFingerprint>,
+        device: &Device,
+        obs: &dyn Recorder,
+        read_verify: bool,
+    ) -> CacheLookup {
+        let auditor = Auditor::new(device);
+        let mut hits: Vec<(usize, ImplementedModule)> = Vec::with_capacity(keys.len());
+        let mut missing: Vec<usize> = Vec::new();
+        let mut quarantined = 0u64;
+        let mut sp = span(obs, Phase::Cache, "lookup");
+        for (idx, key) in keys.iter().enumerate() {
+            let found = if read_verify {
+                self.get_verified(key, &auditor)
+            } else {
+                self.get(key)
+                    .map_or(VerifiedLookup::Miss, VerifiedLookup::Hit)
+            };
+            match found {
+                VerifiedLookup::Hit(hit) => {
+                    obs.count("cache.hit", 1);
+                    hits.push((idx, hit));
+                }
+                VerifiedLookup::Corrupt(_) => {
+                    // Detected corruption heals by recompute: the module
+                    // joins the miss set and its fresh result overwrites
+                    // the quarantined record.
+                    obs.count("cache.quarantined", 1);
+                    obs.count("cache.miss", 1);
+                    quarantined += 1;
+                    missing.push(idx);
+                }
+                VerifiedLookup::Miss => {
+                    obs.count("cache.miss", 1);
+                    missing.push(idx);
+                }
+            }
+        }
+        sp.field("hits", hits.len() as f64);
+        sp.field("misses", missing.len() as f64);
+        sp.field("quarantined", quarantined as f64);
+        CacheLookup {
+            keys,
+            hits,
+            missing,
         }
     }
 
@@ -671,6 +757,26 @@ pub enum VerifiedLookup {
     Miss,
 }
 
+/// What one cached flow's [`lookup`](ImplementationCache::lookup) found:
+/// every module's key, the verified hits, and the modules still to
+/// implement.
+#[derive(Debug)]
+pub struct CacheLookup {
+    keys: Vec<ModuleFingerprint>,
+    /// Verified hits, in design order.
+    hits: Vec<(usize, ImplementedModule)>,
+    /// Design indices of misses and quarantined records, in order.
+    missing: Vec<usize>,
+}
+
+impl CacheLookup {
+    /// Whether every module was a verified hit, so
+    /// [`stitch_cached`] can finish the flow without the cache.
+    pub fn is_complete(&self) -> bool {
+        self.missing.is_empty()
+    }
+}
+
 /// Result of a cached flow run.
 pub struct CachedFlowResult {
     /// The flow outcome (implemented modules include the cached ones).
@@ -693,6 +799,13 @@ pub struct CachedFlowResult {
 /// (the guided policy's predictions may change as the estimator is
 /// retrained); the stitching is always re-run, since block positions
 /// depend on the whole design.
+///
+/// Use one CF policy per cache: [`ModuleFingerprint`] does not key the
+/// policy. For cnvW1A1 seed 7 on the xc7z020 with the fast stitch, a
+/// `Constant(1.5)` flow on a fresh cache places 82 blocks at CF 1.5; run
+/// after a `Minimal` flow of the same design, it reuses all 74 minimal-CF
+/// modules and places 120.
+///
 /// Every cache hit is read-verified (digest + legality audit; see
 /// [`ImplementationCache::get_verified`]); a record failing verification
 /// is quarantined and transparently recomputed — the flow result is
@@ -780,58 +893,95 @@ pub(crate) fn run_cached(
     for (idx, m) in packed.iter().flat_map(|p| &p.modules) {
         netlists[*idx] = &m.netlist;
     }
-    // Look up every module; record hits and the indices still to implement.
-    let obs = cfg.obs;
-    let auditor = Auditor::new(device);
-    let mut keys: Vec<ModuleFingerprint> = Vec::with_capacity(netlists.len());
-    let mut hits: HashMap<usize, ImplementedModule> = HashMap::new();
-    let mut missing: Vec<usize> = Vec::new();
-    let mut quarantined = 0u64;
-    {
-        let mut sp = span(obs, Phase::Cache, "lookup");
-        for (idx, netlist) in netlists.iter().enumerate() {
-            let key = ModuleFingerprint::of(netlist, device);
-            if read_verify {
-                match cache.get_verified(&key, &auditor) {
-                    VerifiedLookup::Hit(hit) => {
-                        obs.count("cache.hit", 1);
-                        hits.insert(idx, hit);
-                    }
-                    VerifiedLookup::Corrupt(_) => {
-                        // Detected corruption heals by recompute: the
-                        // module joins the miss set and its fresh result
-                        // overwrites the quarantined record below.
-                        obs.count("cache.quarantined", 1);
-                        obs.count("cache.miss", 1);
-                        quarantined += 1;
-                        missing.push(idx);
-                    }
-                    VerifiedLookup::Miss => {
-                        obs.count("cache.miss", 1);
-                        missing.push(idx);
-                    }
-                }
-            } else {
-                match cache.get(&key) {
-                    Some(hit) => {
-                        obs.count("cache.hit", 1);
-                        hits.insert(idx, hit);
-                    }
-                    None => {
-                        obs.count("cache.miss", 1);
-                        missing.push(idx);
-                    }
-                }
-            }
-            keys.push(key);
-        }
-        sp.field("hits", hits.len() as f64);
-        sp.field("misses", missing.len() as f64);
-        sp.field("quarantined", quarantined as f64);
-    }
+    let keys = netlists
+        .iter()
+        .map(|netlist| ModuleFingerprint::of(netlist, device))
+        .collect();
+    let lookup = cache.lookup_with(keys, device, cfg.obs, read_verify);
+    let mut out = implement_and_stitch(
+        design,
+        &netlists,
+        lookup,
+        device,
+        cfg,
+        cache,
+        recompute_audit,
+        res,
+    );
+    out.result.pack = packed.map(|p| p.report.clone());
+    out
+}
 
-    // Pre-implement only the misses, in parallel; under an armed
-    // resilience bundle each module gets its own retry loop.
+/// [`run_rw_flow_cached_resilient`](crate::run_rw_flow_cached_resilient)
+/// picked up after its lookups: `lookup` was made by
+/// [`ImplementationCache::lookup`] over the fingerprints of `design`'s own
+/// modules (so with packing off). Implements what it missed, fills the
+/// cache, and stitches, exactly as the uninterrupted flow would — no
+/// module is read twice.
+pub fn resume_cached_flow(
+    design: &CnvDesign,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    cache: &mut ImplementationCache,
+    lookup: CacheLookup,
+    res: &Resilience<'_>,
+) -> CachedFlowResult {
+    assert_eq!(
+        lookup.keys.len(),
+        design.modules.len(),
+        "the lookup covers another design"
+    );
+    assert!(
+        cfg.mem_pack.policy == MemPackPolicy::Off,
+        "a resumed flow never packs: its keys are the unpacked fingerprints"
+    );
+    let netlists: Vec<&Netlist> = design.modules.iter().map(|m| &m.netlist).collect();
+    implement_and_stitch(design, &netlists, lookup, device, cfg, cache, false, res)
+}
+
+/// Finish a cached flow whose lookups all hit: merge the hits, absorb
+/// `flow.route` faults, and stitch over `diagram`. It reads nothing from
+/// the cache, so a service runs it with no lock held.
+///
+/// # Panics
+///
+/// If `lookup` is not [complete](CacheLookup::is_complete).
+pub fn stitch_cached(
+    diagram: &impl BlockDiagram,
+    lookup: CacheLookup,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    res: &Resilience<'_>,
+) -> CachedFlowResult {
+    assert!(lookup.is_complete(), "stitch_cached needs every module hit");
+    let reused = lookup.hits.len();
+    CachedFlowResult {
+        result: stitch_outcomes(diagram, lookup.hits, Vec::new(), device, cfg, res),
+        reused,
+        fresh: 0,
+        tool_runs_spent: 0,
+    }
+}
+
+/// The cached flow after its lookups: pre-implement the misses (in
+/// parallel, each under the resilience bundle's retry loop), fill the
+/// cache with them under the keys the lookup already computed, and stitch.
+#[allow(clippy::too_many_arguments)]
+fn implement_and_stitch(
+    design: &CnvDesign,
+    netlists: &[&Netlist],
+    lookup: CacheLookup,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    cache: &mut ImplementationCache,
+    recompute_audit: bool,
+    res: &Resilience<'_>,
+) -> CachedFlowResult {
+    let CacheLookup {
+        keys,
+        hits,
+        missing,
+    } = lookup;
     let fresh_results: Vec<(usize, Result<ImplementedModule, String>)> = missing
         .par_iter()
         .map(|&idx| {
@@ -845,9 +995,9 @@ pub(crate) fn run_cached(
 
     if recompute_audit {
         // Audit mode: recompute every hit and check the cache told the truth.
-        for (&idx, hit) in &hits {
-            let name = &design.modules[idx].name;
-            let recomputed = implement_module(name, netlists[idx], device, cfg)
+        for (idx, hit) in &hits {
+            let name = &design.modules[*idx].name;
+            let recomputed = implement_module(name, netlists[*idx], device, cfg)
                 .expect("cached module must still implement");
             assert_eq!(
                 hit.pblock.rect, recomputed.pblock.rect,
@@ -857,8 +1007,7 @@ pub(crate) fn run_cached(
         }
     }
 
-    // Account and fill the cache with the fresh implementations, under the
-    // keys the lookup already computed.
+    // Account and fill the cache with the fresh implementations.
     let reused = hits.len();
     let mut fresh = 0;
     let mut tool_runs_spent = 0;
@@ -871,30 +1020,39 @@ pub(crate) fn run_cached(
                     // The implementation still flows into the stitch; only
                     // its persistence failed (counted in the cache's
                     // failure statistics for the degrade decision).
-                    obs.count("cache.store_error", 1);
+                    cfg.obs.count("cache.store_error", 1);
                 }
             }
             Err(_) => tool_runs_spent += 1,
         }
     }
 
-    // Merge hits and fresh outcomes back into design order and stitch.
-    let mut per_module: Vec<(usize, Result<ImplementedModule, String>)> = hits
-        .into_iter()
-        .map(|(idx, m)| (idx, Ok(m)))
-        .chain(fresh_results)
-        .collect();
-    per_module.sort_by_key(|&(idx, _)| idx);
-    crate::resilient::absorb_route_faults(cfg, res);
-    let mut result = stitch_implemented(design, device, cfg, per_module);
-    result.pack = packed.map(|p| p.report.clone());
-
     CachedFlowResult {
-        result,
+        result: stitch_outcomes(design, hits, fresh_results, device, cfg, res),
         reused,
         fresh,
         tool_runs_spent,
     }
+}
+
+/// The tail every cached flow shares: hits and fresh outcomes merged back
+/// into design order, `flow.route` consulted, then the stitch.
+fn stitch_outcomes(
+    diagram: &impl BlockDiagram,
+    hits: Vec<(usize, ImplementedModule)>,
+    fresh: Vec<(usize, Result<ImplementedModule, String>)>,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    res: &Resilience<'_>,
+) -> RwFlowResult {
+    let mut per_module: Vec<(usize, Result<ImplementedModule, String>)> = hits
+        .into_iter()
+        .map(|(idx, m)| (idx, Ok(m)))
+        .chain(fresh)
+        .collect();
+    per_module.sort_by_key(|&(idx, _)| idx);
+    crate::resilient::absorb_route_faults(cfg, res);
+    stitch_diagram(diagram, device, cfg, per_module)
 }
 
 #[cfg(test)]
@@ -1078,6 +1236,97 @@ mod tests {
         });
         assert_eq!(cache.hits() - h0, 8 * 74);
         assert_eq!(cache.misses() - m0, 8);
+    }
+
+    fn keys_of(design: &CnvDesign, dev: &Device) -> Vec<ModuleFingerprint> {
+        design
+            .modules
+            .iter()
+            .map(|m| ModuleFingerprint::of(&m.netlist, dev))
+            .collect()
+    }
+
+    #[test]
+    fn contains_moves_no_counters() {
+        let design = cnvw1a1(5);
+        let dev = Device::xc7z045();
+        let mut cache = ImplementationCache::new();
+        run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
+        let (h0, m0) = (cache.hits(), cache.misses());
+        let keys = keys_of(&design, &dev);
+        assert!(keys.iter().all(|k| cache.contains(k)));
+        let other = ModuleFingerprint::of(&design.modules[0].netlist, &Device::xc7z020());
+        assert!(!cache.contains(&other));
+        assert_eq!((cache.hits(), cache.misses()), (h0, m0));
+    }
+
+    #[test]
+    fn stitching_a_complete_lookup_equals_the_warm_flow() {
+        use tms_obs::{AggregatingSink, Phase};
+        let design = cnvw1a1(5);
+        let dev = Device::xc7z045();
+        let mut cache = ImplementationCache::new();
+        run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
+        let flow_sink = AggregatingSink::new();
+        let warm = run_rw_flow_cached(&design, &dev, &cfg(5).with_recorder(&flow_sink), &mut cache);
+        let split_sink = AggregatingSink::new();
+        let split_cfg = cfg(5).with_recorder(&split_sink);
+        let lookup = cache.lookup(keys_of(&design, &dev), &dev, &split_sink);
+        assert!(lookup.is_complete());
+        let split = stitch_cached(&design, lookup, &dev, &split_cfg, &Resilience::default());
+        assert_eq!(
+            (split.reused, split.fresh, split.tool_runs_spent),
+            (74, 0, 0)
+        );
+        let (a, b) = (&split.result, &warm.result);
+        assert_eq!(a.stitch.positions, b.stitch.positions);
+        assert_eq!(a.stitch.final_cost.to_bits(), b.stitch.final_cost.to_bits());
+        assert_eq!(a.total_tool_runs, b.total_tool_runs);
+        assert_eq!(a.problem.instances.len(), b.problem.instances.len());
+        for phase in Phase::ALL {
+            assert_eq!(
+                split_sink.phase_spans(phase),
+                flow_sink.phase_spans(phase),
+                "{phase:?}"
+            );
+        }
+        assert_eq!(
+            split_sink.snapshot().counters,
+            flow_sink.snapshot().counters
+        );
+    }
+
+    #[test]
+    fn resuming_a_partial_lookup_equals_the_uninterrupted_flow() {
+        let dev = Device::xc7z045();
+        let warm_cache = || {
+            let mut cache = ImplementationCache::new();
+            run_rw_flow_cached(&cnvw1a1(5), &dev, &cfg(5), &mut cache);
+            cache
+        };
+        let design = edited_cnvw1a1(5);
+        let mut reference_cache = warm_cache();
+        let reference = run_rw_flow_cached(&design, &dev, &cfg(5), &mut reference_cache);
+        let mut cache = warm_cache();
+        let lookup = cache.lookup(keys_of(&design, &dev), &dev, tms_obs::noop());
+        assert!(!lookup.is_complete());
+        let (h0, m0) = (cache.hits(), cache.misses());
+        let resumed = resume_cached_flow(
+            &design,
+            &dev,
+            &cfg(5),
+            &mut cache,
+            lookup,
+            &Resilience::default(),
+        );
+        assert_eq!((cache.hits(), cache.misses()), (h0, m0), "no second read");
+        assert_eq!((resumed.fresh, resumed.reused), (1, 73));
+        assert_eq!(resumed.tool_runs_spent, reference.tool_runs_spent);
+        let (a, b) = (&resumed.result, &reference.result);
+        assert_eq!(a.stitch.positions, b.stitch.positions);
+        assert_eq!(a.stitch.final_cost.to_bits(), b.stitch.final_cost.to_bits());
+        assert_eq!(cache.len(), reference_cache.len());
+        assert!(keys_of(&design, &dev).iter().all(|k| cache.contains(k)));
     }
 
     #[test]

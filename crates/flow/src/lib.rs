@@ -45,9 +45,9 @@ pub mod verifybench;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
 pub use cache::{
-    run_rw_flow_cached, run_rw_flow_cached_unverified, run_rw_flow_cached_verified,
-    CachedFlowResult, ImplementationCache, MacroStore, ModuleFingerprint, VerifiedLookup,
-    DEFAULT_CACHE_CAPACITY,
+    resume_cached_flow, run_rw_flow_cached, run_rw_flow_cached_unverified,
+    run_rw_flow_cached_verified, stitch_cached, CacheLookup, CachedFlowResult, ImplementationCache,
+    MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
 pub use flowbench::{
     check_flow_regression, run_flow_bench, FlowBenchConfig, FlowBenchReport, FlowSide, SweepSide,
@@ -60,8 +60,8 @@ pub use packbench::{
 pub use render::{coverage_line, render_cost_trace, render_stitched};
 pub use resilient::{implement_module_resilient, run_rw_flow_cached_resilient, Resilience};
 pub use rwflow::{
-    implement_module, run_rw_flow, stitch_implemented, CfPolicy, ImplementedModule, RwFlowConfig,
-    RwFlowResult,
+    implement_module, run_rw_flow, stitch_implemented, BlockDiagram, CfPolicy, ImplementedModule,
+    RwFlowConfig, RwFlowResult,
 };
 pub use stitchbench::{
     bench_problem, check_regression, run_stitch_bench, RunStats, StitchBenchConfig,

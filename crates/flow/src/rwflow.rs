@@ -289,6 +289,39 @@ pub fn run_rw_flow(design: &CnvDesign, device: &Device, cfg: &RwFlowConfig<'_>) 
     result
 }
 
+/// What stitching reads of a block design: the unique modules' names,
+/// which module each instance replicates, and the inter-block nets — no
+/// netlist. [`CnvDesign`] is one; a service that keeps a design's diagram
+/// without its netlists can be another.
+pub trait BlockDiagram {
+    /// Number of unique modules.
+    fn module_count(&self) -> usize;
+    /// Name of unique module `idx`.
+    fn module_name(&self, idx: usize) -> &str;
+    /// The unique-module index of every instance, in instance order.
+    fn instance_modules(&self) -> impl Iterator<Item = usize> + '_;
+    /// Inter-block nets: instance ids and bus weight.
+    fn nets(&self) -> &[(Vec<u32>, f64)];
+}
+
+impl BlockDiagram for CnvDesign {
+    fn module_count(&self) -> usize {
+        self.modules.len()
+    }
+
+    fn module_name(&self, idx: usize) -> &str {
+        &self.modules[idx].name
+    }
+
+    fn instance_modules(&self) -> impl Iterator<Item = usize> + '_ {
+        self.instances.iter().map(|&(m, _)| m)
+    }
+
+    fn nets(&self) -> &[(Vec<u32>, f64)] {
+        &self.nets
+    }
+}
+
 /// Replicate per-module outcomes across the design's instances and stitch.
 ///
 /// `per_module` pairs each design-module index with its implementation
@@ -303,11 +336,22 @@ pub fn stitch_implemented(
     cfg: &RwFlowConfig<'_>,
     per_module: Vec<(usize, Result<ImplementedModule, String>)>,
 ) -> RwFlowResult {
+    stitch_diagram(design, device, cfg, per_module)
+}
+
+/// [`stitch_implemented`] over any [`BlockDiagram`]: the one place a
+/// stitch problem is built from per-module outcomes.
+pub(crate) fn stitch_diagram(
+    diagram: &impl BlockDiagram,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    per_module: Vec<(usize, Result<ImplementedModule, String>)>,
+) -> RwFlowResult {
     let mut implemented = Vec::new();
     let mut failed = Vec::new();
     let mut total_tool_runs = 0;
     // Map design-module index -> stitch-module index (implemented only).
-    let mut stitch_index: Vec<Option<usize>> = vec![None; design.modules.len()];
+    let mut stitch_index: Vec<Option<usize>> = vec![None; diagram.module_count()];
     let mut macros: Vec<MacroBlock> = Vec::new();
     for (idx, result) in per_module {
         match result {
@@ -326,7 +370,7 @@ pub fn stitch_implemented(
             }
             Err(why) => {
                 total_tool_runs += 1;
-                failed.push(format!("{}: {why}", design.modules[idx].name));
+                failed.push(format!("{}: {why}", diagram.module_name(idx)));
             }
         }
     }
@@ -334,11 +378,11 @@ pub fn stitch_implemented(
     // Build the stitch problem over instances of implemented modules.
     let mut problem = StitchProblem::new(macros);
     // design instance id -> stitch instance id (None if module failed).
-    let mut inst_map: Vec<Option<u32>> = Vec::with_capacity(design.instances.len());
-    for (midx, _) in &design.instances {
-        inst_map.push(stitch_index[*midx].map(|s| problem.add_instance(s)));
-    }
-    for (ends, weight) in &design.nets {
+    let inst_map: Vec<Option<u32>> = diagram
+        .instance_modules()
+        .map(|midx| stitch_index[midx].map(|s| problem.add_instance(s)))
+        .collect();
+    for (ends, weight) in diagram.nets() {
         let mapped: Vec<u32> = ends.iter().filter_map(|&e| inst_map[e as usize]).collect();
         if mapped.len() >= 2 {
             problem.add_net(&mapped, *weight);

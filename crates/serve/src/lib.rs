@@ -15,7 +15,9 @@
 //!   cache: the second identical request is a cache hit and skips
 //!   place-and-route entirely;
 //! * `flow` — full cnvW1A1-style design → stitched-placement report via
-//!   the cached flow (warm runs implement only cache misses);
+//!   the cached flow (warm runs implement only cache misses; a repeated
+//!   design whose modules are all cached is answered from memoised keys,
+//!   without regenerating it);
 //! * `stats` — per-endpoint request counts, latency histograms, cache
 //!   hit/miss rates, persistent-store statistics, and the pipeline-phase
 //!   telemetry of [`tms_obs`];
@@ -70,6 +72,7 @@
 
 pub mod client;
 pub mod loadgen;
+mod memo;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
@@ -79,10 +82,11 @@ pub use loadgen::{
     check_serve_regression, run_loadgen, EndpointLoadStats, LoadMode, LoadgenConfig, RequestMix,
     ServeBenchReport, ServerTotals,
 };
+pub use memo::MEMO_CAPACITY;
 pub use metrics::{EndpointMetrics, Metrics, LATENCY_BUCKETS_US};
 pub use protocol::{
     CacheStats, EndpointSnapshot, EstimateRequest, EstimateResponse, FlowRequest, FlowResponse,
-    MetricsResponse, ModuleSpec, PreimplRequest, PreimplResponse, Request, Response,
+    MemoReport, MetricsResponse, ModuleSpec, PreimplRequest, PreimplResponse, Request, Response,
     RobustnessReport, ShutdownResponse, SloReport, SlowlogReport, SlowlogRequest, StatsReport,
     StoreSnapshot,
 };

@@ -81,7 +81,7 @@ impl Response {
 /// A module to synthesise on the server: role recipe, size, name, seed.
 /// Deterministic — the same spec always yields the same netlist, which is
 /// what makes the pre-implementation cache coherent across requests.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct ModuleSpec {
     /// Resource recipe.
     pub role: ModuleRole,
@@ -127,7 +127,8 @@ pub struct PreimplRequest {
     /// Target device name (e.g. `xc7z045`).
     pub device: String,
     /// Correction factor: `Some(cf)` implements at that constant CF,
-    /// `None` searches the minimal feasible CF.
+    /// `None` searches the minimal feasible CF. The cache key does not
+    /// carry the policy; see [`FlowRequest::cf`].
     pub cf: Option<f64>,
 }
 
@@ -168,6 +169,12 @@ pub struct FlowRequest {
     /// Target device name.
     pub device: String,
     /// `Some(cf)` for a constant-CF policy, `None` for minimal-CF search.
+    ///
+    /// The cache key carries no CF policy, and constant-CF and minimal-CF
+    /// requests share the server's one cache: a module implemented under
+    /// one policy is reused by a request under the other, so replies
+    /// depend on which policy reached the module first. Send one policy
+    /// per server (or store directory).
     pub cf: Option<f64>,
     /// Memory-packing policy for weight stores: `"off"` (default when
     /// absent), `"naive"` (all-BRAM36 baseline), or `"packed"` (portfolio
@@ -262,6 +269,18 @@ pub struct IntegrityReport {
     pub last_scrub: Option<ScrubReport>,
 }
 
+/// The request memos inside a [`StatsReport`]: how many `flow` designs
+/// and `preimpl` specs the server can answer without regenerating them.
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+pub struct MemoReport {
+    /// Designs remembered (design seed × device) with their module keys.
+    pub design_entries: usize,
+    /// Module specs remembered (spec × device) with their key.
+    pub spec_entries: usize,
+    /// Entry bound of each memo; a full memo is cleared wholesale.
+    pub capacity: usize,
+}
+
 /// One endpoint's SLO posture inside a [`StatsReport`]: the objective
 /// plus its multi-window burn-rate readings.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -311,6 +330,9 @@ pub struct StatsReport {
     pub robustness: RobustnessReport,
     /// Verified-read, quarantine, and scrubber counters.
     pub integrity: IntegrityReport,
+    /// Fill of the request memos; their hit and miss counters are in
+    /// `pipeline` (`serve.design_memo.*`, `serve.spec_memo.*`).
+    pub memo: MemoReport,
     /// Pipeline telemetry: per-phase span totals, flow counters and
     /// observations accumulated across every request handled so far.
     pub pipeline: ObsSnapshot,

@@ -15,8 +15,12 @@
 //!   waited in the queue longer than the request deadline is shed at
 //!   dequeue rather than served stale;
 //! * the shared [`ImplementationCache`] sits behind a
-//!   `parking_lot::RwLock`: lookups (`preimpl` hits) take the read lock,
-//!   inserts and whole cached-flow runs take the write lock.
+//!   `parking_lot::RwLock`: lookups (`preimpl` hits, and the lookups of a
+//!   repeated `flow` whose modules are all cached) take the read lock —
+//!   such a flow then stitches with no lock held — while inserts and every
+//!   other cached-flow run take the write lock. Request memos map a
+//!   repeated `flow` design or `preimpl` spec to its cache keys, so a
+//!   repeat regenerates nothing (see `memo.rs`).
 //!
 //! Robustness posture (see also [`crate::protocol::RobustnessReport`]):
 //! request lines are read through a **bounded byte reader** — an
@@ -42,11 +46,12 @@
 //! the store before acknowledging, then raises the flag for
 //! [`ServerHandle::serve_forever`] to finish the job.
 
+use crate::memo::{DesignKeys, Memo, MEMO_CAPACITY};
 use crate::metrics::Metrics;
 use crate::protocol::{
     CacheStats, EstimateRequest, EstimateResponse, FlowRequest, FlowResponse, IntegrityReport,
-    MetricsResponse, PreimplRequest, PreimplResponse, Request, Response, RobustnessReport,
-    ShutdownResponse, SloReport, SlowlogReport, SlowlogRequest, StatsReport,
+    MemoReport, MetricsResponse, ModuleSpec, PreimplRequest, PreimplResponse, Request, Response,
+    RobustnessReport, ShutdownResponse, SloReport, SlowlogReport, SlowlogRequest, StatsReport,
 };
 use crossbeam::channel::TrySendError;
 use serde::{Deserialize, Serialize, Value};
@@ -57,12 +62,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tms_cnn::cnvw1a1;
-use tms_device::Device;
+use tms_device::{Device, DeviceName};
 use tms_estimator::{CfEstimator, FeatureSet, ModuleFeatures};
 use tms_fault::{FaultInjector, FaultPlan, FaultPoint, Retry};
 use tms_flow::{
-    implement_module_resilient, run_rw_flow_cached_resilient, CfPolicy, ImplementationCache,
-    MacroStore, ModuleFingerprint, Resilience, RwFlowConfig, StoreAuditor, VerifiedLookup,
+    implement_module_resilient, resume_cached_flow, run_rw_flow_cached_resilient, stitch_cached,
+    CacheLookup, CachedFlowResult, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy,
+    ModuleFingerprint, Resilience, RwFlowConfig, StoreAuditor, VerifiedLookup,
     DEFAULT_CACHE_CAPACITY,
 };
 use tms_netlist::NetlistStats;
@@ -270,6 +276,11 @@ struct ServerState {
     slo: Vec<SloTracker>,
     /// Background scrub passes completed by the scrubber thread.
     scrub_passes: AtomicU64,
+    /// `flow` designs (seed × device, packing off) → module keys and
+    /// block diagram.
+    designs: Memo<(u64, DeviceName), DesignKeys>,
+    /// `preimpl` module specs (spec × device) → module key.
+    specs: Memo<(ModuleSpec, DeviceName), ModuleFingerprint>,
 }
 
 impl ServerState {
@@ -314,6 +325,15 @@ impl ServerState {
             malformed: self.robust.malformed.load(Ordering::Relaxed),
             store_put_failures: cache.store_put_failures(),
             faults_injected: self.fault.as_ref().map(|p| p.injected_total()).unwrap_or(0),
+        }
+    }
+
+    /// Snapshot the request memos' fill for `stats` and `/metrics`.
+    fn memo_report(&self) -> MemoReport {
+        MemoReport {
+            design_entries: self.designs.len(),
+            spec_entries: self.specs.len(),
+            capacity: MEMO_CAPACITY,
         }
     }
 
@@ -479,6 +499,8 @@ pub fn serve(
         ),
         slo: config.slos.iter().map(|&s| SloTracker::new(s)).collect(),
         scrub_passes: AtomicU64::new(0),
+        designs: Memo::new(),
+        specs: Memo::new(),
     });
 
     let (tx, rx) = crossbeam::channel::bounded::<Pending>(config.queue_limit.max(1));
@@ -1018,9 +1040,25 @@ fn do_preimpl(
     obs: &RequestRecorder<'_>,
 ) -> Result<PreimplResponse, String> {
     let device = device_by_name(&req.device)?;
-    let spec = req.spec;
-    let netlist = tms_cnn::synth_module(spec.role, spec.target_slices, &spec.name, spec.seed);
-    let key = ModuleFingerprint::of(&netlist, &device);
+    let memo_key = (req.spec, device.name());
+    let spec = &memo_key.0;
+    let synth = || tms_cnn::synth_module(spec.role, spec.target_slices, &spec.name, spec.seed);
+    // The spec's key comes from the memo; only an unseen spec is
+    // synthesised here, and only a cache miss below needs the netlist.
+    let mut netlist = None;
+    let key = match state.specs.get(&memo_key) {
+        Some(key) => {
+            obs.count("serve.spec_memo.hit", 1);
+            key
+        }
+        None => {
+            obs.count("serve.spec_memo.miss", 1);
+            let fresh = synth();
+            let key = ModuleFingerprint::of(&fresh, &device);
+            netlist = Some(fresh);
+            state.specs.insert(memo_key.clone(), key)
+        }
+    };
     // Fast path: concurrent lookups share the read lock. Every hit is
     // read-verified (digest + legality audit); a corrupt record is
     // quarantined and transparently recomputed below, exactly like a miss.
@@ -1036,6 +1074,7 @@ fn do_preimpl(
                 obs.count("cache.quarantined", 1);
             }
             obs.count("cache.miss", 1);
+            let netlist = netlist.unwrap_or_else(synth);
             let cfg = flow_config(
                 req.cf,
                 spec.seed,
@@ -1052,7 +1091,7 @@ fn do_preimpl(
             // up in the request's trace.
             let inserted = {
                 let _store_span = span(obs, Phase::Store, &spec.name);
-                state.cache.write().try_insert(key, m.clone())
+                state.cache.write().try_insert((*key).clone(), m.clone())
             };
             if inserted.is_err() {
                 obs.count("serve.store_error", 1);
@@ -1074,6 +1113,11 @@ fn do_preimpl(
     })
 }
 
+/// Answer a `flow` request. A design the server has compiled before
+/// (packing off) comes from the design memo: when every module is a
+/// verified hit, the reply needs lookups under the read lock and a stitch
+/// with no lock held — no design generation, no statistics. Everything
+/// else takes the full path of [`flow_full`].
 fn do_flow(
     state: &ServerState,
     req: FlowRequest,
@@ -1081,8 +1125,11 @@ fn do_flow(
     obs: &RequestRecorder<'_>,
 ) -> Result<FlowResponse, String> {
     let device = device_by_name(&req.device)?;
-    let design = cnvw1a1(req.design_seed);
     let mem_pack = mem_pack_config(req.mem_pack.as_deref(), req.design_seed)?;
+    // Packed keys come out of the packing phase, not the generator: such
+    // requests neither consult nor fill the memo.
+    let memo_key =
+        (mem_pack.policy == MemPackPolicy::Off).then_some((req.design_seed, device.name()));
     let cfg = flow_config(
         req.cf,
         req.design_seed,
@@ -1091,18 +1138,19 @@ fn do_flow(
         obs,
     );
     let res = state.resilience();
-    // The whole cached run holds the write lock: it both reads and fills
-    // the cache, and its parallel section uses rayon, not the pool.
-    let mut cache = state.cache.write();
-    let failures_before = cache.store_put_failures();
-    let r = run_rw_flow_cached_resilient(&design, &device, &cfg, &mut cache, &res);
-    // The write lock was held across the run, so any new put failures
-    // belong to this request: book them on its trace for classification.
-    let failures_during = cache.store_put_failures().saturating_sub(failures_before);
-    drop(cache);
-    if failures_during > 0 {
-        obs.count("serve.store_error", failures_during);
-    }
+    let memoised = memo_key.and_then(|key| {
+        let entry = state.designs.get(&key);
+        let counter = match entry {
+            Some(_) => "serve.design_memo.hit",
+            None => "serve.design_memo.miss",
+        };
+        obs.count(counter, 1);
+        entry
+    });
+    let r = match memoised {
+        Some(entry) => flow_memoised(state, &entry, req.design_seed, &device, &cfg, &res, obs),
+        None => flow_full(state, req.design_seed, &device, &cfg, &res, obs, None),
+    };
     maybe_degrade(state);
     Ok(FlowResponse {
         implemented: r.result.implemented.len(),
@@ -1116,6 +1164,75 @@ fn do_flow(
         pack_bram36_saved: r.result.pack.as_ref().map(|p| p.bram36_saved),
         micros: start.elapsed().as_micros() as u64,
     })
+}
+
+/// A memoised design. If the cache holds every module, look them all up
+/// (verified) under the read lock, then stitch with no lock held. A
+/// module missing from the cache sends the request down the full path; a
+/// record that fails verification, or vanishes between probe and read,
+/// is quarantined by the lookup and recomputed by the full path, which
+/// resumes from that lookup rather than reading every module twice.
+fn flow_memoised(
+    state: &ServerState,
+    entry: &DesignKeys,
+    design_seed: u64,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    res: &Resilience<'_>,
+    obs: &RequestRecorder<'_>,
+) -> CachedFlowResult {
+    let cache = state.cache.read();
+    if !entry.keys().iter().all(|key| cache.contains(key)) {
+        drop(cache);
+        return flow_full(state, design_seed, device, cfg, res, obs, None);
+    }
+    let lookup = cache.lookup(entry.keys().to_vec(), device, obs);
+    drop(cache);
+    if lookup.is_complete() {
+        stitch_cached(entry, lookup, device, cfg, res)
+    } else {
+        flow_full(state, design_seed, device, cfg, res, obs, Some(lookup))
+    }
+}
+
+/// The full path: generate the design (its modules synthesised in
+/// parallel) and, for an unpacked request, fingerprint its modules in
+/// parallel and remember the keys — all before taking the write lock, so
+/// the cached flow under the lock finds every module's statistics stored.
+/// A flow resuming from a memoised lookup needs neither: its keys are
+/// remembered already, and it implements only what the lookup missed.
+fn flow_full(
+    state: &ServerState,
+    design_seed: u64,
+    device: &Device,
+    cfg: &RwFlowConfig<'_>,
+    res: &Resilience<'_>,
+    obs: &RequestRecorder<'_>,
+    resumed: Option<CacheLookup>,
+) -> CachedFlowResult {
+    let design = cnvw1a1(design_seed);
+    if resumed.is_none() && cfg.mem_pack.policy == MemPackPolicy::Off {
+        state.designs.insert(
+            (design_seed, device.name()),
+            DesignKeys::of(&design, device),
+        );
+    }
+    // The cached run holds the write lock: it both reads and fills the
+    // cache, and its parallel section uses rayon, not the pool.
+    let mut cache = state.cache.write();
+    let failures_before = cache.store_put_failures();
+    let r = match resumed {
+        Some(lookup) => resume_cached_flow(&design, device, cfg, &mut cache, lookup, res),
+        None => run_rw_flow_cached_resilient(&design, device, cfg, &mut cache, res),
+    };
+    // The write lock was held across the run, so any new put failures
+    // belong to this request: book them on its trace for classification.
+    let failures_during = cache.store_put_failures().saturating_sub(failures_before);
+    drop(cache);
+    if failures_during > 0 {
+        obs.count("serve.store_error", failures_during);
+    }
+    r
 }
 
 /// Gracefully stop the server from the wire: make the persistent library
@@ -1201,6 +1318,7 @@ fn do_stats(state: &ServerState) -> StatsReport {
         store: cache.store_stats(),
         robustness: state.robustness_report(&cache),
         integrity: state.integrity_report(&cache),
+        memo: state.memo_report(),
         pipeline: state.sink.snapshot(),
     }
 }
@@ -1283,10 +1401,37 @@ fn prometheus_text(state: &ServerState) -> String {
         robust_prometheus(&mut page, &state.robustness_report(&cache));
         integrity_prometheus(&mut page, &state.integrity_report(&cache));
     }
+    memo_prometheus(&mut page, &state.memo_report());
     slo_prometheus(&mut page, state);
     slowlog_prometheus(&mut page, state);
     page.obs_snapshot(&state.sink.snapshot());
     page.finish()
+}
+
+/// The request memos' gauges; their hit and miss counters come with the
+/// pipeline telemetry (`tms_serve_design_memo_hit_total`, ...).
+fn memo_prometheus(page: &mut PromText, r: &MemoReport) {
+    page.header(
+        "tms_memo_entries",
+        "Entries held by each request memo",
+        "gauge",
+    );
+    page.sample(
+        "tms_memo_entries",
+        &[("memo", "design")],
+        r.design_entries as f64,
+    );
+    page.sample(
+        "tms_memo_entries",
+        &[("memo", "spec")],
+        r.spec_entries as f64,
+    );
+    page.header(
+        "tms_memo_capacity",
+        "Entry bound of each request memo; a full memo is cleared",
+        "gauge",
+    );
+    page.sample("tms_memo_capacity", &[], r.capacity as f64);
 }
 
 /// The SLO burn-rate gauge family: one sample per (endpoint, window,

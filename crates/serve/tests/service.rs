@@ -234,6 +234,22 @@ fn prometheus_page_agrees_with_the_stats_report() {
         u64::from(cold.attempts),
         "the sink's tool runs are the cold implementation's attempts"
     );
+    // The spec memo: the cold preimpl synthesised and remembered the
+    // spec, the warm one found its key there.
+    assert_eq!(stats.pipeline.counter("serve.spec_memo.miss"), 1);
+    assert_eq!(stats.pipeline.counter("serve.spec_memo.hit"), 1);
+    assert_eq!(samples["tms_serve_spec_memo_miss_total"] as u64, 1);
+    assert_eq!(samples["tms_serve_spec_memo_hit_total"] as u64, 1);
+    assert_eq!(stats.memo.spec_entries, 1);
+    assert_eq!(
+        samples["tms_memo_entries{memo=\"spec\"}"] as usize,
+        stats.memo.spec_entries
+    );
+    assert_eq!(
+        samples["tms_memo_entries{memo=\"design\"}"] as usize,
+        stats.memo.design_entries
+    );
+    assert_eq!(samples["tms_memo_capacity"] as usize, stats.memo.capacity);
     handle.stop();
 }
 

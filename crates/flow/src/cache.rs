@@ -10,13 +10,11 @@
 use crate::integrity::{audit_module, verify_sealed, SealedModule};
 use crate::resilient::Resilience;
 use crate::rwflow::{
-    implement_module, stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig,
-    RwFlowResult,
+    stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig, RwFlowResult,
 };
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tms_cnn::CnvDesign;
@@ -132,9 +130,11 @@ const PACK_MEMO_CAPACITY: usize = 64;
 
 /// Cache of pre-implemented modules, across compiles of evolving designs.
 ///
-/// Lookups take `&self`: hit/miss counters and recency stamps are atomic,
-/// so the cache can sit behind a reader-writer lock and serve concurrent
-/// `get`s from server workers (inserts still need `&mut self` / the write
+/// One read path, [`get_verified`](ImplementationCache::get_verified), and
+/// one write path, [`try_insert`](ImplementationCache::try_insert). Reads
+/// take `&self`: hit/miss counters and recency stamps are atomic, so the
+/// cache can sit behind a reader-writer lock and serve concurrent verified
+/// reads from server workers (inserts still need `&mut self` / the write
 /// side). The entry count is bounded; inserting past capacity evicts the
 /// least-recently-used implementation.
 ///
@@ -150,16 +150,17 @@ const PACK_MEMO_CAPACITY: usize = 64;
 /// [`stats`](Netlist::stats) call, and the memo's packed netlists carry
 /// theirs.
 ///
-/// Persistable to disk two ways:
+/// Persistence has one path: [`ImplementationCache::with_store`] backs the
+/// cache with a [`MacroStore`], where every insert is WAL-appended
+/// **incrementally** and survives a crash, and a restarted process
+/// warm-starts from the same directory — the durable macro library the
+/// RapidWright-style reuse economics assume.
 ///
-/// * [`ImplementationCache::save`] / [`ImplementationCache::load`] write
-///   the whole library as one JSON blob (atomically, via temp-file +
-///   rename) — fine for batch explorations that persist once at exit;
-/// * [`ImplementationCache::with_store`] backs the cache with a
-///   [`MacroStore`]: every insert is WAL-appended **incrementally** and
-///   survives a crash, and a restarted process warm-starts from the same
-///   directory — the durable macro library the RapidWright-style reuse
-///   economics assume.
+/// Read verification is paid once per record, and
+/// [`full_verifications`](ImplementationCache::full_verifications) counts
+/// it exactly: a module inserted by this process is sealed by its
+/// pre-insert audit, so its reads run no full check; a record loaded from
+/// a store is fully checked on its first read only.
 pub struct ImplementationCache {
     entries: HashMap<ModuleFingerprint, CacheSlot>,
     /// When set, the store is the single backend: `entries` stays empty
@@ -170,7 +171,8 @@ pub struct ImplementationCache {
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Retry policy applied to store-mode writes.
+    /// Retry policy applied to store-mode writes and to the faults the
+    /// cached flow absorbs.
     retry: Retry,
     /// Consecutive store-put failures (after retries); resets on the
     /// first success. Services watch this to decide when the store is
@@ -179,8 +181,11 @@ pub struct ImplementationCache {
     /// Total store puts that failed even after retrying.
     store_put_failures: AtomicU64,
     /// Fault injector consulted on verified reads (the
-    /// `cache.corrupt_macro` silent-corruption point).
+    /// `cache.corrupt_macro` silent-corruption point) and by the cached
+    /// flow (`flow.place`, `flow.route`).
     fault: Arc<dyn FaultInjector>,
+    /// Reads that ran the full digest + legality check.
+    full_verifications: AtomicU64,
     /// Verified reads that failed (digest mismatch, audit violation, or
     /// injected corruption that broke the encoding).
     verify_failures: AtomicU64,
@@ -193,9 +198,9 @@ pub struct ImplementationCache {
     /// process (sealed by the pre-insert audit, or fully checked on the
     /// first verified read after materializing from disk). The record
     /// behind a memoized digest lives in immutable process memory, so
-    /// later hits skip the digest recompute and legality audit — that is
-    /// what keeps read verification inside its 2% hot-path budget.
-    /// Fault-armed caches bypass the memo entirely.
+    /// later hits skip the digest recompute and legality audit, which
+    /// [`full_verifications`](ImplementationCache::full_verifications)
+    /// then does not count. Fault-armed caches bypass the memo entirely.
     verified: Mutex<HashSet<u64>>,
     /// Weight-packing results by the exact inputs that produced them,
     /// bounded by [`PACK_MEMO_CAPACITY`].
@@ -227,6 +232,7 @@ impl ImplementationCache {
             store_fail_streak: AtomicU32::new(0),
             store_put_failures: AtomicU64::new(0),
             fault: Arc::new(NoopInjector),
+            full_verifications: AtomicU64::new(0),
             verify_failures: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             insert_rejected: AtomicU64::new(0),
@@ -246,18 +252,21 @@ impl ImplementationCache {
         }
     }
 
-    /// Replace the retry policy applied to store-mode writes (default:
+    /// Replace the retry policy applied to store-mode writes and to the
+    /// injected faults [`run_rw_flow_cached`] absorbs (default:
     /// [`Retry::default`] — three attempts with millisecond backoff).
     pub fn with_retry(mut self, retry: Retry) -> Self {
         self.retry = retry;
         self
     }
 
-    /// Arm the `cache.corrupt_macro` fault point: verified reads consult
-    /// `fault` and, when it fires, the served module is bit-flipped on its
-    /// way out — the read-verification layer must catch it. Unverified
-    /// [`get`](ImplementationCache::get) is deliberately not instrumented:
-    /// the point exists to prove detection, not to break plain lookups.
+    /// Arm the cache's fault points. Verified reads consult
+    /// `cache.corrupt_macro` and, when it fires, the served module is
+    /// bit-flipped on its way out — the read-verification layer must catch
+    /// it. [`run_rw_flow_cached`] consults `flow.place` per tool-run
+    /// attempt and `flow.route` before the stitch, retrying under the
+    /// cache's [`Retry`] policy. An unarmed cache (the default) skips every
+    /// fault point and retry loop.
     pub fn with_fault(mut self, fault: Arc<dyn FaultInjector>) -> Self {
         self.fault = fault;
         self
@@ -311,32 +320,6 @@ impl ImplementationCache {
         }
     }
 
-    /// Look up a module implementation without integrity checks. The
-    /// batch flows use [`get_verified`](ImplementationCache::get_verified)
-    /// instead; this stays for statistics probes and tests.
-    pub fn get(&self, key: &ModuleFingerprint) -> Option<ImplementedModule> {
-        if let Some(store) = &self.store {
-            let hit = store.get(key).map(|sealed| sealed.module);
-            match hit.is_some() {
-                true => self.hits.fetch_add(1, Ordering::Relaxed),
-                false => self.misses.fetch_add(1, Ordering::Relaxed),
-            };
-            return hit;
-        }
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.entries.get(key) {
-            Some(slot) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                slot.last_used.store(now, Ordering::Relaxed);
-                Some(slot.module.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Look up a module implementation and verify it before serving:
     /// content digest first, then the full legality audit against
     /// `auditor`. A record failing either check is **quarantined** — in
@@ -351,8 +334,8 @@ impl ImplementationCache {
     /// and later hits of the same immutable in-process record pass on a
     /// set lookup. This is the same trust model as block-storage
     /// checksumming — verify what crossed the persistence boundary, not
-    /// every page-cache hit — and it is what keeps the verified hot path
-    /// inside the `verifybench` 2% overhead budget.
+    /// every page-cache hit. Each full check counts once in
+    /// [`full_verifications`](ImplementationCache::full_verifications).
     ///
     /// When a [`FaultInjector`](ImplementationCache::with_fault) is armed,
     /// the `cache.corrupt_macro` point bit-flips the record on its way out
@@ -406,6 +389,7 @@ impl ImplementationCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return VerifiedLookup::Hit(sealed.module);
         }
+        self.full_verifications.fetch_add(1, Ordering::Relaxed);
         match verify_sealed(auditor, &sealed) {
             Ok(()) => {
                 self.mark_verified(sealed.digest);
@@ -427,31 +411,13 @@ impl ImplementationCache {
         device: &Device,
         obs: &dyn Recorder,
     ) -> CacheLookup {
-        self.lookup_with(keys, device, obs, true)
-    }
-
-    /// [`lookup`](ImplementationCache::lookup), optionally without read
-    /// verification (the `verifybench` baseline).
-    fn lookup_with(
-        &self,
-        keys: Vec<ModuleFingerprint>,
-        device: &Device,
-        obs: &dyn Recorder,
-        read_verify: bool,
-    ) -> CacheLookup {
         let auditor = Auditor::new(device);
         let mut hits: Vec<(usize, ImplementedModule)> = Vec::with_capacity(keys.len());
         let mut missing: Vec<usize> = Vec::new();
         let mut quarantined = 0u64;
         let mut sp = span(obs, Phase::Cache, "lookup");
         for (idx, key) in keys.iter().enumerate() {
-            let found = if read_verify {
-                self.get_verified(key, &auditor)
-            } else {
-                self.get(key)
-                    .map_or(VerifiedLookup::Miss, VerifiedLookup::Hit)
-            };
-            match found {
+            match self.get_verified(key, &auditor) {
                 VerifiedLookup::Hit(hit) => {
                     obs.count("cache.hit", 1);
                     hits.push((idx, hit));
@@ -514,16 +480,8 @@ impl ImplementationCache {
     }
 
     /// Store a module implementation, evicting the least-recently-used
-    /// entry if the cache is at capacity. In store mode the insert is
-    /// WAL-appended; a persistence error is swallowed here (the
-    /// implementation is still returned to the caller by the flow) but
-    /// counted — see [`try_insert`](ImplementationCache::try_insert) for
-    /// the error-surfacing variant.
-    pub fn insert(&mut self, key: ModuleFingerprint, module: ImplementedModule) {
-        let _ = self.try_insert(key, module);
-    }
-
-    /// [`insert`](ImplementationCache::insert) that surfaces failures.
+    /// entry if the cache is at capacity; in store mode the insert is
+    /// WAL-appended instead.
     ///
     /// Every insert is audited before it is accepted: the module's
     /// placement is re-checked from first principles against a device
@@ -628,6 +586,15 @@ impl ImplementationCache {
         Some(packed)
     }
 
+    /// Reads that ran the full digest + legality check, whatever its
+    /// verdict. Reads served from the per-digest memo do not count: a warm
+    /// in-memory flow adds 0, and after a store warm start each record
+    /// adds 1 on its first read only. Fault-armed caches count every read
+    /// whose record still decodes.
+    pub fn full_verifications(&self) -> u64 {
+        self.full_verifications.load(Ordering::Relaxed)
+    }
+
     /// Verified reads that failed (digest mismatch, audit violation, or
     /// injected corruption that broke the encoding).
     pub fn verify_failures(&self) -> u64 {
@@ -679,38 +646,6 @@ impl ImplementationCache {
         carried
     }
 
-    /// Persist the cached implementations as JSON. Hit/miss counters and
-    /// recency stamps are session statistics and are not stored.
-    ///
-    /// The write is atomic (temp file + rename via
-    /// [`tms_store::atomic_write`]): a crash mid-save leaves the previous
-    /// library intact instead of a truncated JSON blob. In store mode this
-    /// exports the persistent library as a plain JSON snapshot — useful
-    /// for moving a library off a store directory.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let json = match &self.store {
-            Some(store) => serde_json::to_string(&store.export()),
-            None => {
-                let entries: Vec<(&ModuleFingerprint, SealedModule)> = self
-                    .entries
-                    .iter()
-                    .map(|(k, slot)| {
-                        (
-                            k,
-                            SealedModule {
-                                digest: slot.digest,
-                                module: slot.module.clone(),
-                            },
-                        )
-                    })
-                    .collect();
-                serde_json::to_string(&entries)
-            }
-        }
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        tms_store::atomic_write(path, json.as_bytes())
-    }
-
     /// Durability barrier: in store mode, block until every insert so far
     /// is fsynced into the WAL. A no-op for purely in-memory caches.
     pub fn flush(&self) -> io::Result<()> {
@@ -718,28 +653,6 @@ impl ImplementationCache {
             Some(store) => store.flush(),
             None => Ok(()),
         }
-    }
-
-    /// Load a cache previously written by [`ImplementationCache::save`].
-    /// Entries whose sealed digest no longer matches their content — a
-    /// blob edited or damaged at rest — are skipped (counted in
-    /// [`quarantined`](ImplementationCache::quarantined)) rather than
-    /// trusted.
-    pub fn load(path: &Path) -> io::Result<ImplementationCache> {
-        let json = std::fs::read_to_string(path)?;
-        let entries: Vec<(ModuleFingerprint, SealedModule)> = serde_json::from_str(&json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut cache =
-            ImplementationCache::with_capacity(DEFAULT_CACHE_CAPACITY.max(entries.len()));
-        for (key, sealed) in entries {
-            if !sealed.is_intact() {
-                cache.verify_failures.fetch_add(1, Ordering::Relaxed);
-                cache.quarantined.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            cache.insert_memory(key, sealed);
-        }
-        Ok(cache)
     }
 }
 
@@ -810,73 +723,17 @@ pub struct CachedFlowResult {
 /// [`ImplementationCache::get_verified`]); a record failing verification
 /// is quarantined and transparently recomputed — the flow result is
 /// correct either way, corruption only costs the reuse.
+///
+/// Faults come from the cache: a cache armed with
+/// [`with_fault`](ImplementationCache::with_fault) injects at `flow.place`
+/// and `flow.route` and absorbs them under its
+/// [`with_retry`](ImplementationCache::with_retry) policy; an unarmed one
+/// runs the plain flow.
 pub fn run_rw_flow_cached(
     design: &CnvDesign,
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     cache: &mut ImplementationCache,
-) -> CachedFlowResult {
-    run_cached(
-        design,
-        device,
-        cfg,
-        cache,
-        true,
-        false,
-        &Resilience::default(),
-    )
-}
-
-/// [`run_rw_flow_cached`] without read verification: hits are served
-/// as-decoded. This is the overhead baseline the `verifybench` gate
-/// measures the verified flow against; production paths use the verified
-/// variant.
-pub fn run_rw_flow_cached_unverified(
-    design: &CnvDesign,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-) -> CachedFlowResult {
-    run_cached(
-        design,
-        device,
-        cfg,
-        cache,
-        false,
-        false,
-        &Resilience::default(),
-    )
-}
-
-/// [`run_rw_flow_cached`] plus a coherence audit: every cache hit is *also*
-/// re-implemented from scratch and the two PBlocks are asserted equal.
-/// This deliberately forfeits the warm-cache speedup — it exists for tests
-/// and debugging of fingerprint collisions, not production flows.
-pub fn run_rw_flow_cached_verified(
-    design: &CnvDesign,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-) -> CachedFlowResult {
-    run_cached(
-        design,
-        device,
-        cfg,
-        cache,
-        true,
-        true,
-        &Resilience::default(),
-    )
-}
-
-pub(crate) fn run_cached(
-    design: &CnvDesign,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-    read_verify: bool,
-    recompute_audit: bool,
-    res: &Resilience<'_>,
 ) -> CachedFlowResult {
     debug_assert!(
         !matches!(cfg.policy, CfPolicy::Guided { .. }),
@@ -897,25 +754,18 @@ pub(crate) fn run_cached(
         .iter()
         .map(|netlist| ModuleFingerprint::of(netlist, device))
         .collect();
-    let lookup = cache.lookup_with(keys, device, cfg.obs, read_verify);
-    let mut out = implement_and_stitch(
-        design,
-        &netlists,
-        lookup,
-        device,
-        cfg,
-        cache,
-        recompute_audit,
-        res,
-    );
+    let lookup = cache.lookup(keys, device, cfg.obs);
+    let fault = Arc::clone(&cache.fault);
+    let res = Resilience::new(fault.as_ref(), cache.retry);
+    let mut out = implement_and_stitch(design, &netlists, lookup, device, cfg, cache, &res);
     out.result.pack = packed.map(|p| p.report.clone());
     out
 }
 
-/// [`run_rw_flow_cached_resilient`](crate::run_rw_flow_cached_resilient)
-/// picked up after its lookups: `lookup` was made by
-/// [`ImplementationCache::lookup`] over the fingerprints of `design`'s own
-/// modules (so with packing off). Implements what it missed, fills the
+/// [`run_rw_flow_cached`] picked up after its lookups, under `res` in
+/// place of the cache's own fault plan and retry policy: `lookup` was made
+/// by [`ImplementationCache::lookup`] over the fingerprints of `design`'s
+/// own modules (so with packing off). Implements what it missed, fills the
 /// cache, and stitches, exactly as the uninterrupted flow would — no
 /// module is read twice.
 pub fn resume_cached_flow(
@@ -936,7 +786,7 @@ pub fn resume_cached_flow(
         "a resumed flow never packs: its keys are the unpacked fingerprints"
     );
     let netlists: Vec<&Netlist> = design.modules.iter().map(|m| &m.netlist).collect();
-    implement_and_stitch(design, &netlists, lookup, device, cfg, cache, false, res)
+    implement_and_stitch(design, &netlists, lookup, device, cfg, cache, res)
 }
 
 /// Finish a cached flow whose lookups all hit: merge the hits, absorb
@@ -966,7 +816,6 @@ pub fn stitch_cached(
 /// The cached flow after its lookups: pre-implement the misses (in
 /// parallel, each under the resilience bundle's retry loop), fill the
 /// cache with them under the keys the lookup already computed, and stitch.
-#[allow(clippy::too_many_arguments)]
 fn implement_and_stitch(
     design: &CnvDesign,
     netlists: &[&Netlist],
@@ -974,7 +823,6 @@ fn implement_and_stitch(
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     cache: &mut ImplementationCache,
-    recompute_audit: bool,
     res: &Resilience<'_>,
 ) -> CachedFlowResult {
     let CacheLookup {
@@ -992,20 +840,6 @@ fn implement_and_stitch(
             )
         })
         .collect();
-
-    if recompute_audit {
-        // Audit mode: recompute every hit and check the cache told the truth.
-        for (idx, hit) in &hits {
-            let name = &design.modules[*idx].name;
-            let recomputed = implement_module(name, netlists[*idx], device, cfg)
-                .expect("cached module must still implement");
-            assert_eq!(
-                hit.pblock.rect, recomputed.pblock.rect,
-                "cache incoherence on {name}"
-            );
-            assert_eq!(hit.cf, recomputed.cf, "cache incoherence on {name}");
-        }
-    }
 
     // Account and fill the cache with the fresh implementations.
     let reused = hits.len();
@@ -1130,29 +964,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_roundtrips_through_disk() {
-        let design = cnvw1a1(5);
-        let dev = Device::xc7z045();
-        let mut cache = ImplementationCache::new();
-        run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
-        let path = std::env::temp_dir().join("tms_cache_roundtrip_test.json");
-        cache.save(&path).expect("save");
-        let mut restored = ImplementationCache::load(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(restored.len(), cache.len());
-        // A fresh process sees a fully warm cache.
-        let r = run_rw_flow_cached(&design, &dev, &cfg(5), &mut restored);
-        assert_eq!(r.fresh, 0);
-        assert_eq!(r.reused, 74);
-        assert_eq!(r.tool_runs_spent, 0);
-    }
-
-    #[test]
     fn cache_counters_track_lookups() {
         let cache = ImplementationCache::new();
         let design = cnvw1a1(2);
-        let key = ModuleFingerprint::of(&design.modules[0].netlist, &Device::xc7z020());
-        assert!(cache.get(&key).is_none());
+        let dev = Device::xc7z020();
+        let key = ModuleFingerprint::of(&design.modules[0].netlist, &dev);
+        assert!(hit(&cache, &key, &dev).is_none());
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 0);
         assert!(cache.is_empty());
@@ -1196,6 +1013,44 @@ mod tests {
         );
     }
 
+    /// A verified read as an `Option`: the hit, or `None` for a miss or a
+    /// quarantined record.
+    fn hit(
+        cache: &ImplementationCache,
+        key: &ModuleFingerprint,
+        dev: &Device,
+    ) -> Option<ImplementedModule> {
+        match cache.get_verified(key, &Auditor::new(dev)) {
+            VerifiedLookup::Hit(m) => Some(m),
+            VerifiedLookup::Corrupt(_) | VerifiedLookup::Miss => None,
+        }
+    }
+
+    /// [`run_rw_flow_cached`] plus a coherence audit: every cache hit is
+    /// also re-implemented from scratch and the two PBlocks and CFs must
+    /// agree. It forfeits the warm-cache speedup, and runs only unpacked
+    /// flows (it resumes from a lookup over the design's own netlists).
+    fn run_rw_flow_cached_verified(
+        design: &CnvDesign,
+        device: &Device,
+        cfg: &RwFlowConfig<'_>,
+        cache: &mut ImplementationCache,
+    ) -> CachedFlowResult {
+        let lookup = cache.lookup(keys_of(design, device), device, cfg.obs);
+        for (idx, hit) in &lookup.hits {
+            let m = &design.modules[*idx];
+            let recomputed = crate::rwflow::implement_module(&m.name, &m.netlist, device, cfg)
+                .expect("cached module must still implement");
+            assert_eq!(
+                hit.pblock.rect, recomputed.pblock.rect,
+                "cache incoherence on {}",
+                m.name
+            );
+            assert_eq!(hit.cf, recomputed.cf, "cache incoherence on {}", m.name);
+        }
+        resume_cached_flow(design, device, cfg, cache, lookup, &Resilience::default())
+    }
+
     #[test]
     fn verified_mode_audits_hits() {
         let design = cnvw1a1(5);
@@ -1228,9 +1083,9 @@ mod tests {
             for _ in 0..8 {
                 s.spawn(|| {
                     for key in &keys {
-                        assert!(cache.get(key).is_some());
+                        assert!(hit(&cache, key, &dev).is_some());
                     }
-                    assert!(cache.get(&miss_key).is_none());
+                    assert!(hit(&cache, &miss_key, &dev).is_none());
                 });
             }
         });
@@ -1382,26 +1237,27 @@ mod tests {
         let mut keys = Vec::new();
         for m in design.modules.iter().take(6) {
             let key = ModuleFingerprint::of(&m.netlist, &dev);
-            let implemented = donor.get(&key).expect("donor is warm");
+            let implemented = hit(&donor, &key, &dev).expect("donor is warm");
             keys.push(key.clone());
-            cache.insert(key, implemented);
+            cache.try_insert(key, implemented).expect("insert");
         }
         assert_eq!(cache.len(), 4, "capacity bound holds");
         // The two oldest entries were evicted, the newest four remain.
-        assert!(cache.get(&keys[0]).is_none());
-        assert!(cache.get(&keys[1]).is_none());
+        assert!(hit(&cache, &keys[0], &dev).is_none());
+        assert!(hit(&cache, &keys[1], &dev).is_none());
         for key in &keys[2..] {
-            assert!(cache.get(key).is_some());
+            assert!(hit(&cache, key, &dev).is_some());
         }
         // Touching the oldest survivor protects it from the next eviction.
-        assert!(cache.get(&keys[2]).is_some());
+        assert!(hit(&cache, &keys[2], &dev).is_some());
         let key6 = ModuleFingerprint::of(&design.modules[6].netlist, &dev);
-        cache.insert(key6, donor.get(&keys[5]).unwrap());
+        let implemented = hit(&donor, &keys[5], &dev).unwrap();
+        cache.try_insert(key6, implemented).expect("insert");
         assert!(
-            cache.get(&keys[2]).is_some(),
+            hit(&cache, &keys[2], &dev).is_some(),
             "recently used entry survives"
         );
-        assert!(cache.get(&keys[3]).is_none(), "LRU entry evicted");
+        assert!(hit(&cache, &keys[3], &dev).is_none(), "LRU entry evicted");
     }
 
     fn quick_pack(policy: tms_pack::MemPackPolicy, seed: u64, threads: usize) -> MemPackConfig {

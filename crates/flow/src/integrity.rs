@@ -133,28 +133,34 @@ impl StoreAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{run_rw_flow_cached, ImplementationCache};
+    use crate::cache::{run_rw_flow_cached, ImplementationCache, MacroStore, VerifiedLookup};
     use crate::rwflow::{CfPolicy, RwFlowConfig};
+    use std::sync::Arc;
     use tms_cnn::cnvw1a1;
+    use tms_fault::{FaultInjector, FaultPlan, FaultPoint};
     use tms_pblock::CfSearch;
     use tms_place::PlacementModel;
     use tms_stitch::StitchConfig;
+    use tms_store::{Store, StoreConfig};
+
+    fn cfg(seed: u64) -> RwFlowConfig<'static> {
+        RwFlowConfig {
+            policy: CfPolicy::Minimal(CfSearch::wide()),
+            use_shape_report: true,
+            model: PlacementModel::default(),
+            stitch: StitchConfig::fast(seed),
+            portfolio: None,
+            mem_pack: tms_pack::MemPackConfig::off(),
+            obs: tms_obs::noop(),
+            seed,
+        }
+    }
 
     fn one_module() -> (Device, ImplementedModule) {
         let design = cnvw1a1(3);
         let device = Device::xc7z045();
-        let cfg = RwFlowConfig {
-            policy: CfPolicy::Minimal(CfSearch::wide()),
-            use_shape_report: true,
-            model: PlacementModel::default(),
-            stitch: StitchConfig::fast(3),
-            portfolio: None,
-            mem_pack: tms_pack::MemPackConfig::off(),
-            obs: tms_obs::noop(),
-            seed: 3,
-        };
         let m = &design.modules[0];
-        let module = crate::rwflow::implement_module(&m.name, &m.netlist, &device, &cfg)
+        let module = crate::rwflow::implement_module(&m.name, &m.netlist, &device, &cfg(3))
             .expect("implementable");
         (device, module)
     }
@@ -203,16 +209,7 @@ mod tests {
     fn clean_zoo_sweep_has_zero_false_positives() {
         let device = Device::xc7z045();
         for (name, design) in tms_cnn::zoo(11) {
-            let cfg = RwFlowConfig {
-                policy: CfPolicy::Minimal(CfSearch::wide()),
-                use_shape_report: true,
-                model: PlacementModel::default(),
-                stitch: StitchConfig::fast(11),
-                portfolio: None,
-                mem_pack: tms_pack::MemPackConfig::off(),
-                obs: tms_obs::noop(),
-                seed: 11,
-            };
+            let cfg = cfg(11);
             let mut cache = ImplementationCache::new();
             run_rw_flow_cached(&design, &device, &cfg, &mut cache);
             let warm = run_rw_flow_cached(&design, &device, &cfg, &mut cache);
@@ -231,23 +228,16 @@ mod tests {
     fn store_auditor_caches_devices_and_verifies() {
         let design = cnvw1a1(3);
         let device = Device::xc7z045();
-        let cfg = RwFlowConfig {
-            policy: CfPolicy::Minimal(CfSearch::wide()),
-            use_shape_report: true,
-            model: PlacementModel::default(),
-            stitch: StitchConfig::fast(3),
-            portfolio: None,
-            mem_pack: tms_pack::MemPackConfig::off(),
-            obs: tms_obs::noop(),
-            seed: 3,
-        };
         let mut cache = ImplementationCache::new();
-        run_rw_flow_cached(&design, &device, &cfg, &mut cache);
+        run_rw_flow_cached(&design, &device, &cfg(3), &mut cache);
         let mut auditor = StoreAuditor::new();
         let mut audited = 0;
         for m in &design.modules {
             let key = ModuleFingerprint::of(&m.netlist, &device);
-            let module = cache.get(&key).expect("warm");
+            let VerifiedLookup::Hit(module) = cache.get_verified(&key, &Auditor::new(&device))
+            else {
+                panic!("warm cache misses {}", m.name);
+            };
             assert!(
                 auditor.audit(&key, &SealedModule::seal(module)),
                 "genuine module must audit clean"
@@ -256,5 +246,76 @@ mod tests {
         }
         assert!(audited > 0);
         assert_eq!(auditor.devices.len(), 1, "device re-derived once");
+    }
+
+    /// The read-verification gates, exact for a seed. Clean reads raise no
+    /// false positive. The full digest + audit check runs 0 times on warm
+    /// in-memory flows (the per-digest memo serves them), once per module
+    /// on the first flow after a store warm start and 0 times more on the
+    /// second. Every injected corruption is detected, and healed by exactly
+    /// one recompute.
+    #[test]
+    fn read_verification_counts_are_exact() {
+        let design = cnvw1a1(1);
+        let device = Device::xc7z045();
+        let cfg = cfg(1);
+        let modules = design.modules.len() as u64;
+        assert_eq!(modules, 74);
+
+        // In memory: every record was sealed by this process's pre-insert
+        // audit, so no warm read repeats the full check.
+        let mut cache = ImplementationCache::new();
+        let cold = run_rw_flow_cached(&design, &device, &cfg, &mut cache);
+        assert_eq!(cold.fresh as u64, modules);
+        for _ in 0..3 {
+            let warm = run_rw_flow_cached(&design, &device, &cfg, &mut cache);
+            assert_eq!((warm.reused as u64, warm.fresh), (modules, 0));
+        }
+        assert_eq!(cache.full_verifications(), 0, "warm reads re-verified");
+        assert_eq!(cache.verify_failures(), 0, "false positive");
+        assert_eq!(cache.quarantined(), 0, "false quarantine");
+
+        // Store warm start: a record that crossed the persistence boundary
+        // is fully checked on its first read, and only then.
+        let dir =
+            std::env::temp_dir().join(format!("tms_read_verification_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let open = || -> Arc<MacroStore> {
+            Arc::new(Store::open(StoreConfig::at(&dir)).expect("open store"))
+        };
+        {
+            let mut first_process = ImplementationCache::with_store(open());
+            run_rw_flow_cached(&design, &device, &cfg, &mut first_process);
+            first_process.flush().expect("flush");
+        }
+        let mut restarted = ImplementationCache::with_store(open());
+        let first = run_rw_flow_cached(&design, &device, &cfg, &mut restarted);
+        assert_eq!((first.reused as u64, first.fresh), (modules, 0));
+        assert_eq!(restarted.full_verifications(), modules, "one per module");
+        run_rw_flow_cached(&design, &device, &cfg, &mut restarted);
+        assert_eq!(restarted.full_verifications(), modules, "none on a re-read");
+        assert_eq!(restarted.verify_failures(), 0, "false positive");
+        drop(restarted);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Detection: an armed cache bit-flips 16 scheduled reads.
+        let plan = Arc::new(FaultPlan::seeded(1));
+        let mut armed =
+            ImplementationCache::new().with_fault(Arc::clone(&plan) as Arc<dyn FaultInjector>);
+        run_rw_flow_cached(&design, &device, &cfg, &mut armed);
+        plan.fail_next(FaultPoint::CacheCorruptMacro, 16);
+        let healed = run_rw_flow_cached(&design, &device, &cfg, &mut armed);
+        let injected = plan.injected(FaultPoint::CacheCorruptMacro);
+        assert_eq!(injected, 16, "corruption really fired");
+        assert_eq!(armed.quarantined(), injected, "detected == injected");
+        assert_eq!(armed.verify_failures(), injected, "false positive");
+        assert_eq!(healed.fresh as u64, injected, "recomputed == detected");
+        assert_eq!(healed.reused as u64, modules - injected);
+        // An armed cache bypasses the memo: each clean read is checked.
+        let before = armed.full_verifications();
+        let clean = run_rw_flow_cached(&design, &device, &cfg, &mut armed);
+        assert_eq!(clean.fresh, 0);
+        assert_eq!(armed.full_verifications() - before, modules);
+        assert_eq!(armed.verify_failures(), injected, "false positive");
     }
 }

@@ -41,13 +41,11 @@ pub mod render;
 pub mod resilient;
 pub mod rwflow;
 pub mod stitchbench;
-pub mod verifybench;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
 pub use cache::{
-    resume_cached_flow, run_rw_flow_cached, run_rw_flow_cached_unverified,
-    run_rw_flow_cached_verified, stitch_cached, CacheLookup, CachedFlowResult, ImplementationCache,
-    MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
+    resume_cached_flow, run_rw_flow_cached, stitch_cached, CacheLookup, CachedFlowResult,
+    ImplementationCache, MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
 pub use flowbench::{
     check_flow_regression, run_flow_bench, FlowBenchConfig, FlowBenchReport, FlowSide, SweepSide,
@@ -58,7 +56,7 @@ pub use packbench::{
     PackFlowAb,
 };
 pub use render::{coverage_line, render_cost_trace, render_stitched};
-pub use resilient::{implement_module_resilient, run_rw_flow_cached_resilient, Resilience};
+pub use resilient::{implement_module_resilient, Resilience};
 pub use rwflow::{
     implement_module, run_rw_flow, stitch_implemented, BlockDiagram, CfPolicy, ImplementedModule,
     RwFlowConfig, RwFlowResult,
@@ -68,7 +66,3 @@ pub use stitchbench::{
     StitchBenchReport,
 };
 pub use tms_pack::{MemPackConfig, MemPackPolicy, PackReport};
-pub use verifybench::{
-    check_verify_regression, run_verify_bench, VerifyBenchConfig, VerifyBenchReport,
-    OVERHEAD_BUDGET,
-};

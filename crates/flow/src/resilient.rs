@@ -7,15 +7,16 @@
 //! [`FaultInjector`] consulted at `flow.place`/`flow.route` plus a
 //! [`Retry`] policy) turns [`implement_module`] and the cached flow into
 //! retry loops that absorb injected transient faults and surface only
-//! genuine, permanent errors.
+//! genuine, permanent errors. [`crate::run_rw_flow_cached`] builds its
+//! bundle from the cache's fault injector and retry policy
+//! ([`crate::ImplementationCache::with_fault`] and
+//! [`with_retry`](crate::ImplementationCache::with_retry)).
 //!
 //! With the default (unarmed) resilience the wrappers compile down to the
 //! plain calls — one `armed()` check, no per-module overhead — so the
 //! production path pays nothing for the instrumentation.
 
-use crate::cache::{CachedFlowResult, ImplementationCache};
 use crate::rwflow::{implement_module, ImplementedModule, RwFlowConfig};
-use tms_cnn::CnvDesign;
 use tms_device::Device;
 use tms_fault::{FaultInjector, FaultPoint, Retry};
 use tms_netlist::Netlist;
@@ -115,25 +116,12 @@ pub(crate) fn absorb_route_faults(cfg: &RwFlowConfig<'_>, res: &Resilience<'_>) 
     absorbed
 }
 
-/// [`crate::run_rw_flow_cached`] under a [`Resilience`] bundle: cache
-/// misses implement through [`implement_module_resilient`], store inserts
-/// go through the cache's retrying `try_insert`, and `flow.route` is
-/// consulted before the stitch. With the default bundle this is exactly
-/// the plain cached flow.
-pub fn run_rw_flow_cached_resilient(
-    design: &CnvDesign,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-    res: &Resilience<'_>,
-) -> CachedFlowResult {
-    crate::cache::run_cached(design, device, cfg, cache, true, false, res)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ImplementationCache;
     use crate::rwflow::CfPolicy;
+    use std::sync::Arc;
     use tms_cnn::cnvw1a1;
     use tms_fault::FaultPlan;
     use tms_pblock::CfSearch;
@@ -209,19 +197,22 @@ mod tests {
     fn resilient_cached_flow_recovers_from_scattered_faults() {
         let design = cnvw1a1(5);
         let dev = Device::xc7z045();
-        let mut cache = ImplementationCache::new();
         // 20% of place attempts fail. Which hits land on which module
         // depends on rayon's interleaving, so the test budgets enough
         // attempts (10) that a module-level failure is ~0.2^10 — never.
-        let plan = FaultPlan::seeded(11)
-            .with_rate(FaultPoint::FlowPlace, 0.2)
-            .with_fail_next(FaultPoint::FlowRoute, 1);
+        let plan = Arc::new(
+            FaultPlan::seeded(11)
+                .with_rate(FaultPoint::FlowPlace, 0.2)
+                .with_fail_next(FaultPoint::FlowRoute, 1),
+        );
         let retry = Retry {
             base_backoff: std::time::Duration::from_micros(50),
             ..Retry::attempts(10)
         };
-        let res = Resilience::new(&plan, retry);
-        let faulty = run_rw_flow_cached_resilient(&design, &dev, &cfg(5), &mut cache, &res);
+        let mut cache = ImplementationCache::new()
+            .with_fault(Arc::clone(&plan) as Arc<dyn FaultInjector>)
+            .with_retry(retry);
+        let faulty = crate::run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
         assert_eq!(
             faulty.result.failed.len(),
             0,

@@ -66,10 +66,9 @@ use tms_device::{Device, DeviceName};
 use tms_estimator::{CfEstimator, FeatureSet, ModuleFeatures};
 use tms_fault::{FaultInjector, FaultPlan, FaultPoint, Retry};
 use tms_flow::{
-    implement_module_resilient, resume_cached_flow, run_rw_flow_cached_resilient, stitch_cached,
-    CacheLookup, CachedFlowResult, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy,
-    ModuleFingerprint, Resilience, RwFlowConfig, StoreAuditor, VerifiedLookup,
-    DEFAULT_CACHE_CAPACITY,
+    implement_module_resilient, resume_cached_flow, run_rw_flow_cached, stitch_cached, CacheLookup,
+    CachedFlowResult, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, ModuleFingerprint,
+    Resilience, RwFlowConfig, StoreAuditor, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
 use tms_netlist::NetlistStats;
 use tms_obs::prometheus::PromText;
@@ -467,8 +466,10 @@ pub fn serve(
     };
     let mut cache = cache.with_retry(config.retry);
     if let Some(plan) = &config.fault {
-        // Arm the `cache.corrupt_macro` point: verified reads consult the
-        // plan and must catch whatever it flips.
+        // Arm the cache with the plan and retry policy `resilience()`
+        // hands the rest of the flow layer: verified reads must catch
+        // whatever `cache.corrupt_macro` flips, and cached flows absorb
+        // `flow.place`/`flow.route` faults under the same retries.
         cache = cache.with_fault(Arc::clone(plan) as Arc<dyn FaultInjector>);
     }
     let state = Arc::new(ServerState {
@@ -1223,7 +1224,7 @@ fn flow_full(
     let failures_before = cache.store_put_failures();
     let r = match resumed {
         Some(lookup) => resume_cached_flow(&design, device, cfg, &mut cache, lookup, res),
-        None => run_rw_flow_cached_resilient(&design, device, cfg, &mut cache, res),
+        None => run_rw_flow_cached(&design, device, cfg, &mut cache),
     };
     // The write lock was held across the run, so any new put failures
     // belong to this request: book them on its trace for classification.

@@ -1,40 +1,12 @@
-//! # tms-bench — benchmark harness for the paper's tables and figures
+//! # tms-bench — Criterion microbenchmarks
 //!
-//! Each bench target regenerates one artefact of the paper's evaluation
-//! (Tables I-II, Figures 3-13, the Section VI-C resolution study) through
-//! the drivers in [`tms_core::flow::experiments`], at a reduced scale so a
-//! full `cargo bench` pass stays affordable; the `primitives` target
-//! measures the substrate hot paths (packing, detailed placement, PBlock
-//! generation, CF search, SA stitching, forest training).
+//! The bench targets time the substrate hot paths (`primitives`: packing,
+//! detailed placement, PBlock generation, CF search, SA stitching, forest
+//! training), the telemetry recorders against their 2 % overhead budget
+//! (`obs`), the persistent store (`store`) and fault injection (`fault`):
+//! `cargo bench -p tms-bench --bench primitives`.
 //!
-//! To regenerate the artefacts at full paper scale, use the example binary
-//! instead: `cargo run --release --example paper_experiments -- all paper`.
-
-use tms_core::flow::experiments::common::Scale;
-
-/// The scale benchmarks run the experiment drivers at: small enough for a
-/// Criterion sample loop, large enough to exercise every phase.
-pub fn bench_scale() -> Scale {
-    Scale {
-        dataset_modules: 150,
-        bin_cap: 10,
-        full_models: false,
-        sa_moves: 4_000,
-        seed: 2024,
-    }
-}
-
-/// Seed shared by the benches.
-pub const BENCH_SEED: u64 = 2024;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_scale_is_small() {
-        let s = bench_scale();
-        assert!(s.dataset_modules <= 200);
-        assert!(!s.full_models);
-    }
-}
+//! End-to-end timing of the compile, recompile and serve workloads lives
+//! in the repository benchmark, `perfbench/`. The paper's tables and
+//! figures are regenerated, with their wall-clock, by
+//! `cargo run --release --example paper_experiments -- all paper`.

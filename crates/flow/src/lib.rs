@@ -13,7 +13,7 @@
 //! The [`experiments`] module reproduces every table and figure of the
 //! paper's evaluation; each driver returns a typed result whose `Display`
 //! prints the corresponding table, and each has a `quick` configuration for
-//! tests and a paper-scale one for the benchmark harness.
+//! tests and a paper-scale one for the `paper_experiments` example.
 //!
 //! ```
 //! use tms_cnn::cnvw1a1;
@@ -34,35 +34,21 @@
 pub mod amd;
 pub mod cache;
 pub mod experiments;
-pub mod flowbench;
 pub mod integrity;
-pub mod packbench;
 pub mod render;
 pub mod resilient;
 pub mod rwflow;
-pub mod stitchbench;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
 pub use cache::{
     resume_cached_flow, run_rw_flow_cached, stitch_cached, CacheLookup, CachedFlowResult,
     ImplementationCache, MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
-pub use flowbench::{
-    check_flow_regression, run_flow_bench, FlowBenchConfig, FlowBenchReport, FlowSide, SweepSide,
-};
 pub use integrity::{audit_module, module_digest, verify_sealed, SealedModule, StoreAuditor};
-pub use packbench::{
-    check_pack_regression, run_pack_bench, PackBenchConfig, PackBenchReport, PackBenchRow,
-    PackFlowAb,
-};
 pub use render::{coverage_line, render_cost_trace, render_stitched};
 pub use resilient::{implement_module_resilient, Resilience};
 pub use rwflow::{
     implement_module, run_rw_flow, stitch_implemented, BlockDiagram, CfPolicy, ImplementedModule,
     RwFlowConfig, RwFlowResult,
-};
-pub use stitchbench::{
-    bench_problem, check_regression, run_stitch_bench, RunStats, StitchBenchConfig,
-    StitchBenchReport,
 };
 pub use tms_pack::{MemPackConfig, MemPackPolicy, PackReport};

@@ -6,8 +6,7 @@ use tms_device::Device;
 use tms_obs::{noop, span, Phase, Recorder};
 use tms_pack::{pack_design, MemPackConfig, PackReport};
 use tms_pblock::{
-    guided_search_observed, min_feasible_cf_observed, min_feasible_cf_reference_observed, CfSearch,
-    PBlock, PBlockGenerator,
+    guided_search_observed, min_feasible_cf_observed, CfSearch, PBlock, PBlockGenerator,
 };
 use tms_place::{detail::module_key, place_in_region, quick_place, Placement, PlacementModel};
 use tms_search::PortfolioConfig;
@@ -24,11 +23,6 @@ pub enum CfPolicy<'a> {
     Constant(f64),
     /// Search the minimal feasible CF per module (the labelling procedure).
     Minimal(CfSearch),
-    /// The same search on the pre-engine reference implementation
-    /// (regenerate + full placement per attempt). Identical results to
-    /// [`CfPolicy::Minimal`]; kept for A/B benchmarking and equivalence
-    /// regression tests.
-    MinimalReference(CfSearch),
     /// Estimator-guided (Section VIII): predict, then recover from
     /// underestimates with +0.1 coarse steps and a 0.02 refinement.
     Guided {
@@ -224,11 +218,6 @@ fn implement_with(
             }
         }
         CfPolicy::Minimal(search) => min_feasible_cf_observed(
-            gen, &stats, &packing, &shape, &cfg.model, search, key, obs, name,
-        )
-        .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.attempts == 1))
-        .ok_or_else(|| "no feasible CF".to_string()),
-        CfPolicy::MinimalReference(search) => min_feasible_cf_reference_observed(
             gen, &stats, &packing, &shape, &cfg.model, search, key, obs, name,
         )
         .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.attempts == 1))
@@ -488,6 +477,21 @@ mod tests {
         );
     }
 
+    /// The minimal-CF flow on cnvW1A1/xc7z020 under the default placement
+    /// model implements every module and spends exactly the labelling
+    /// sweep's tool runs.
+    #[test]
+    fn minimal_cf_flow_spends_the_sweeps_tool_runs() {
+        let design = cnvw1a1(1);
+        let dev = Device::xc7z020();
+        let mut cfg = quick_cfg(CfPolicy::Minimal(CfSearch::wide()), 1);
+        cfg.model = PlacementModel::default();
+        let r = run_rw_flow(&design, &dev, &cfg);
+        assert_eq!(r.implemented.len(), 74);
+        assert_eq!(r.failed.len(), 0);
+        assert_eq!(r.total_tool_runs, 1_824);
+    }
+
     #[test]
     fn guided_policy_counts_first_tries() {
         let design = cnvw1a1(1);
@@ -565,9 +569,10 @@ mod tests {
         // BRAM column span into its PBlock (the minimal-CF search bottoms
         // out at the floor with an 18-wide, 5-tall macro); packing moves
         // those stores to BRAM18 halves / LUTRAM, so the minimal feasible
-        // PBlock of at least one weights class shrinks strictly. Naive
-        // BRAM36 demand also exceeds the xc7z020 budget (142 > 140), so
-        // the packed stitch places strictly more block instances.
+        // PBlock of 26 weights classes shrinks strictly. Naive BRAM36
+        // demand (142 sites) nearly fills the xc7z020's 150; packing cuts
+        // it to 68, and the smaller macros let the stitch place 24 more
+        // block instances.
         let design = cnvw1a1(1);
         let dev = Device::xc7z020();
         let run = |policy| {
@@ -580,26 +585,31 @@ mod tests {
         assert!(packed.failed.is_empty(), "failed: {:?}", packed.failed);
         let report = packed.pack.as_ref().expect("packed flow carries a report");
         assert!(report.feasible);
-        assert!(
-            report.bram36_saved > 0,
-            "packing saved no BRAM36 on cnvW1A1/xc7z020"
-        );
+        assert_eq!((report.naive_bram36, report.bram36_total), (142, 68));
+        let area = |m: &ImplementedModule| m.pblock.rect.w * m.pblock.rect.h;
+        let weights = |r: &RwFlowResult| {
+            r.implemented
+                .iter()
+                .filter(|m| m.name.starts_with("weights"))
+                .map(area)
+                .sum::<u32>()
+        };
         let strictly_smaller = naive
             .implemented
             .iter()
             .filter(|m| m.name.starts_with("weights"))
             .filter_map(|m| packed.module(&m.name).map(|p| (m, p)))
-            .filter(|(n, p)| p.pblock.rect.w * p.pblock.rect.h < n.pblock.rect.w * n.pblock.rect.h)
+            .filter(|(n, p)| area(p) < area(n))
             .count();
-        assert!(
-            strictly_smaller > 0,
-            "no weights class reached a smaller minimal PBlock under packing"
+        assert_eq!(strictly_smaller, 26);
+        assert_eq!((weights(&naive), weights(&packed)), (4_575, 4_489));
+        assert_eq!(
+            (naive.stitch.placed_count, packed.stitch.placed_count),
+            (118, 142)
         );
-        assert!(
-            packed.stitch.placed_count > naive.stitch.placed_count,
-            "packed placed {} !> naive {}",
-            packed.stitch.placed_count,
-            naive.stitch.placed_count
+        assert_eq!(
+            (naive.stitch.unplaced_count, packed.stitch.unplaced_count),
+            (57, 33)
         );
     }
 

@@ -2,21 +2,21 @@
 //!
 //! The stitch problems come from the real flow (cnvW1A1 and the four zoo
 //! BNNs on the xc7z020, cnvW1A1 on the xc7z045), built under a constant CF
-//! exactly as `stitchbench::bench_problem` builds its problem, so building
-//! stays cheap and every problem is a pure function of its seed. Each
-//! problem is stitched with the standard and the fast single-run schedule;
-//! the canonical bench portfolio runs on the xc7z045 problem. A change to
-//! the fabric model or the annealer that alters any decision — a legality
-//! verdict, an anchor scan order, a cost sum — moves at least one pinned
-//! value.
+//! exactly as `tms stitch` builds its problem, so building stays cheap and
+//! every problem is a pure function of its seed. Each problem is stitched
+//! with the standard and the fast single-run schedule; the canonical
+//! portfolio ([`tms_stitch::canonical_portfolio`]) runs on the xc7z045
+//! problem. A change to the fabric model or the annealer that alters any
+//! decision — a legality verdict, an anchor scan order, a cost sum — moves
+//! at least one pinned value.
 //!
 //! On a mismatch the test prints the whole actual table in source form.
 
 use tms_cnn::{cnvw1a1, zoo_design, CnvDesign};
 use tms_device::Device;
-use tms_flow::{run_rw_flow, CfPolicy, MemPackConfig, RwFlowConfig, StitchBenchConfig};
+use tms_flow::{run_rw_flow, CfPolicy, MemPackConfig, RwFlowConfig};
 use tms_place::PlacementModel;
-use tms_stitch::{stitch, StitchConfig, StitchProblem, StitchResult};
+use tms_stitch::{canonical_portfolio, stitch, StitchConfig, StitchProblem, StitchResult};
 
 const SEED: u64 = 1;
 
@@ -128,6 +128,7 @@ fn single_run_stitches_are_pinned() {
         ("cnvW1A1/xc7z045", cnvw1a1(SEED), &z045),
     ];
     let mut actual = Vec::new();
+    let mut z045_standard = None;
     for (name, design, device) in &cases {
         let problem = problem_of(design, device);
         for (kind, cfg) in [
@@ -135,22 +136,28 @@ fn single_run_stitches_are_pinned() {
             ("fast", StitchConfig::fast(SEED)),
         ] {
             let r = stitch(device, &problem, &cfg);
+            if *name == "cnvW1A1/xc7z045" && kind == "standard" {
+                z045_standard = Some((r.total_moves, r.placed_count));
+            }
             actual.push((format!("{name} {kind}"), pin(&r)));
         }
     }
     assert_rows(&actual, SINGLE_RUN);
+    // The portfolio's baseline: the full 120k-move schedule places every
+    // instance, at HPWL 231,272 (0x410c3b4000000000 above).
+    assert_eq!(z045_standard, Some((120_000, 175)));
 }
 
 #[test]
 fn stitch_portfolio() {
     let device = Device::xc7z045();
     let problem = problem_of(&cnvw1a1(SEED), &device);
-    let (r, _) = tms_stitch::stitch_portfolio(
-        &device,
-        &problem,
-        &StitchBenchConfig::canonical(SEED).portfolio,
-    );
+    let (r, _) = tms_stitch::stitch_portfolio(&device, &problem, &canonical_portfolio(SEED));
     assert_rows(&[("cnvW1A1/xc7z045 portfolio".into(), pin(&r))], PORTFOLIO);
+    // HPWL 213,222 (0x410a073000000000), below the standard schedule's
+    // 231,272, in 9,600 moves instead of 120,000, with every instance
+    // placed.
+    assert_eq!((r.total_moves, r.placed_count), (9_600, 175));
 }
 
 /// A late insertion is kept and counted. On this design the anneal's

@@ -454,6 +454,7 @@ fn splice(design: &CnvDesign, modules: Vec<(usize, CnvModule)>) -> CnvDesign {
 mod tests {
     use super::*;
     use tms_cnn::{cnvw1a1, zoo, ModuleRole};
+    use tms_device::DeviceName::{self, UltraScaleLike, Xc7z020};
     use tms_obs::AggregatingSink;
     use tms_synth::pack as synth_pack;
 
@@ -606,18 +607,46 @@ mod tests {
         assert_eq!(sink.counter("pack.win.sa") + sink.counter("pack.win.ea"), 1);
     }
 
+    /// cnvW1A1 and every zoo member packed for both device presets under
+    /// the `quick` budget: design, device, weights modules, naive and
+    /// packed BRAM36 sites, the device's RAMB36 budget, LUTRAM LUTs.
+    #[rustfmt::skip]
+    const PACKED: [(&str, DeviceName, usize, u64, u64, u32, u64); 10] = [
+        ("cnvw1a1", Xc7z020, 43, 142, 68, 150, 5_760),
+        ("cnvw1a1", UltraScaleLike, 43, 142, 73, 500, 4_104),
+        ("bnn-wide", Xc7z020, 26, 140, 94, 150, 0),
+        ("bnn-wide", UltraScaleLike, 26, 140, 94, 500, 0),
+        ("bnn-deep", Xc7z020, 39, 114, 67, 150, 2_880),
+        ("bnn-deep", UltraScaleLike, 39, 114, 67, 500, 2_880),
+        ("bnn-fc", Xc7z020, 22, 72, 46, 150, 2_340),
+        ("bnn-fc", UltraScaleLike, 22, 72, 46, 500, 2_340),
+        ("bnn-slim", Xc7z020, 16, 52, 14, 150, 4_356),
+        ("bnn-slim", UltraScaleLike, 16, 52, 14, 500, 4_356),
+    ];
+
     #[test]
     fn zoo_members_all_pack_feasibly() {
-        let dev = Device::xc7z020();
-        for (name, d) in zoo(1) {
-            let (_, report) =
-                pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), tms_obs::noop()).unwrap();
-            assert!(report.feasible, "{name} over budget");
-            assert!(
-                report.bram36_total <= report.naive_bram36,
-                "{name}: packed worse than naive"
-            );
+        let mut designs = vec![("cnvw1a1".to_string(), cnvw1a1(1))];
+        designs.extend(zoo(1));
+        let mut actual = Vec::new();
+        for (name, d) in &designs {
+            for dev in [Device::xc7z020(), Device::ultrascale_like()] {
+                let (_, r) =
+                    pack_design(d, &dev, &quick(MemPackPolicy::Packed, 1), tms_obs::noop())
+                        .unwrap();
+                assert!(r.feasible, "{name}/{} over budget", dev.name());
+                actual.push((
+                    name.as_str(),
+                    dev.name(),
+                    r.modules.len(),
+                    r.naive_bram36,
+                    r.bram36_total,
+                    r.budget_bram36,
+                    r.lutram_luts,
+                ));
+            }
         }
+        assert_eq!(actual, PACKED);
     }
 
     #[test]

@@ -79,8 +79,8 @@ pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError};
 pub use loadgen::{
-    check_serve_regression, run_loadgen, EndpointLoadStats, LoadMode, LoadgenConfig, RequestMix,
-    ServeBenchReport, ServerTotals,
+    run_loadgen, EndpointLoadStats, LoadMode, LoadgenConfig, RequestMix, ServeBenchReport,
+    ServerTotals,
 };
 pub use memo::MEMO_CAPACITY;
 pub use metrics::{EndpointMetrics, Metrics, LATENCY_BUCKETS_US};

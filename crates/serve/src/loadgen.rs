@@ -12,9 +12,9 @@
 //! The request *sequence* is a pure function of the seed (one splitmix64
 //! stream per client), so the machine-independent outcome counts —
 //! requests and errors per endpoint, shed/deadline/degraded totals, how
-//! many traces the slowlog retained — are reproducible run-to-run and
-//! gateable in CI via [`check_serve_regression`]; only the latency
-//! figures vary with the machine.
+//! many traces the slowlog retained — are reproducible run-to-run; the
+//! service tests pin them exactly. Only the latency figures vary with the
+//! machine.
 
 use crate::client::Client;
 use crate::protocol::{ModuleSpec, SlowlogReport, StatsReport};
@@ -165,7 +165,7 @@ pub struct ServerTotals {
     pub slowlog_retained: u64,
 }
 
-/// The loadgen run's report — the committed `BENCH_serve.json` shape.
+/// The loadgen run's report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeBenchReport {
     /// Report schema tag (`tms-bench-serve-v1`).
@@ -405,95 +405,6 @@ fn drive_client(
     Ok(())
 }
 
-/// Gate a fresh loadgen run against a committed snapshot, comparing only
-/// **machine-independent** metrics: request and error totals (overall and
-/// per endpoint) and the server's shed / deadline / degraded / slowlog
-/// counts. Latency and wall-clock figures are never compared. Returns one
-/// human-readable violation per regression beyond `tolerance` (relative).
-pub fn check_serve_regression(
-    snapshot: &ServeBenchReport,
-    fresh: &ServeBenchReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    fn gate_into(violations: &mut Vec<String>, tolerance: f64, name: &str, old: f64, new: f64) {
-        let bound = old.abs().max(1.0) * tolerance;
-        if (new - old).abs() > bound {
-            violations.push(format!(
-                "{name}: snapshot {old} vs fresh {new} (±{bound:.2})"
-            ));
-        }
-    }
-    macro_rules! gate {
-        ($name:expr, $old:expr, $new:expr) => {
-            gate_into(&mut violations, tolerance, $name, $old, $new)
-        };
-    }
-    if snapshot.schema != fresh.schema {
-        violations.push(format!(
-            "schema: snapshot '{}' vs fresh '{}'",
-            snapshot.schema, fresh.schema
-        ));
-    }
-    gate!(
-        "requests_total",
-        snapshot.requests_total as f64,
-        fresh.requests_total as f64
-    );
-    gate!(
-        "errors_total",
-        snapshot.errors_total as f64,
-        fresh.errors_total as f64
-    );
-    for old in &snapshot.endpoints {
-        match fresh.endpoints.iter().find(|e| e.endpoint == old.endpoint) {
-            Some(new) => {
-                gate!(
-                    &format!("{}.requests", old.endpoint),
-                    old.requests as f64,
-                    new.requests as f64
-                );
-                gate!(
-                    &format!("{}.errors", old.endpoint),
-                    old.errors as f64,
-                    new.errors as f64
-                );
-            }
-            None => violations.push(format!(
-                "endpoint '{}' present in snapshot, missing from fresh run",
-                old.endpoint
-            )),
-        }
-    }
-    gate!(
-        "server.shed",
-        snapshot.server.shed as f64,
-        fresh.server.shed as f64
-    );
-    gate!(
-        "server.deadline_expired",
-        snapshot.server.deadline_expired as f64,
-        fresh.server.deadline_expired as f64
-    );
-    gate!(
-        "server.slowlog_considered",
-        snapshot.server.slowlog_considered as f64,
-        fresh.server.slowlog_considered as f64
-    );
-    gate!(
-        "server.slowlog_retained",
-        snapshot.server.slowlog_retained as f64,
-        fresh.server.slowlog_retained as f64
-    );
-    if snapshot.server.degraded != fresh.server.degraded {
-        violations.push(format!(
-            "server.degraded: snapshot {} vs fresh {}",
-            snapshot.server.degraded, fresh.server.degraded
-        ));
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,39 +437,6 @@ mod tests {
             },
             wall_ms: 12.5,
         }
-    }
-
-    #[test]
-    fn identical_reports_pass_the_gate() {
-        let r = report(100, 10);
-        assert!(check_serve_regression(&r, &r, 0.2).is_empty());
-    }
-
-    #[test]
-    fn latency_differences_never_gate() {
-        let old = report(100, 10);
-        let mut new = report(100, 10);
-        new.endpoints[0].p99_us = 1_000_000;
-        new.wall_ms = 1e9;
-        assert!(check_serve_regression(&old, &new, 0.2).is_empty());
-    }
-
-    #[test]
-    fn count_regressions_are_caught() {
-        let old = report(100, 10);
-        let new = report(100, 40);
-        let violations = check_serve_regression(&old, &new, 0.2);
-        assert!(
-            violations.iter().any(|v| v.starts_with("errors_total")),
-            "{violations:?}"
-        );
-        let missing = ServeBenchReport {
-            endpoints: Vec::new(),
-            ..report(100, 10)
-        };
-        assert!(check_serve_regression(&old, &missing, 0.2)
-            .iter()
-            .any(|v| v.contains("missing from fresh run")));
     }
 
     #[test]

@@ -5,7 +5,9 @@ use tms_cnn::ModuleRole;
 use tms_estimator::{CfEstimator, EstimatorKind, FeatureSet};
 use tms_ml::Dataset;
 use tms_obs::Phase;
-use tms_serve::{serve, Client, ClientError, ModuleSpec, ServeConfig};
+use tms_serve::{
+    run_loadgen, serve, Client, ClientError, LoadgenConfig, ModuleSpec, ServeConfig, ServerTotals,
+};
 
 /// A quickly-trained linear estimator over the six `Additional` features —
 /// the service doesn't care how good the model is, only that it loads and
@@ -521,6 +523,42 @@ fn slowlog_retains_exactly_errors_under_a_high_threshold() {
     assert_ne!(a, b, "trace ids are unique per request");
     assert!(a > b, "snapshot is newest-first");
     handle.stop();
+}
+
+/// The seed-derived loadgen mix has exact outcome counts: 4 closed-loop
+/// clients × 25 requests (seed 1) against 8 workers, with a slow threshold
+/// no request reaches, so the slowlog retains exactly the 9 errors.
+#[test]
+fn loadgen_outcome_counts_are_exact() {
+    let config = ServeConfig {
+        workers: 8,
+        slow_threshold: std::time::Duration::from_secs(3600),
+        ..ServeConfig::default()
+    };
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let report = run_loadgen(&LoadgenConfig::closed(handle.addr(), 4, 25, 1)).expect("loadgen");
+    handle.stop();
+    assert_eq!((report.requests_total, report.errors_total), (100, 9));
+    let endpoints: Vec<_> = report
+        .endpoints
+        .iter()
+        .map(|e| (e.endpoint.as_str(), e.requests, e.errors))
+        .collect();
+    assert_eq!(
+        endpoints,
+        [("estimate", 59, 0), ("preimpl", 25, 9), ("stats", 16, 0)]
+    );
+    assert_eq!(
+        report.server,
+        ServerTotals {
+            shed: 0,
+            deadline_expired: 0,
+            store_put_failures: 0,
+            degraded: false,
+            slowlog_considered: 101,
+            slowlog_retained: 9,
+        }
+    );
 }
 
 /// With a zero threshold every request is "slow": the slowlog retains all

@@ -44,7 +44,9 @@ mod proptests;
 pub mod sa;
 pub mod search;
 
-pub use portfolio::{stitch_portfolio, stitch_portfolio_observed, StitchPortfolioReport};
+pub use portfolio::{
+    canonical_portfolio, stitch_portfolio, stitch_portfolio_observed, StitchPortfolioReport,
+};
 pub use problem::{InterNet, MacroBlock, StitchProblem};
 pub use sa::{stitch, stitch_observed, StitchConfig, StitchResult};
 pub use search::{StitchSearch, StitchSolution};

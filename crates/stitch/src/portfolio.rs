@@ -11,7 +11,32 @@ use crate::sa::StitchResult;
 use crate::search::StitchSearch;
 use crate::StitchProblem;
 use tms_device::Device;
-use tms_search::{LaneKind, LaneReport, PortfolioConfig, Score};
+use tms_search::{EaParams, LaneKind, LaneReport, PortfolioConfig, SaParams, Score};
+
+/// The tuned portfolio behind `tms stitch --portfolio`: two SA lanes and
+/// one EA lane that reach equal-or-better wirelength than the 120k-move
+/// standard schedule in a fraction of its moves (statistical initial
+/// temperature, equilibrium inner loops, early stall stop). Its cnvW1A1
+/// outcome on the xc7z045 is pinned by the flow crate's stitch golden test.
+pub fn canonical_portfolio(seed: u64) -> PortfolioConfig {
+    PortfolioConfig {
+        sa_lanes: 2,
+        ea_lanes: 1,
+        rounds: 3,
+        moves_per_round: 800,
+        stall_stop: 2,
+        sa: SaParams {
+            cooling: 0.85,
+            ..SaParams::default()
+        },
+        ea: EaParams {
+            population: 3,
+            moves_per_offspring: 1_600,
+            ..EaParams::default()
+        },
+        ..PortfolioConfig::new(seed)
+    }
+}
 
 /// Portfolio-level accounting kept alongside the mapped [`StitchResult`].
 #[derive(Debug, Clone)]

@@ -954,10 +954,10 @@ fn cmd_chaos(flags: &HashMap<String, String>) {
 }
 
 /// Drive a *running* server with the deterministic loadgen mix and print
-/// the per-endpoint latency quantiles (see `bench_serve` for the
-/// self-contained benchmark variant that boots its own server and gates
-/// CI). Closed-loop by default; `--rate <hz>` switches to open-loop
-/// pacing where latency includes queueing delay.
+/// the per-endpoint latency quantiles. The mix's outcome counts are
+/// pinned by the serve crate's `loadgen_outcome_counts_are_exact` test.
+/// Closed-loop by default; `--rate <hz>` switches to open-loop pacing
+/// where latency includes queueing delay.
 fn cmd_loadgen(flags: &HashMap<String, String>) {
     use tailored_macro_sizes::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig};
     let default_addr = format!("127.0.0.1:{}", num(flags, "port", 7245));
@@ -1083,10 +1083,6 @@ fn cmd_slowlog(flags: &HashMap<String, String>) {
     }
 }
 
-/// Stitch the cnvW1A1 macro set (pre-implemented at a constant CF so the
-/// problem is a pure function of the seed): either with the seed-era
-/// single-run annealer, or — under `--portfolio` — with the multi-lane
-/// search portfolio tuned by the committed `BENCH_stitch.json` config.
 fn cmd_pack(flags: &HashMap<String, String>) {
     use tailored_macro_sizes::cnn::{zoo_design, zoo_names};
     use tailored_macro_sizes::obs::noop;
@@ -1178,9 +1174,36 @@ fn cmd_pack(flags: &HashMap<String, String>) {
     }
 }
 
+/// The cnvW1A1 stitch problem: every module pre-implemented at the
+/// constant CF 1.72, so all 175 instances are present and the problem is a
+/// pure function of the seed.
+fn stitch_problem(device: &Device, seed: u64) -> tailored_macro_sizes::stitch::StitchProblem {
+    use tailored_macro_sizes::flow::{run_rw_flow, CfPolicy, MemPackConfig, RwFlowConfig};
+    use tailored_macro_sizes::place::PlacementModel;
+    use tailored_macro_sizes::stitch::StitchConfig;
+    let cfg = RwFlowConfig {
+        policy: CfPolicy::Constant(1.72),
+        use_shape_report: true,
+        model: PlacementModel::deterministic(),
+        // The flow's own stitch is discarded; the fast schedule keeps
+        // building the problem cheap.
+        stitch: StitchConfig::fast(seed),
+        portfolio: None,
+        mem_pack: MemPackConfig::off(),
+        seed,
+        obs: tailored_macro_sizes::obs::noop(),
+    };
+    run_rw_flow(&cnvw1a1(seed), device, &cfg).problem
+}
+
+/// Stitch the cnvW1A1 macro set ([`stitch_problem`]): either with the
+/// seed-era single-run annealer, or — under `--portfolio` — with the
+/// multi-lane search portfolio, starting from
+/// [`canonical_portfolio`](tailored_macro_sizes::stitch::canonical_portfolio).
 fn cmd_stitch(flags: &HashMap<String, String>) {
-    use tailored_macro_sizes::flow::{bench_problem, StitchBenchConfig};
-    use tailored_macro_sizes::stitch::{stitch, stitch_portfolio, StitchConfig};
+    use tailored_macro_sizes::stitch::{
+        canonical_portfolio, stitch, stitch_portfolio, StitchConfig,
+    };
 
     let device = device_of(flags);
     let seed = num(flags, "seed", 2024);
@@ -1188,7 +1211,7 @@ fn cmd_stitch(flags: &HashMap<String, String>) {
         "building the cnvW1A1 stitch problem on {} (seed {seed}) ...",
         device.name()
     );
-    let problem = bench_problem(&device, seed);
+    let problem = stitch_problem(&device, seed);
     println!(
         "{} instances, {} nets",
         problem.instances.len(),
@@ -1198,7 +1221,7 @@ fn cmd_stitch(flags: &HashMap<String, String>) {
     if flags.contains_key("portfolio") {
         // Start from the canonical tuned parameters, then apply the
         // lane/thread/deadline overrides.
-        let mut cfg = StitchBenchConfig::canonical(seed).portfolio;
+        let mut cfg = canonical_portfolio(seed);
         let lanes = num(flags, "lanes", 3).max(1) as usize;
         cfg.sa_lanes = lanes.saturating_sub(1).max(1);
         cfg.ea_lanes = usize::from(lanes >= 2);

@@ -56,16 +56,13 @@ pub struct RouteReport {
 /// One grid step of a routed path.
 type Step = (u32, u32, bool); // (x, y, horizontal)
 
-/// A two-pin connection: endpoints, bus tracks, current path.
-///
-/// The stored path excludes the two terminal cells: pins enter the macro
-/// through dedicated taps, so only the wiring *between* the pin cells
-/// consumes general routing tracks.
+/// A two-pin connection: endpoints, bus tracks, and the vertical channel
+/// of its current path (see [`channel_cells`]).
 struct Connection {
     a: (u32, u32),
     b: (u32, u32),
     tracks: u32,
-    path: Vec<Step>,
+    xm: u32,
 }
 
 /// Pin location of a placed instance for its `k`-th incident connection.
@@ -93,82 +90,60 @@ fn pin_of(problem: &StitchProblem, placed: &StitchResult, inst: u32, k: u32) -> 
     })
 }
 
-/// Cells of an L- or Z-path from `a` to `b` through vertical channel `xm`.
-fn z_path(a: (u32, u32), b: (u32, u32), xm: u32) -> Vec<Step> {
-    let mut steps = Vec::new();
-    let h_run = |x0: u32, x1: u32, y: u32, steps: &mut Vec<Step>| {
-        let (lo, hi) = (x0.min(x1), x0.max(x1));
-        for x in lo..=hi {
-            steps.push((x, y, true));
-        }
-    };
-    let v_run = |y0: u32, y1: u32, x: u32, steps: &mut Vec<Step>| {
-        let (lo, hi) = (y0.min(y1), y0.max(y1));
-        for y in lo..=hi {
-            steps.push((x, y, false));
-        }
-    };
-    h_run(a.0, xm, a.1, &mut steps);
-    v_run(a.1, b.1, xm, &mut steps);
-    h_run(xm, b.0, b.1, &mut steps);
-    steps
+/// The cells of the L- or Z-path from `a` to `b` through vertical channel
+/// `xm`: a horizontal run along `a`'s row, a vertical run along `xm`, a
+/// horizontal run along `b`'s row, each inclusive of both ends, so a cell
+/// two runs share is visited twice. The two terminal cells are dedicated
+/// pin taps, not channel wiring, so every step on them is left out.
+fn channel_cells(a: (u32, u32), b: (u32, u32), xm: u32) -> impl Iterator<Item = Step> + Clone {
+    let run = |p: u32, q: u32| p.min(q)..=p.max(q);
+    run(a.0, xm)
+        .map(move |x| (x, a.1, true))
+        .chain(run(a.1, b.1).map(move |y| (xm, y, false)))
+        .chain(run(xm, b.0).map(move |x| (x, b.1, true)))
+        .filter(move |&(x, y, _)| (x, y) != a && (x, y) != b)
 }
 
-/// Cost of a candidate path under the current grid state.
-fn path_cost(grid: &ChannelGrid, path: &[Step], pressure: f64) -> f64 {
-    path.iter()
-        .map(|&(x, y, h)| grid.cost(x, y, h, pressure))
-        .sum()
-}
-
-fn occupy_path(grid: &mut ChannelGrid, path: &[Step], tracks: u32) {
-    for _ in 0..tracks {
-        for &(x, y, h) in path {
-            grid.occupy(x, y, h);
-        }
-    }
-}
-
-fn release_path(grid: &mut ChannelGrid, path: &[Step], tracks: u32) {
-    for _ in 0..tracks {
-        for &(x, y, h) in path {
-            grid.release(x, y, h);
-        }
-    }
+/// Negotiated price of routing `conn` through channel `xm`: its cells'
+/// costs summed in path order, times the bus tracks.
+fn price(grid: &ChannelGrid, conn: &Connection, xm: u32, pressure: f64) -> f64 {
+    let cost: f64 = channel_cells(conn.a, conn.b, xm)
+        .map(|(x, y, h)| grid.cost(x, y, h, pressure))
+        .sum();
+    cost * f64::from(conn.tracks)
 }
 
 /// Route one connection: pick the cheapest of the two L-shapes and three
-/// Z-shapes under the negotiated cost, and occupy it.
+/// Z-shapes (plus detours) under the negotiated cost, and occupy it. The
+/// strict `<` keeps the first of equal minima.
 fn route_connection(grid: &mut ChannelGrid, conn: &mut Connection, pressure: f64) {
     let (a, b) = (conn.a, conn.b);
     let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
-    let mut candidates = vec![a.0, b.0];
-    if hi > lo + 1 {
-        candidates.push(lo + (hi - lo) / 4);
-        candidates.push(lo + (hi - lo) / 2);
-        candidates.push(lo + 3 * (hi - lo) / 4);
-    }
+    let quarters = if hi > lo + 1 { 3 } else { 0 };
     // Detour channels next to the endpoints: vertically aligned pins
     // (stacked instances of one module) would otherwise all fight for the
     // single straight column.
     let max_x = grid.width() - 1;
-    for d in [1u32, 2, 4, 7] {
-        candidates.push(lo.saturating_sub(d));
-        candidates.push(hi.saturating_add(d).min(max_x));
-    }
-    let mut best: Option<(f64, Vec<Step>)> = None;
+    let candidates = [a.0, b.0]
+        .into_iter()
+        .chain((1..=quarters).map(|q| lo + q * (hi - lo) / 4))
+        .chain(
+            [1u32, 2, 4, 7]
+                .into_iter()
+                .flat_map(|d| [lo.saturating_sub(d), hi.saturating_add(d).min(max_x)]),
+        );
+    let mut best: Option<(f64, u32)> = None;
     for xm in candidates {
-        let mut path = z_path(a, b, xm);
-        // Terminal cells are dedicated pin taps, not channel wiring.
-        path.retain(|&(x, y, _)| (x, y) != a && (x, y) != b);
-        let cost = path_cost(grid, &path, pressure) * f64::from(conn.tracks);
-        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            best = Some((cost, path));
+        let cost = price(grid, conn, xm, pressure);
+        if best.is_none_or(|(c, _)| cost < c) {
+            best = Some((cost, xm));
         }
     }
-    let (_, path) = best.expect("at least one candidate path");
-    occupy_path(grid, &path, conn.tracks);
-    conn.path = path;
+    let (_, xm) = best.expect("at least one candidate path");
+    for (x, y, h) in channel_cells(a, b, xm) {
+        grid.occupy(x, y, h, conn.tracks);
+    }
+    conn.xm = xm;
 }
 
 /// [`route_stitched`] with telemetry: wraps the negotiation in a
@@ -235,7 +210,7 @@ pub fn route_stitched(
                 a: pair[0],
                 b: pair[1],
                 tracks,
-                path: Vec::new(),
+                xm: 0,
             });
         }
     }
@@ -247,13 +222,14 @@ pub fn route_stitched(
 
     // Negotiation: rip up and reroute connections through overused cells.
     let mut iterations = 1;
-    while grid.overflow_count() > 0 && iterations < cfg.max_iterations {
+    while grid.overused_cells() > 0 && iterations < cfg.max_iterations {
         grid.accumulate_history(cfg.history_increment);
         for conn in &mut connections {
-            let through_overuse = conn.path.iter().any(|&(x, y, _)| grid.overused(x, y));
-            if through_overuse {
-                let old_path = std::mem::take(&mut conn.path);
-                release_path(&mut grid, &old_path, conn.tracks);
+            let path = channel_cells(conn.a, conn.b, conn.xm);
+            if path.clone().any(|(x, y, _)| grid.overused(x, y)) {
+                for (x, y, h) in path {
+                    grid.release(x, y, h, conn.tracks);
+                }
                 route_connection(&mut grid, conn, cfg.pressure);
             }
         }
@@ -262,9 +238,9 @@ pub fn route_stitched(
 
     let total_wirelength: u64 = connections
         .iter()
-        .map(|c| c.path.len() as u64 * u64::from(c.tracks))
+        .map(|c| channel_cells(c.a, c.b, c.xm).count() as u64 * u64::from(c.tracks))
         .sum();
-    let overflowed_cells = grid.overflow_count();
+    let overflowed_cells = grid.overused_cells();
     let overflow_hotspots = grid.overflow_hotspots(16);
     RouteReport {
         fully_routed: overflowed_cells == 0,
@@ -281,7 +257,74 @@ pub fn route_stitched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tms_stitch::{stitch, MacroBlock, StitchConfig};
+
+    /// Cells of an L- or Z-path from `a` to `b` through vertical channel
+    /// `xm`, pin cells included: the path the router used to build for
+    /// every candidate.
+    fn z_path(a: (u32, u32), b: (u32, u32), xm: u32) -> Vec<Step> {
+        let mut steps = Vec::new();
+        let h_run = |x0: u32, x1: u32, y: u32, steps: &mut Vec<Step>| {
+            let (lo, hi) = (x0.min(x1), x0.max(x1));
+            for x in lo..=hi {
+                steps.push((x, y, true));
+            }
+        };
+        let v_run = |y0: u32, y1: u32, x: u32, steps: &mut Vec<Step>| {
+            let (lo, hi) = (y0.min(y1), y0.max(y1));
+            for y in lo..=hi {
+                steps.push((x, y, false));
+            }
+        };
+        h_run(a.0, xm, a.1, &mut steps);
+        v_run(a.1, b.1, xm, &mut steps);
+        h_run(xm, b.0, b.1, &mut steps);
+        steps
+    }
+
+    /// Cost of a candidate path under the current grid state.
+    fn path_cost(grid: &ChannelGrid, path: &[Step], pressure: f64) -> f64 {
+        path.iter()
+            .map(|&(x, y, h)| grid.cost(x, y, h, pressure))
+            .sum()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The in-place price of a candidate equals, bit for bit, the
+        /// cost of its built path with the pin cells removed, times the
+        /// bus tracks, on grids with random usage and history; and the
+        /// in-place walk visits exactly that path.
+        #[test]
+        fn in_place_price_matches_the_built_path(
+            w in 1u32..24,
+            h in 1u32..24,
+            cells in proptest::collection::vec((0u32..8, 0u32..8, 0u32..4), 1..64),
+            ends in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            tracks in 1u32..9,
+            pressure in 0.0f64..8.0,
+        ) {
+            let mut grid = ChannelGrid::new(w, h, 3, 2);
+            for (i, &(hu, vu, hist)) in cells.iter().enumerate() {
+                let (x, y) = ((i as u32 * 7) % w, (i as u32 * 3) % h);
+                grid.occupy(x, y, true, hu);
+                grid.occupy(x, y, false, vu);
+                if hist > 0 {
+                    grid.accumulate_history(f64::from(hist) / 3.0);
+                }
+            }
+            let (ax, ay, bx, by, xm) = ends;
+            let (a, b, xm) = ((ax % w, ay % h), (bx % w, by % h), xm % w);
+            let mut path = z_path(a, b, xm);
+            path.retain(|&(x, y, _)| (x, y) != a && (x, y) != b);
+            prop_assert_eq!(channel_cells(a, b, xm).collect::<Vec<_>>(), path.clone());
+            let conn = Connection { a, b, tracks, xm: 0 };
+            let oracle = path_cost(&grid, &path, pressure) * f64::from(tracks);
+            prop_assert_eq!(price(&grid, &conn, xm, pressure).to_bits(), oracle.to_bits());
+        }
+    }
 
     fn placed_chain(n: u32, weight: f64, seed: u64) -> (Device, StitchProblem, StitchResult) {
         let dev = Device::xc7z020();

@@ -1,5 +1,6 @@
 //! Shared fabric machinery of the stitchers: legal-anchor candidate
-//! tables, the occupancy grid, and incremental wirelength accounting.
+//! tables, flat per-instance and per-net tables with the one wirelength
+//! function, and the occupancy grid.
 //!
 //! Both the single-run annealer ([`crate::sa`]) and the portfolio search
 //! problem ([`crate::search`]) move macros over the same device model;
@@ -39,8 +40,13 @@ impl Candidates {
                 period.checked_shl(first).unwrap_or(0) & word_mask(w, 0, (y_max + 1).min(rows))
             })
             .collect();
+        let count = xs.len() as u64 * ys;
+        assert!(
+            u32::try_from(count).is_ok(),
+            "{count} candidates overflow 32-bit indices"
+        );
         Candidates {
-            count: xs.len() as u64 * ys,
+            count,
             xs,
             y_step,
             ys,
@@ -49,9 +55,10 @@ impl Candidates {
     }
 
     pub(crate) fn nth(&self, idx: u64) -> (u32, u32) {
-        let x = self.xs[(idx / self.ys) as usize];
-        let y = (idx % self.ys) as u32 * self.y_step;
-        (x, y)
+        // `count` fits in 32 bits (checked in `new`), and a 32-bit
+        // division is several times cheaper than a 64-bit one.
+        let (i, ys) = (idx as u32, self.ys as u32);
+        (self.xs[(i / ys) as usize], i % ys * self.y_step)
     }
 
     /// Candidate index closest to a position (for range-limited moves).
@@ -62,8 +69,138 @@ impl Candidates {
     }
 }
 
+/// Rows of `u32`s in one flat array (compressed sparse rows): row `i` is
+/// `items[start[i]..start[i + 1]]`.
+struct Csr {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    fn new<'a>(rows: impl IntoIterator<Item = &'a [u32]>) -> Self {
+        let mut csr = Csr {
+            start: vec![0],
+            items: Vec::new(),
+        };
+        for row in rows {
+            csr.items.extend_from_slice(row);
+            csr.start.push(csr.items.len() as u32);
+        }
+        csr
+    }
+
+    fn row(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        &self.items[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+}
+
+/// A stitch problem as flat tables: the candidate anchors of every
+/// module, each instance's module and footprint, and the nets and their
+/// incidence as compressed rows. Both stitchers read the problem only
+/// through these tables, and [`Tables::net_cost`] is the one wirelength
+/// function.
+pub(crate) struct Tables {
+    /// Candidate anchors of each unique module.
+    pub(crate) candidates: Vec<Candidates>,
+    /// Module of each instance.
+    pub(crate) module: Vec<u32>,
+    /// Footprint `(width, height)` of each instance.
+    pub(crate) footprint: Vec<(u32, u32)>,
+    /// Endpoints of each net.
+    ends: Csr,
+    /// Weight of each net.
+    weight: Vec<f64>,
+    /// Nets each instance terminates, in net order.
+    incident: Csr,
+}
+
+impl Tables {
+    pub(crate) fn new(device: &Device, problem: &StitchProblem) -> Self {
+        let mut incident: Vec<Vec<u32>> = vec![Vec::new(); problem.instances.len()];
+        for (ni, net) in problem.nets.iter().enumerate() {
+            for &e in &net.endpoints {
+                incident[e as usize].push(ni as u32);
+            }
+        }
+        Tables {
+            candidates: build_candidates(device, problem),
+            module: problem.instances.iter().map(|&m| m as u32).collect(),
+            footprint: (0..problem.instances.len() as u32)
+                .map(|i| {
+                    let b = problem.block_of(i);
+                    (b.width, b.height)
+                })
+                .collect(),
+            ends: Csr::new(problem.nets.iter().map(|n| n.endpoints.as_slice())),
+            weight: problem.nets.iter().map(|n| n.weight).collect(),
+            incident: Csr::new(incident.iter().map(Vec::as_slice)),
+        }
+    }
+
+    /// Number of instances.
+    pub(crate) fn instances(&self) -> u32 {
+        self.module.len() as u32
+    }
+
+    /// Candidate anchors of instance `inst`'s module.
+    pub(crate) fn cand_of(&self, inst: u32) -> &Candidates {
+        &self.candidates[self.module[inst as usize] as usize]
+    }
+
+    /// Nets instance `inst` terminates.
+    pub(crate) fn incident(&self, inst: u32) -> &[u32] {
+        self.incident.row(inst)
+    }
+
+    /// Half-perimeter wirelength of net `net` under `positions`: the
+    /// weighted bounding box of its placed endpoints' footprint centres,
+    /// 0 below two placed endpoints.
+    ///
+    /// A centre `x + w/2` is a half-integer, so the box is taken exactly
+    /// over doubled centres `2x + w` in integers. Every `f64` the centre
+    /// arithmetic would produce before the weight — the centres, their
+    /// extents, the extents' sum — is exact, so halving the integer
+    /// half-perimeter and weighting it gives the same bits.
+    pub(crate) fn net_cost(&self, positions: &[Option<(u32, u32)>], net: u32) -> f64 {
+        let mut n = 0u32;
+        let (mut x0, mut x1, mut y0, mut y1) = (u32::MAX, 0, u32::MAX, 0);
+        for &e in self.ends.row(net) {
+            if let Some((x, y)) = positions[e as usize] {
+                let (w, h) = self.footprint[e as usize];
+                let (cx, cy) = (2 * x + w, 2 * y + h);
+                n += 1;
+                x0 = x0.min(cx);
+                x1 = x1.max(cx);
+                y0 = y0.min(cy);
+                y1 = y1.max(cy);
+            }
+        }
+        if n < 2 {
+            0.0
+        } else {
+            self.weight[net as usize] * (f64::from(x1 - x0 + (y1 - y0)) / 2.0)
+        }
+    }
+
+    /// Total wirelength under `positions`.
+    pub(crate) fn total_cost(&self, positions: &[Option<(u32, u32)>]) -> f64 {
+        (0..self.weight.len() as u32)
+            .map(|n| self.net_cost(positions, n))
+            .sum()
+    }
+
+    /// Sum of the costs of the nets incident to `inst`.
+    pub(crate) fn incident_cost(&self, positions: &[Option<(u32, u32)>], inst: u32) -> f64 {
+        self.incident(inst)
+            .iter()
+            .map(|&n| self.net_cost(positions, n))
+            .sum()
+    }
+}
+
 /// Build the candidate table for every unique module of `problem`.
-pub(crate) fn build_candidates(device: &Device, problem: &StitchProblem) -> Vec<Candidates> {
+fn build_candidates(device: &Device, problem: &StitchProblem) -> Vec<Candidates> {
     let rows = device.rows();
     // One prefix build serves every module: the count-prefiltered anchor
     // search skips origins whose column-kind counts already mismatch.
@@ -82,17 +219,6 @@ pub(crate) fn build_candidates(device: &Device, problem: &StitchProblem) -> Vec<
             Candidates::new(xs, m.signature.y_alignment(), y_max, rows)
         })
         .collect()
-}
-
-/// Instance → indices of the nets it terminates.
-pub(crate) fn build_incident(problem: &StitchProblem) -> Vec<Vec<u32>> {
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); problem.instances.len()];
-    for (ni, net) in problem.nets.iter().enumerate() {
-        for &e in &net.endpoints {
-            incident[e as usize].push(ni as u32);
-        }
-    }
-    incident
 }
 
 fn words_per_column(rows: u32) -> usize {
@@ -176,14 +302,14 @@ impl Grid {
     }
 
     fn update(&mut self, x: u32, y: u32, bw: u32, bh: u32, set: bool) {
-        for c in x..x + bw {
-            let at = c as usize * self.words;
-            for w in words_of(y, y + bh) {
-                let mask = word_mask(w, y, y + bh);
+        for w in words_of(y, y + bh) {
+            let mask = word_mask(w, y, y + bh);
+            for c in x..x + bw {
+                let at = c as usize * self.words + w;
                 if set {
-                    self.bits[at + w] |= mask;
+                    self.bits[at] |= mask;
                 } else {
-                    self.bits[at + w] &= !mask;
+                    self.bits[at] &= !mask;
                 }
             }
         }
@@ -279,66 +405,6 @@ fn shift_and(bits: &mut [u64], s: u32) {
         };
         bits[w] &= lo | hi;
     }
-}
-
-/// Centre of instance `inst` when placed at `pos`.
-pub(crate) fn center(
-    problem: &StitchProblem,
-    inst: u32,
-    pos: Option<(u32, u32)>,
-) -> Option<(f64, f64)> {
-    pos.map(|(x, y)| {
-        let b = problem.block_of(inst);
-        (
-            f64::from(x) + f64::from(b.width) / 2.0,
-            f64::from(y) + f64::from(b.height) / 2.0,
-        )
-    })
-}
-
-/// Half-perimeter wirelength of net `net_idx` under `positions`.
-pub(crate) fn net_cost(
-    problem: &StitchProblem,
-    positions: &[Option<(u32, u32)>],
-    net_idx: u32,
-) -> f64 {
-    let net = &problem.nets[net_idx as usize];
-    let mut n = 0u32;
-    let (mut x0, mut x1, mut y0, mut y1) = (f64::MAX, f64::MIN, f64::MAX, f64::MIN);
-    for &e in &net.endpoints {
-        if let Some((cx, cy)) = center(problem, e, positions[e as usize]) {
-            n += 1;
-            x0 = x0.min(cx);
-            x1 = x1.max(cx);
-            y0 = y0.min(cy);
-            y1 = y1.max(cy);
-        }
-    }
-    if n < 2 {
-        0.0
-    } else {
-        net.weight * ((x1 - x0) + (y1 - y0))
-    }
-}
-
-/// Total wirelength under `positions`.
-pub(crate) fn total_cost(problem: &StitchProblem, positions: &[Option<(u32, u32)>]) -> f64 {
-    (0..problem.nets.len() as u32)
-        .map(|i| net_cost(problem, positions, i))
-        .sum()
-}
-
-/// Sum of the costs of the nets incident to `inst`.
-pub(crate) fn incident_cost(
-    problem: &StitchProblem,
-    incident: &[Vec<u32>],
-    positions: &[Option<(u32, u32)>],
-    inst: u32,
-) -> f64 {
-    incident[inst as usize]
-        .iter()
-        .map(|&n| net_cost(problem, positions, n))
-        .sum()
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 #![cfg(test)]
 
-use crate::fabric::net_cost;
 use crate::problem::{MacroBlock, StitchProblem};
 use crate::sa::{stitch, try_insert, State, StitchConfig};
 use proptest::prelude::*;
@@ -110,14 +109,16 @@ proptest! {
                 expected += weight * ((x1 - x0) + (y1 - y0));
             }
         }
-        prop_assert!((r.final_cost - expected).abs() < 1e-6,
+        // The same terms in the same order: equal, not just close.
+        prop_assert!(r.final_cost == expected,
             "tracked {} vs recomputed {}", r.final_cost, expected);
     }
 
-    /// The annealer's net-cost cache stays exact: after random
-    /// insertions, legal moves and undos — on nets with up to four
-    /// endpoints, repeated endpoints included — every cached net cost
-    /// equals a fresh `net_cost` bit for bit.
+    /// The annealer's caches stay exact: after random insertions, legal
+    /// moves and undos — on nets with up to four endpoints, repeated
+    /// endpoints included — every cached net cost equals a fresh
+    /// `net_cost` bit for bit, and every placed instance's cached
+    /// candidate index is the index of its anchor.
     #[test]
     fn cached_net_costs_stay_exact(problem in arb_problem(), seed in any::<u64>()) {
         let dev = Device::xc7z020();
@@ -137,19 +138,26 @@ proptest! {
             if old.is_none() {
                 try_insert(&mut state, inst, &mut rng);
             } else {
-                let cand = &state.candidates[problem.instances[inst as usize]];
-                let (x, y) = cand.nth(rng.gen_range(0..cand.count));
-                let b = problem.block_of(inst);
-                if state.grid.is_free(x, y, b.width, b.height, old) {
-                    let delta = state.apply_move(inst, x, y);
+                let cand = state.tables.cand_of(inst);
+                let idx = rng.gen_range(0..cand.count);
+                let (x, y) = cand.nth(idx);
+                let (bw, bh) = state.tables.footprint[inst as usize];
+                if state.grid.is_free(x, y, bw, bh, old) {
+                    let delta = state.apply_move(inst, idx, (x, y));
                     if rng.gen_range(0..2u32) == 0 {
                         state.undo_move(inst, old, delta);
                     }
                 }
             }
             for (i, &c) in state.net_costs.iter().enumerate() {
-                let fresh = net_cost(&problem, &state.positions, i as u32);
+                let fresh = state.tables.net_cost(&state.positions, i as u32);
                 prop_assert_eq!(c.to_bits(), fresh.to_bits(), "net {}", i);
+            }
+            for (i, pos) in state.positions.iter().enumerate() {
+                let Some(at) = *pos else { continue };
+                let cand = state.tables.cand_of(i as u32);
+                prop_assert_eq!(state.cand_idx[i], cand.index_near(at), "instance {}", i);
+                prop_assert_eq!(cand.nth(state.cand_idx[i]), at, "instance {}", i);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The simulated-annealing stitcher.
 
-use crate::fabric::{build_candidates, build_incident, net_cost, total_cost, Candidates, Grid};
+use crate::fabric::{Grid, Tables};
 use crate::problem::StitchProblem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,46 +118,51 @@ impl StitchResult {
     }
 }
 
-pub(crate) struct State<'p> {
-    pub(crate) problem: &'p StitchProblem,
-    pub(crate) candidates: Vec<Candidates>,
+/// The single-run annealer's placement over the flat problem tables.
+pub(crate) struct State {
+    pub(crate) tables: Tables,
     pub(crate) positions: Vec<Option<(u32, u32)>>,
+    /// Candidate index of each placed instance's anchor: exact, because
+    /// every anchor an instance is placed at is one of its candidates.
+    pub(crate) cand_idx: Vec<u64>,
     pub(crate) grid: Grid,
-    pub(crate) incident: Vec<Vec<u32>>,
     pub(crate) cost: f64,
     /// Current half-perimeter wirelength of every net, always equal bit
-    /// for bit to a fresh [`net_cost`] under `positions`.
+    /// for bit to a fresh [`Tables::net_cost`] under `positions`.
     pub(crate) net_costs: Vec<f64>,
     /// The costs of the last moved instance's incident nets before the
-    /// move, in `incident` order, for [`State::undo_move`].
+    /// move, in incidence order, and its candidate index before the
+    /// move, for [`State::undo_move`].
     saved: Vec<f64>,
+    saved_idx: u64,
 }
 
-impl<'p> State<'p> {
+impl State {
     /// An empty placement of `problem` on `device`.
-    pub(crate) fn new(device: &Device, problem: &'p StitchProblem) -> Self {
+    pub(crate) fn new(device: &Device, problem: &StitchProblem) -> Self {
+        let n = problem.instances.len();
         State {
-            problem,
-            candidates: build_candidates(device, problem),
-            positions: vec![None; problem.instances.len()],
+            tables: Tables::new(device, problem),
+            positions: vec![None; n],
+            cand_idx: vec![0; n],
             grid: Grid::new(device.width(), device.rows()),
-            incident: build_incident(problem),
             cost: 0.0,
             // A net with fewer than two placed endpoints costs 0.
             net_costs: vec![0.0; problem.nets.len()],
             saved: Vec::new(),
+            saved_idx: 0,
         }
     }
 
-    /// Move `inst` to `(x, y)` (must be legal), returning the cost delta.
+    /// Move `inst` to its candidate `idx` at `(x, y)` (must be legal),
+    /// returning the cost delta.
     ///
-    /// The "before" cost sums the cached net costs in `incident` order,
+    /// The "before" cost sums the cached net costs in incidence order,
     /// the same terms and order a fresh recompute would sum, so the delta
     /// is bitwise the same.
-    pub(crate) fn apply_move(&mut self, inst: u32, x: u32, y: u32) -> f64 {
-        let b = self.problem.block_of(inst);
-        let (bw, bh) = (b.width, b.height);
-        let nets = &self.incident[inst as usize];
+    pub(crate) fn apply_move(&mut self, inst: u32, idx: u64, (x, y): (u32, u32)) -> f64 {
+        let (bw, bh) = self.tables.footprint[inst as usize];
+        let nets = self.tables.incident(inst);
         self.saved.clear();
         self.saved
             .extend(nets.iter().map(|&n| self.net_costs[n as usize]));
@@ -167,10 +172,11 @@ impl<'p> State<'p> {
         }
         self.grid.fill(x, y, bw, bh);
         self.positions[inst as usize] = Some((x, y));
+        self.saved_idx = std::mem::replace(&mut self.cand_idx[inst as usize], idx);
         let after: f64 = nets
             .iter()
             .map(|&n| {
-                let c = net_cost(self.problem, &self.positions, n);
+                let c = self.tables.net_cost(&self.positions, n);
                 self.net_costs[n as usize] = c;
                 c
             })
@@ -182,8 +188,7 @@ impl<'p> State<'p> {
     /// Revert the last [`State::apply_move`], which moved `inst` from
     /// `old` and returned `delta`.
     pub(crate) fn undo_move(&mut self, inst: u32, old: Option<(u32, u32)>, delta: f64) {
-        let b = self.problem.block_of(inst);
-        let (bw, bh) = (b.width, b.height);
+        let (bw, bh) = self.tables.footprint[inst as usize];
         if let Some((x, y)) = self.positions[inst as usize] {
             self.grid.clear(x, y, bw, bh);
         }
@@ -191,10 +196,34 @@ impl<'p> State<'p> {
             self.grid.fill(ox, oy, bw, bh);
         }
         self.positions[inst as usize] = old;
-        for (&n, &c) in self.incident[inst as usize].iter().zip(&self.saved) {
+        self.cand_idx[inst as usize] = self.saved_idx;
+        for (&n, &c) in self.tables.incident(inst).iter().zip(&self.saved) {
             self.net_costs[n as usize] = c;
         }
         self.cost -= delta;
+    }
+}
+
+/// Fires on every `period`-th tick, never for period 0: the test
+/// `tick_count.is_multiple_of(period)` without a division.
+struct Every {
+    period: u64,
+    left: u64,
+}
+
+impl Every {
+    fn new(period: u64) -> Self {
+        let left = if period == 0 { u64::MAX } else { period };
+        Every { period, left }
+    }
+
+    fn tick(&mut self) -> bool {
+        self.left -= 1;
+        let fire = self.left == 0;
+        if fire {
+            self.left = self.period;
+        }
+        fire
     }
 }
 
@@ -210,22 +239,37 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
     for &inst in &order {
         try_insert(&mut state, inst, &mut rng);
     }
-    state.cost = total_cost(problem, &state.positions);
+    state.cost = state.tables.total_cost(&state.positions);
     let initial_cost = state.cost;
 
     // Temperature from the scale of legal-move deltas.
     let t0 = estimate_t0(&mut state, &mut rng).max(1e-6);
     let mut temp = t0;
-    // Range-limit window as a fraction of the candidates; changes only
-    // with the temperature.
-    let mut window_frac = (temp / t0).clamp(0.02, 1.0);
+    // VPR-style range limiting: as the temperature drops, propose targets
+    // closer to the current location (candidates are ordered by x then y,
+    // so index distance approximates fabric distance). Each module's
+    // window changes only with the temperature.
+    let counts: Vec<u64> = state.tables.candidates.iter().map(|c| c.count).collect();
+    let windows_at = |temp: f64, windows: &mut Vec<u64>| {
+        let frac = (temp / t0).clamp(0.02, 1.0);
+        windows.clear();
+        windows.extend(counts.iter().map(|&count| {
+            if config.range_limited {
+                (frac * count as f64).max(8.0) as u64
+            } else {
+                count
+            }
+        }));
+    };
+    let mut windows = Vec::new();
+    windows_at(temp, &mut windows);
 
     let mut illegal_moves = 0u64;
     let mut accepted_moves = 0u64;
     let mut rejected_moves = 0u64;
     let mut late_insertions = 0u64;
     let mut cost_trace: Vec<(u64, f64)> = vec![(0, initial_cost)];
-    let n_inst = problem.instances.len() as u32;
+    let n_inst = state.tables.instances();
 
     // Best-so-far snapshot: SA accepts uphill moves, so the terminal state
     // can be worse than an earlier one; the returned placement is the best
@@ -235,69 +279,73 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
     let mut best_positions = state.positions.clone();
     let mut best_move = 0u64;
 
+    let mut retry = Every::new(config.retry_unplaced_every);
+    let mut cool = Every::new(u64::from(config.moves_per_temp));
+    let mut sample = Every::new(config.sample_every);
     let mut mv = 0u64;
     while mv < config.max_moves && n_inst > 0 {
         mv += 1;
-        if config.retry_unplaced_every > 0 && mv.is_multiple_of(config.retry_unplaced_every) {
+        // Every move ticks the countdowns, but a skipped or illegal move
+        // `continue`s past the cooling and sampling checks at the bottom
+        // of the loop, so a step fires only when the move that lands on a
+        // multiple of its period is legal: the more of a design's moves
+        // are rejected for overlap, the less it cools. With seed 7 and
+        // minimal CF, cnvW1A1 on the xc7z020 records none of its 240
+        // scheduled samples and cools once in 468 steps, from its
+        // fallback 1.0 to 0.985. A fix moves every stitch result and
+        // paper number, so the behaviour is kept.
+        let (cool_due, sample_due) = (cool.tick(), sample.tick());
+        if retry.tick() {
             if let Some(unp) = state.positions.iter().position(|p| p.is_none()) {
                 if try_insert(&mut state, unp as u32, &mut rng) {
                     late_insertions += 1;
                     best_cost = state.cost;
-                    best_positions = state.positions.clone();
+                    best_positions.copy_from_slice(&state.positions);
                     best_move = mv;
                 }
             }
         }
         let inst = rng.gen_range(0..n_inst);
-        let cand = &state.candidates[problem.instances[inst as usize]];
-        let count = cand.count;
-        if count == 0 || state.positions[inst as usize].is_none() {
+        let module = state.tables.module[inst as usize] as usize;
+        let cand = &state.tables.candidates[module];
+        let (count, window) = (cand.count, windows[module]);
+        let Some(cur) = state.positions[inst as usize] else {
             continue;
-        }
-        // VPR-style range limiting: as the temperature drops, propose
-        // targets closer to the current location (candidates are ordered by
-        // x then y, so index distance approximates fabric distance).
-        let window = if config.range_limited {
-            (window_frac * count as f64).max(8.0) as u64
-        } else {
-            count
         };
-        let (x, y) = if window >= count {
-            cand.nth(rng.gen_range(0..count))
+        let idx = if window >= count {
+            rng.gen_range(0..count)
         } else {
-            let cur = state.positions[inst as usize].unwrap();
-            let cur_idx = cand.index_near(cur);
-            let lo = cur_idx.saturating_sub(window / 2);
+            let lo = state.cand_idx[inst as usize].saturating_sub(window / 2);
             let hi = (lo + window).min(count);
-            cand.nth(rng.gen_range(lo..hi))
+            rng.gen_range(lo..hi)
         };
-        let old = state.positions[inst as usize];
-        if old == Some((x, y)) {
+        let (x, y) = cand.nth(idx);
+        if cur == (x, y) {
             continue;
         }
-        let b = problem.block_of(inst);
-        if !state.grid.is_free(x, y, b.width, b.height, old) {
+        let (bw, bh) = state.tables.footprint[inst as usize];
+        if !state.grid.is_free(x, y, bw, bh, Some(cur)) {
             illegal_moves += 1;
             continue;
         }
-        let delta = state.apply_move(inst, x, y);
+        let delta = state.apply_move(inst, idx, (x, y));
         let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
         if !accept {
             rejected_moves += 1;
-            state.undo_move(inst, old, delta);
+            state.undo_move(inst, Some(cur), delta);
         } else {
             accepted_moves += 1;
             if state.cost < best_cost - 1e-12 {
                 best_cost = state.cost;
-                best_positions = state.positions.clone();
+                best_positions.copy_from_slice(&state.positions);
                 best_move = mv;
             }
         }
-        if mv.is_multiple_of(u64::from(config.moves_per_temp)) {
+        if cool_due {
             temp = (temp * config.cooling).max(t0 * 1e-4);
-            window_frac = (temp / t0).clamp(0.02, 1.0);
+            windows_at(temp, &mut windows);
         }
-        if mv.is_multiple_of(config.sample_every) {
+        if sample_due {
             cost_trace.push((mv, state.cost));
         }
     }
@@ -306,7 +354,7 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
         state.positions = best_positions;
         state.cost = best_cost;
     }
-    let final_cost = total_cost(problem, &state.positions);
+    let final_cost = state.tables.total_cost(&state.positions);
     cost_trace.push((mv, final_cost));
 
     let unplaced: Vec<u32> = state
@@ -349,21 +397,22 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
 }
 
 /// Try to insert an unplaced instance at a pseudo-random free candidate.
-pub(crate) fn try_insert(state: &mut State<'_>, inst: u32, rng: &mut StdRng) -> bool {
+pub(crate) fn try_insert(state: &mut State, inst: u32, rng: &mut StdRng) -> bool {
     if state.positions[inst as usize].is_some() {
         return true;
     }
-    let b = state.problem.block_of(inst);
-    let cand = &state.candidates[state.problem.instances[inst as usize]];
+    let (bw, bh) = state.tables.footprint[inst as usize];
+    let cand = state.tables.cand_of(inst);
     if cand.count == 0 {
         return false;
     }
     // Scan all candidates from a random start so the greedy pass fills the
     // fabric evenly rather than stacking left.
     let start = rng.gen_range(0..cand.count);
-    match state.grid.first_free(cand, start, b.width, b.height) {
-        Some((x, y)) => {
-            state.apply_move(inst, x, y);
+    match state.grid.first_free(cand, start, bw, bh) {
+        Some(at) => {
+            let idx = cand.index_near(at);
+            state.apply_move(inst, idx, at);
             true
         }
         None => false,
@@ -371,8 +420,8 @@ pub(crate) fn try_insert(state: &mut State<'_>, inst: u32, rng: &mut StdRng) -> 
 }
 
 /// Sample legal moves to scale the starting temperature.
-fn estimate_t0(state: &mut State<'_>, rng: &mut StdRng) -> f64 {
-    let n_inst = state.problem.instances.len() as u32;
+fn estimate_t0(state: &mut State, rng: &mut StdRng) -> f64 {
+    let n_inst = state.tables.instances();
     if n_inst == 0 {
         return 1.0;
     }
@@ -380,21 +429,19 @@ fn estimate_t0(state: &mut State<'_>, rng: &mut StdRng) -> f64 {
     let mut n = 0u32;
     for _ in 0..200 {
         let inst = rng.gen_range(0..n_inst);
-        if state.positions[inst as usize].is_none() {
+        let Some(cur) = state.positions[inst as usize] else {
+            continue;
+        };
+        // A placed instance has candidates.
+        let cand = state.tables.cand_of(inst);
+        let idx = rng.gen_range(0..cand.count);
+        let (x, y) = cand.nth(idx);
+        let (bw, bh) = state.tables.footprint[inst as usize];
+        if !state.grid.is_free(x, y, bw, bh, Some(cur)) {
             continue;
         }
-        let cand = &state.candidates[state.problem.instances[inst as usize]];
-        if cand.count == 0 {
-            continue;
-        }
-        let (x, y) = cand.nth(rng.gen_range(0..cand.count));
-        let b = state.problem.block_of(inst);
-        let old = state.positions[inst as usize];
-        if !state.grid.is_free(x, y, b.width, b.height, old) {
-            continue;
-        }
-        let delta = state.apply_move(inst, x, y);
-        state.undo_move(inst, old, delta);
+        let delta = state.apply_move(inst, idx, (x, y));
+        state.undo_move(inst, Some(cur), delta);
         sum += delta.abs();
         n += 1;
     }

@@ -9,9 +9,7 @@
 //! accounting of the private `fabric` module with the single-run annealer, keeping
 //! both in exact agreement about legality and cost.
 
-use crate::fabric::{
-    build_candidates, build_incident, incident_cost, total_cost, Candidates, Grid,
-};
+use crate::fabric::{Grid, Tables};
 use crate::problem::StitchProblem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,8 +65,7 @@ enum UndoKind {
 /// and driven concurrently by every portfolio lane.
 pub struct StitchSearch<'p> {
     problem: &'p StitchProblem,
-    candidates: Vec<Candidates>,
-    incident: Vec<Vec<u32>>,
+    tables: Tables,
     width: u32,
     rows: u32,
     /// Instances sorted by descending footprint area (greedy/crossover order).
@@ -88,8 +85,7 @@ impl<'p> StitchSearch<'p> {
         }
         StitchSearch {
             problem,
-            candidates: build_candidates(device, problem),
-            incident: build_incident(problem),
+            tables: Tables::new(device, problem),
             width: device.width(),
             rows: device.rows(),
             order,
@@ -102,22 +98,18 @@ impl<'p> StitchSearch<'p> {
         self.problem
     }
 
-    fn cand_of(&self, inst: u32) -> &Candidates {
-        &self.candidates[self.problem.instances[inst as usize]]
-    }
-
     /// Move `inst` to the (legal) anchor `(x, y)`, returning the cost delta.
     fn apply_move(&self, s: &mut StitchSolution, inst: u32, x: u32, y: u32) -> f64 {
-        let b = self.problem.block_of(inst);
-        let before = incident_cost(self.problem, &self.incident, &s.positions, inst);
+        let (bw, bh) = self.tables.footprint[inst as usize];
+        let before = self.tables.incident_cost(&s.positions, inst);
         if let Some((ox, oy)) = s.positions[inst as usize] {
-            s.grid.clear(ox, oy, b.width, b.height);
+            s.grid.clear(ox, oy, bw, bh);
         } else {
             s.unplaced -= 1;
         }
-        s.grid.fill(x, y, b.width, b.height);
+        s.grid.fill(x, y, bw, bh);
         s.positions[inst as usize] = Some((x, y));
-        let after = incident_cost(self.problem, &self.incident, &s.positions, inst);
+        let after = self.tables.incident_cost(&s.positions, inst);
         s.cost += after - before;
         after - before
     }
@@ -134,11 +126,11 @@ impl<'p> StitchSearch<'p> {
 
     /// Swap `a` and `b` (placed, same module), returning the cost delta.
     fn apply_swap(&self, s: &mut StitchSolution, a: u32, b: u32) -> f64 {
-        let before = incident_cost(self.problem, &self.incident, &s.positions, a)
-            + incident_cost(self.problem, &self.incident, &s.positions, b);
+        let before =
+            self.tables.incident_cost(&s.positions, a) + self.tables.incident_cost(&s.positions, b);
         self.swap_cells(s, a, b);
-        let after = incident_cost(self.problem, &self.incident, &s.positions, a)
-            + incident_cost(self.problem, &self.incident, &s.positions, b);
+        let after =
+            self.tables.incident_cost(&s.positions, a) + self.tables.incident_cost(&s.positions, b);
         s.cost += after - before;
         after - before
     }
@@ -149,13 +141,13 @@ impl<'p> StitchSearch<'p> {
         if s.positions[inst as usize].is_some() {
             return None;
         }
-        let b = self.problem.block_of(inst);
-        let cand = self.cand_of(inst);
+        let (bw, bh) = self.tables.footprint[inst as usize];
+        let cand = self.tables.cand_of(inst);
         if cand.count == 0 {
             return None;
         }
         let start = rng.gen_range(0..cand.count);
-        let (x, y) = s.grid.first_free(cand, start, b.width, b.height)?;
+        let (x, y) = s.grid.first_free(cand, start, bw, bh)?;
         Some(self.apply_move(s, inst, x, y))
     }
 }
@@ -179,7 +171,7 @@ impl SearchProblem for StitchSearch<'_> {
         for &inst in &self.order {
             self.try_insert(&mut s, inst, &mut rng);
         }
-        s.cost = total_cost(self.problem, &s.positions);
+        s.cost = self.tables.total_cost(&s.positions);
         s
     }
 
@@ -212,7 +204,7 @@ impl SearchProblem for StitchSearch<'_> {
                 None => Proposal::Illegal,
             };
         }
-        let cand = self.cand_of(inst);
+        let cand = self.tables.cand_of(inst);
         let count = cand.count;
         if count == 0 {
             return Proposal::Illegal;
@@ -256,8 +248,8 @@ impl SearchProblem for StitchSearch<'_> {
         if old == Some((x, y)) {
             return Proposal::Illegal;
         }
-        let b = self.problem.block_of(inst);
-        if !s.grid.is_free(x, y, b.width, b.height, old) {
+        let (bw, bh) = self.tables.footprint[inst as usize];
+        if !s.grid.is_free(x, y, bw, bh, old) {
             return Proposal::Illegal;
         }
         let delta = self.apply_move(s, inst, x, y);
@@ -272,12 +264,12 @@ impl SearchProblem for StitchSearch<'_> {
     fn undo(&self, s: &mut StitchSolution, undo: StitchUndo) {
         match undo.kind {
             UndoKind::Move { inst, old, delta } => {
-                let b = self.problem.block_of(inst);
+                let (bw, bh) = self.tables.footprint[inst as usize];
                 if let Some((x, y)) = s.positions[inst as usize] {
-                    s.grid.clear(x, y, b.width, b.height);
+                    s.grid.clear(x, y, bw, bh);
                 }
                 if let Some((ox, oy)) = old {
-                    s.grid.fill(ox, oy, b.width, b.height);
+                    s.grid.fill(ox, oy, bw, bh);
                 }
                 s.positions[inst as usize] = old;
                 s.cost -= delta;
@@ -326,11 +318,11 @@ impl SearchProblem for StitchSearch<'_> {
             if child.positions[inst as usize] == Some((x, y)) {
                 continue;
             }
-            let blk = self.problem.block_of(inst);
+            let (bw, bh) = self.tables.footprint[inst as usize];
             // `is_free` counts `inst`'s own footprint as free, so a placed
             // instance can slide onto an overlapping target.
             let own = child.positions[inst as usize];
-            if child.grid.is_free(x, y, blk.width, blk.height, own) {
+            if child.grid.is_free(x, y, bw, bh, own) {
                 self.apply_move(&mut child, inst, x, y);
             }
         }
@@ -365,7 +357,7 @@ mod tests {
 
     fn assert_consistent(search: &StitchSearch<'_>, s: &StitchSolution) {
         // Cached cost and unplaced count match a from-scratch recompute.
-        let true_cost = total_cost(search.problem, &s.positions);
+        let true_cost = search.tables.total_cost(&s.positions);
         assert!(
             (s.cost - true_cost).abs() < 1e-6,
             "cached {} vs true {}",

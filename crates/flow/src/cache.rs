@@ -8,7 +8,7 @@
 //! cache misses and re-stitches everything.
 
 use crate::integrity::{audit_module, verify_sealed, SealedModule};
-use crate::resilient::Resilience;
+use crate::resilient::{absorb_route_faults, implement_module_resilient, Resilience};
 use crate::rwflow::{
     stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig, RwFlowResult,
 };
@@ -22,9 +22,7 @@ use tms_device::{Device, DeviceName};
 use tms_fault::{FaultInjector, FaultPoint, NoopInjector, Retry};
 use tms_netlist::{Netlist, NetlistStats};
 use tms_obs::{span, Phase, Recorder};
-use tms_pack::{
-    observe_pack_reuse, pack_memories, MemPackConfig, MemPackPolicy, PackKey, PackedMemories,
-};
+use tms_pack::{observe_pack_reuse, pack_memories, MemPackConfig, PackKey, PackedMemories};
 use tms_store::{Store, StoreSnapshot};
 use tms_verify::Auditor;
 
@@ -203,8 +201,9 @@ pub struct ImplementationCache {
     /// then does not count. Fault-armed caches bypass the memo entirely.
     verified: Mutex<HashSet<u64>>,
     /// Weight-packing results by the exact inputs that produced them,
-    /// bounded by [`PACK_MEMO_CAPACITY`].
-    pack_memo: HashMap<PackKey, Arc<PackedMemories>>,
+    /// bounded by [`PACK_MEMO_CAPACITY`]. Behind a mutex so packing is
+    /// part of the `&self` read side; never held across a pack search.
+    pack_memo: Mutex<HashMap<PackKey, Arc<PackedMemories>>>,
 }
 
 impl Default for ImplementationCache {
@@ -237,7 +236,7 @@ impl ImplementationCache {
             quarantined: AtomicU64::new(0),
             insert_rejected: AtomicU64::new(0),
             verified: Mutex::new(HashSet::new()),
-            pack_memo: HashMap::new(),
+            pack_memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -308,16 +307,6 @@ impl ImplementationCache {
     /// Cache misses recorded so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Whether a record is stored under `key`. Moves no hit/miss counter
-    /// or recency stamp and verifies nothing: a probe for deciding whether
-    /// a [`lookup`](ImplementationCache::lookup) can come back all hits.
-    pub fn contains(&self, key: &ModuleFingerprint) -> bool {
-        match &self.store {
-            Some(store) => store.contains(key),
-            None => self.entries.contains_key(key),
-        }
     }
 
     /// Look up a module implementation and verify it before serving:
@@ -400,11 +389,12 @@ impl ImplementationCache {
         }
     }
 
-    /// Look up one cached flow's modules — `keys` in design order — with
-    /// verified reads, under one `cache` span. Hits count `cache.hit`;
-    /// misses and quarantined records count `cache.miss` (and
-    /// `cache.quarantined`) and join the modules still to implement.
-    /// Takes `&self`, so it runs under a reader lock.
+    /// Step 1 of a cached flow: look up its modules — `keys` in design
+    /// order — with verified reads, under one `cache` span. Hits count
+    /// `cache.hit`; misses and quarantined records count `cache.miss` (and
+    /// `cache.quarantined`) and join the modules still to implement. Takes
+    /// `&self`, so it runs under a reader lock. The lookup keeps the
+    /// cache's fault plan and retry policy for the steps that follow.
     pub fn lookup(
         &self,
         keys: Vec<ModuleFingerprint>,
@@ -444,7 +434,53 @@ impl ImplementationCache {
             keys,
             hits,
             missing,
+            fresh: Vec::new(),
+            packed: None,
+            fault: Arc::clone(&self.fault),
+            retry: self.retry,
         }
+    }
+
+    /// [`lookup`](ImplementationCache::lookup) for a whole design: run the
+    /// packing phase through the packing memo first, then fingerprint each
+    /// module's netlist — the packed one where packing regenerated it — so
+    /// a different packing policy is a miss, never an unpacked macro served
+    /// to a packed request.
+    pub fn lookup_design(
+        &self,
+        design: &CnvDesign,
+        device: &Device,
+        cfg: &RwFlowConfig<'_>,
+    ) -> CacheLookup {
+        let packed = self.pack(design, device, &cfg.mem_pack, cfg.obs);
+        let mut netlists: Vec<&Netlist> = design.modules.iter().map(|m| &m.netlist).collect();
+        for (idx, m) in packed.iter().flat_map(|p| &p.modules) {
+            netlists[*idx] = &m.netlist;
+        }
+        let keys = netlists
+            .iter()
+            .map(|netlist| ModuleFingerprint::of(netlist, device))
+            .collect();
+        let lookup = self.lookup(keys, device, cfg.obs);
+        CacheLookup { packed, ..lookup }
+    }
+
+    /// Step 3 of a cached flow: insert what
+    /// [`CacheLookup::implement`] produced under the keys the lookup
+    /// computed. The implementations still flow into the stitch when a put
+    /// fails; each failure counts `cache.store_error`, and the return value
+    /// is how many of this call's puts failed.
+    pub fn fill(&mut self, lookup: &CacheLookup, obs: &dyn Recorder) -> u64 {
+        let mut failed = 0;
+        for (idx, outcome) in &lookup.fresh {
+            let Ok(m) = outcome else { continue };
+            let key = lookup.keys[*idx].clone();
+            if self.try_insert(key, m.clone()).is_err() {
+                obs.count("cache.store_error", 1);
+                failed += 1;
+            }
+        }
+        failed
     }
 
     /// Whether `digest` already passed a full verification this process.
@@ -566,23 +602,30 @@ impl ImplementationCache {
     /// inputs [`PackKey`] names, or a fresh [`pack_memories`] run that is
     /// stored for next time. `None` when the configuration packs nothing.
     fn pack(
-        &mut self,
+        &self,
         design: &CnvDesign,
         device: &Device,
         cfg: &MemPackConfig,
         obs: &dyn Recorder,
     ) -> Option<Arc<PackedMemories>> {
         let key = PackKey::of(design, device, cfg)?;
-        if let Some(hit) = self.pack_memo.get(&key) {
+        let hit = self
+            .pack_memo
+            .lock()
+            .ok()
+            .and_then(|memo| memo.get(&key).cloned());
+        if let Some(hit) = hit {
             let _sp = span(obs, Phase::MemPack, "memo");
             observe_pack_reuse(&hit.report, obs);
-            return Some(Arc::clone(hit));
+            return Some(hit);
         }
         let packed = Arc::new(pack_memories(design, device, cfg, obs)?);
-        if self.pack_memo.len() >= PACK_MEMO_CAPACITY {
-            self.pack_memo.clear();
+        if let Ok(mut memo) = self.pack_memo.lock() {
+            if memo.len() >= PACK_MEMO_CAPACITY {
+                memo.clear();
+            }
+            memo.insert(key, Arc::clone(&packed));
         }
-        self.pack_memo.insert(key, Arc::clone(&packed));
         Some(packed)
     }
 
@@ -670,23 +713,105 @@ pub enum VerifiedLookup {
     Miss,
 }
 
-/// What one cached flow's [`lookup`](ImplementationCache::lookup) found:
-/// every module's key, the verified hits, and the modules still to
-/// implement.
-#[derive(Debug)]
+/// One cached flow between its steps: every module's key, the verified
+/// hits, the modules still to implement and, once
+/// [`implement`](CacheLookup::implement) ran, their fresh outcomes. Made by
+/// [`ImplementationCache::lookup`] or
+/// [`lookup_design`](ImplementationCache::lookup_design); filled into the
+/// cache by [`ImplementationCache::fill`]. Implementing and stitching touch
+/// no cache, so a service runs them with no lock held.
 pub struct CacheLookup {
     keys: Vec<ModuleFingerprint>,
     /// Verified hits, in design order.
     hits: Vec<(usize, ImplementedModule)>,
     /// Design indices of misses and quarantined records, in order.
     missing: Vec<usize>,
+    /// What `implement` produced for `missing`, in the same order.
+    fresh: Vec<(usize, Result<ImplementedModule, String>)>,
+    /// The packing phase's result, for a lookup made by `lookup_design`.
+    packed: Option<Arc<PackedMemories>>,
+    /// The cache's fault plan and retry policy.
+    fault: Arc<dyn FaultInjector>,
+    retry: Retry,
 }
 
 impl CacheLookup {
-    /// Whether every module was a verified hit, so
-    /// [`stitch_cached`] can finish the flow without the cache.
+    /// Whether every module was a verified hit: nothing to implement, and
+    /// nothing to fill.
     pub fn is_complete(&self) -> bool {
         self.missing.is_empty()
+    }
+
+    /// Step 2 of a cached flow: implement the misses in parallel, each
+    /// under the cache's fault plan and retry policy. `module(idx)` names
+    /// design module `idx` and gives its netlist; the name must be the
+    /// design's, which seeds the placer. A module the packing phase
+    /// regenerated is implemented from its packed netlist instead.
+    pub fn implement<'m>(
+        &mut self,
+        module: impl Fn(usize) -> (&'m str, &'m Netlist) + Sync,
+        device: &Device,
+        cfg: &RwFlowConfig<'_>,
+    ) {
+        let res = Resilience::new(self.fault.as_ref(), self.retry);
+        let packed = self.packed.as_deref();
+        self.fresh = self
+            .missing
+            .par_iter()
+            .map(|&idx| {
+                let (name, netlist) = module(idx);
+                let netlist = packed
+                    .and_then(|p| p.modules.iter().find(|(i, _)| *i == idx))
+                    .map_or(netlist, |(_, m)| &m.netlist);
+                (
+                    idx,
+                    implement_module_resilient(name, netlist, device, cfg, &res),
+                )
+            })
+            .collect();
+    }
+
+    /// Every module's outcome, in design order: the hits merged with what
+    /// [`implement`](CacheLookup::implement) produced.
+    pub fn into_outcomes(self) -> Vec<(usize, Result<ImplementedModule, String>)> {
+        let mut outcomes: Vec<(usize, Result<ImplementedModule, String>)> = self
+            .hits
+            .into_iter()
+            .map(|(idx, m)| (idx, Ok(m)))
+            .chain(self.fresh)
+            .collect();
+        outcomes.sort_by_key(|&(idx, _)| idx);
+        outcomes
+    }
+
+    /// Step 4 of a cached flow: absorb `flow.route` faults and stitch over
+    /// `diagram`, the design or any other [`BlockDiagram`] of it. Packing
+    /// leaves names, instances and nets alone, so the input design serves
+    /// a packed flow too.
+    pub fn stitch(
+        self,
+        diagram: &impl BlockDiagram,
+        device: &Device,
+        cfg: &RwFlowConfig<'_>,
+    ) -> CachedFlowResult {
+        let reused = self.hits.len();
+        let fresh = self.fresh.iter().filter(|(_, m)| m.is_ok()).count();
+        // A failed module cost one tool run.
+        let tool_runs_spent = self
+            .fresh
+            .iter()
+            .map(|(_, m)| m.as_ref().map_or(1, |m| m.attempts))
+            .sum();
+        absorb_route_faults(cfg, &Resilience::new(self.fault.as_ref(), self.retry));
+        let pack = self.packed.as_ref().map(|p| p.report.clone());
+        let mut result = stitch_diagram(diagram, device, cfg, self.into_outcomes());
+        result.pack = pack;
+        CachedFlowResult {
+            result,
+            reused,
+            fresh,
+            tool_runs_spent,
+        }
     }
 }
 
@@ -704,6 +829,13 @@ pub struct CachedFlowResult {
 
 /// Run the RW-style flow, reusing cached implementations where the module
 /// fingerprint matches; newly implemented modules are added to the cache.
+///
+/// Every cached flow is the same four steps:
+/// [`lookup_design`](ImplementationCache::lookup_design),
+/// [`implement`](CacheLookup::implement) the misses,
+/// [`fill`](ImplementationCache::fill) the cache, and
+/// [`stitch`](CacheLookup::stitch). Only the lookup reads the cache and
+/// only the fill writes it.
 ///
 /// Cache hits skip pre-implementation entirely — their recorded macros are
 /// spliced straight into the stitch input, so a warm cache saves the
@@ -739,154 +871,15 @@ pub fn run_rw_flow_cached(
         !matches!(cfg.policy, CfPolicy::Guided { .. }),
         "guided CF predictions are not stable across estimator retraining"
     );
-    // Packing phase first: fingerprints are taken against the packed
-    // netlists, so a different packing policy is automatically a cache
-    // miss — no risk of serving an unpacked macro to a packed request.
-    let packed = cache.pack(design, device, &cfg.mem_pack, cfg.obs);
-    // Each module's netlist: the packed one where packing regenerated it,
-    // the input's otherwise. Stitching reads only names, instances and
-    // nets, which packing leaves alone, so the input design serves it.
-    let mut netlists: Vec<&Netlist> = design.modules.iter().map(|m| &m.netlist).collect();
-    for (idx, m) in packed.iter().flat_map(|p| &p.modules) {
-        netlists[*idx] = &m.netlist;
-    }
-    let keys = netlists
-        .iter()
-        .map(|netlist| ModuleFingerprint::of(netlist, device))
-        .collect();
-    let lookup = cache.lookup(keys, device, cfg.obs);
-    let fault = Arc::clone(&cache.fault);
-    let res = Resilience::new(fault.as_ref(), cache.retry);
-    let mut out = implement_and_stitch(design, &netlists, lookup, device, cfg, cache, &res);
-    out.result.pack = packed.map(|p| p.report.clone());
-    out
+    let mut lookup = cache.lookup_design(design, device, cfg);
+    lookup.implement(modules_of(design), device, cfg);
+    cache.fill(&lookup, cfg.obs);
+    lookup.stitch(design, device, cfg)
 }
 
-/// [`run_rw_flow_cached`] picked up after its lookups, under `res` in
-/// place of the cache's own fault plan and retry policy: `lookup` was made
-/// by [`ImplementationCache::lookup`] over the fingerprints of `design`'s
-/// own modules (so with packing off). Implements what it missed, fills the
-/// cache, and stitches, exactly as the uninterrupted flow would — no
-/// module is read twice.
-pub fn resume_cached_flow(
-    design: &CnvDesign,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-    lookup: CacheLookup,
-    res: &Resilience<'_>,
-) -> CachedFlowResult {
-    assert_eq!(
-        lookup.keys.len(),
-        design.modules.len(),
-        "the lookup covers another design"
-    );
-    assert!(
-        cfg.mem_pack.policy == MemPackPolicy::Off,
-        "a resumed flow never packs: its keys are the unpacked fingerprints"
-    );
-    let netlists: Vec<&Netlist> = design.modules.iter().map(|m| &m.netlist).collect();
-    implement_and_stitch(design, &netlists, lookup, device, cfg, cache, res)
-}
-
-/// Finish a cached flow whose lookups all hit: merge the hits, absorb
-/// `flow.route` faults, and stitch over `diagram`. It reads nothing from
-/// the cache, so a service runs it with no lock held.
-///
-/// # Panics
-///
-/// If `lookup` is not [complete](CacheLookup::is_complete).
-pub fn stitch_cached(
-    diagram: &impl BlockDiagram,
-    lookup: CacheLookup,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    res: &Resilience<'_>,
-) -> CachedFlowResult {
-    assert!(lookup.is_complete(), "stitch_cached needs every module hit");
-    let reused = lookup.hits.len();
-    CachedFlowResult {
-        result: stitch_outcomes(diagram, lookup.hits, Vec::new(), device, cfg, res),
-        reused,
-        fresh: 0,
-        tool_runs_spent: 0,
-    }
-}
-
-/// The cached flow after its lookups: pre-implement the misses (in
-/// parallel, each under the resilience bundle's retry loop), fill the
-/// cache with them under the keys the lookup already computed, and stitch.
-fn implement_and_stitch(
-    design: &CnvDesign,
-    netlists: &[&Netlist],
-    lookup: CacheLookup,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-    res: &Resilience<'_>,
-) -> CachedFlowResult {
-    let CacheLookup {
-        keys,
-        hits,
-        missing,
-    } = lookup;
-    let fresh_results: Vec<(usize, Result<ImplementedModule, String>)> = missing
-        .par_iter()
-        .map(|&idx| {
-            let name = &design.modules[idx].name;
-            (
-                idx,
-                crate::resilient::implement_module_resilient(name, netlists[idx], device, cfg, res),
-            )
-        })
-        .collect();
-
-    // Account and fill the cache with the fresh implementations.
-    let reused = hits.len();
-    let mut fresh = 0;
-    let mut tool_runs_spent = 0;
-    for (idx, outcome) in &fresh_results {
-        match outcome {
-            Ok(m) => {
-                fresh += 1;
-                tool_runs_spent += m.attempts;
-                if cache.try_insert(keys[*idx].clone(), m.clone()).is_err() {
-                    // The implementation still flows into the stitch; only
-                    // its persistence failed (counted in the cache's
-                    // failure statistics for the degrade decision).
-                    cfg.obs.count("cache.store_error", 1);
-                }
-            }
-            Err(_) => tool_runs_spent += 1,
-        }
-    }
-
-    CachedFlowResult {
-        result: stitch_outcomes(design, hits, fresh_results, device, cfg, res),
-        reused,
-        fresh,
-        tool_runs_spent,
-    }
-}
-
-/// The tail every cached flow shares: hits and fresh outcomes merged back
-/// into design order, `flow.route` consulted, then the stitch.
-fn stitch_outcomes(
-    diagram: &impl BlockDiagram,
-    hits: Vec<(usize, ImplementedModule)>,
-    fresh: Vec<(usize, Result<ImplementedModule, String>)>,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    res: &Resilience<'_>,
-) -> RwFlowResult {
-    let mut per_module: Vec<(usize, Result<ImplementedModule, String>)> = hits
-        .into_iter()
-        .map(|(idx, m)| (idx, Ok(m)))
-        .chain(fresh)
-        .collect();
-    per_module.sort_by_key(|&(idx, _)| idx);
-    crate::resilient::absorb_route_faults(cfg, res);
-    stitch_diagram(diagram, device, cfg, per_module)
+/// `design`'s modules as [`CacheLookup::implement`] takes them.
+fn modules_of<'d>(design: &'d CnvDesign) -> impl Fn(usize) -> (&'d str, &'d Netlist) + Sync {
+    |idx| (&design.modules[idx].name, &design.modules[idx].netlist)
 }
 
 #[cfg(test)]
@@ -1048,7 +1041,20 @@ mod tests {
             );
             assert_eq!(hit.cf, recomputed.cf, "cache incoherence on {}", m.name);
         }
-        resume_cached_flow(design, device, cfg, cache, lookup, &Resilience::default())
+        finish(lookup, design, device, cfg, cache)
+    }
+
+    /// Steps 2–4 of a cached flow over `design`, after its lookup.
+    fn finish(
+        mut lookup: CacheLookup,
+        design: &CnvDesign,
+        device: &Device,
+        cfg: &RwFlowConfig<'_>,
+        cache: &mut ImplementationCache,
+    ) -> CachedFlowResult {
+        lookup.implement(modules_of(design), device, cfg);
+        cache.fill(&lookup, cfg.obs);
+        lookup.stitch(design, device, cfg)
     }
 
     #[test]
@@ -1102,17 +1108,45 @@ mod tests {
     }
 
     #[test]
-    fn contains_moves_no_counters() {
+    fn fill_returns_its_own_failed_puts() {
+        use tms_fault::FaultPlan;
+        use tms_store::{Store, StoreConfig};
+        let dir = std::env::temp_dir().join(format!(
+            "tms_flow_fill_failures_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = Arc::new(FaultPlan::seeded(3).with_rate(FaultPoint::StoreAppend, 1.0));
+        let fault = Arc::clone(&plan) as Arc<dyn FaultInjector>;
+        let obs = Arc::new(tms_obs::NoopRecorder) as Arc<dyn Recorder>;
+        let store = Store::open_faulty(StoreConfig::at(&dir), obs, fault).expect("open store");
+        let mut cache = ImplementationCache::with_store(Arc::new(store)).with_retry(Retry::none());
         let design = cnvw1a1(5);
         let dev = Device::xc7z045();
-        let mut cache = ImplementationCache::new();
-        run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
-        let (h0, m0) = (cache.hits(), cache.misses());
-        let keys = keys_of(&design, &dev);
-        assert!(keys.iter().all(|k| cache.contains(k)));
-        let other = ModuleFingerprint::of(&design.modules[0].netlist, &Device::xc7z020());
-        assert!(!cache.contains(&other));
-        assert_eq!((cache.hits(), cache.misses()), (h0, m0));
+        let fill = |cache: &mut ImplementationCache| {
+            let sink = tms_obs::AggregatingSink::new();
+            let cfg = cfg(5).with_recorder(&sink);
+            let mut lookup = cache.lookup_design(&design, &dev, &cfg);
+            lookup.implement(modules_of(&design), &dev, &cfg);
+            let failed = cache.fill(&lookup, &sink);
+            assert_eq!(sink.counter("cache.store_error"), failed);
+            (lookup.stitch(&design, &dev, &cfg).fresh, failed)
+        };
+        // Every put fails: the flow still implements all 74 modules, and
+        // the fill reports each of its own failures.
+        assert_eq!(fill(&mut cache), (74, 74));
+        assert_eq!(cache.store_put_failures(), 74);
+        assert!(cache.is_empty());
+        // Healthy again: the cache's running total stays 74, yet this
+        // fill's own count is 0; an all-hit flow fills nothing.
+        plan.clear();
+        assert_eq!(fill(&mut cache), (74, 0));
+        assert_eq!(fill(&mut cache), (0, 0));
+        assert_eq!(cache.store_put_failures(), 74);
+        assert_eq!(cache.len(), 74);
+        drop(cache);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1128,7 +1162,7 @@ mod tests {
         let split_cfg = cfg(5).with_recorder(&split_sink);
         let lookup = cache.lookup(keys_of(&design, &dev), &dev, &split_sink);
         assert!(lookup.is_complete());
-        let split = stitch_cached(&design, lookup, &dev, &split_cfg, &Resilience::default());
+        let split = finish(lookup, &design, &dev, &split_cfg, &mut cache);
         assert_eq!(
             (split.reused, split.fresh, split.tool_runs_spent),
             (74, 0, 0)
@@ -1166,14 +1200,7 @@ mod tests {
         let lookup = cache.lookup(keys_of(&design, &dev), &dev, tms_obs::noop());
         assert!(!lookup.is_complete());
         let (h0, m0) = (cache.hits(), cache.misses());
-        let resumed = resume_cached_flow(
-            &design,
-            &dev,
-            &cfg(5),
-            &mut cache,
-            lookup,
-            &Resilience::default(),
-        );
+        let resumed = finish(lookup, &design, &dev, &cfg(5), &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (h0, m0), "no second read");
         assert_eq!((resumed.fresh, resumed.reused), (1, 73));
         assert_eq!(resumed.tool_runs_spent, reference.tool_runs_spent);
@@ -1181,7 +1208,9 @@ mod tests {
         assert_eq!(a.stitch.positions, b.stitch.positions);
         assert_eq!(a.stitch.final_cost.to_bits(), b.stitch.final_cost.to_bits());
         assert_eq!(cache.len(), reference_cache.len());
-        assert!(keys_of(&design, &dev).iter().all(|k| cache.contains(k)));
+        assert!(keys_of(&design, &dev)
+            .iter()
+            .all(|k| hit(&cache, k, &dev).is_some()));
     }
 
     #[test]
@@ -1333,9 +1362,9 @@ mod tests {
         let design = cnvw1a1(1);
         let dev = Device::xc7z020();
         let base = quick_pack(Packed, 1, 1);
-        let mut cache = ImplementationCache::new();
+        let cache = ImplementationCache::new();
         let first = cache.pack(&design, &dev, &base, tms_obs::noop()).unwrap();
-        let mut hits = |d: &CnvDesign, dev: &Device, pack: &MemPackConfig| {
+        let hits = |d: &CnvDesign, dev: &Device, pack: &MemPackConfig| {
             let sink = tms_obs::AggregatingSink::new();
             let got = cache.pack(d, dev, pack, &sink).unwrap();
             let hit = sink.counter("pack.memo.hit") == 1;
@@ -1367,11 +1396,12 @@ mod tests {
         instances.modules[w].instances += 1;
         assert!(!hits(&instances, &dev, &base), "instance count");
         // Packing off, or nothing to pack, never touches the memo.
-        let entries = cache.pack_memo.len();
+        let memo_len = || cache.pack_memo.lock().unwrap().len();
+        let entries = memo_len();
         assert!(cache
             .pack(&design, &dev, &MemPackConfig::off(), tms_obs::noop())
             .is_none());
-        assert_eq!(cache.pack_memo.len(), entries);
+        assert_eq!(memo_len(), entries);
     }
 
     #[test]
@@ -1425,18 +1455,19 @@ mod tests {
         let design = cnvw1a1(1);
         let dev = Device::xc7z020();
         let naive = |seed| MemPackConfig::new(tms_pack::MemPackPolicy::Naive, seed);
-        let mut cache = ImplementationCache::new();
+        let cache = ImplementationCache::new();
+        let memo_len = || cache.pack_memo.lock().unwrap().len();
         for seed in 0..PACK_MEMO_CAPACITY as u64 {
             cache.pack(&design, &dev, &naive(seed), tms_obs::noop());
         }
-        assert_eq!(cache.pack_memo.len(), PACK_MEMO_CAPACITY);
+        assert_eq!(memo_len(), PACK_MEMO_CAPACITY);
         cache.pack(
             &design,
             &dev,
             &naive(PACK_MEMO_CAPACITY as u64),
             tms_obs::noop(),
         );
-        assert_eq!(cache.pack_memo.len(), 1, "a full memo is dropped wholesale");
+        assert_eq!(memo_len(), 1, "a full memo is dropped wholesale");
         let sink = tms_obs::AggregatingSink::new();
         cache.pack(&design, &dev, &naive(0), &sink);
         assert_eq!(

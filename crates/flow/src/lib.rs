@@ -41,8 +41,8 @@ pub mod rwflow;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
 pub use cache::{
-    resume_cached_flow, run_rw_flow_cached, stitch_cached, CacheLookup, CachedFlowResult,
-    ImplementationCache, MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
+    run_rw_flow_cached, CacheLookup, CachedFlowResult, ImplementationCache, MacroStore,
+    ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
 pub use integrity::{audit_module, module_digest, verify_sealed, SealedModule, StoreAuditor};
 pub use render::{coverage_line, render_cost_trace, render_stitched};

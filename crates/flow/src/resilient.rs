@@ -7,9 +7,9 @@
 //! [`FaultInjector`] consulted at `flow.place`/`flow.route` plus a
 //! [`Retry`] policy) turns [`implement_module`] and the cached flow into
 //! retry loops that absorb injected transient faults and surface only
-//! genuine, permanent errors. [`crate::run_rw_flow_cached`] builds its
-//! bundle from the cache's fault injector and retry policy
-//! ([`crate::ImplementationCache::with_fault`] and
+//! genuine, permanent errors. Every cached flow builds its bundle from the
+//! fault injector and retry policy its [`crate::CacheLookup`] took from the
+//! cache ([`crate::ImplementationCache::with_fault`] and
 //! [`with_retry`](crate::ImplementationCache::with_retry)).
 //!
 //! With the default (unarmed) resilience the wrappers compile down to the

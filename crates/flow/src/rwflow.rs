@@ -81,12 +81,6 @@ impl<'a> RwFlowConfig<'a> {
         self
     }
 
-    /// The same configuration stitching with the search portfolio.
-    pub fn with_portfolio(mut self, portfolio: PortfolioConfig) -> Self {
-        self.portfolio = Some(portfolio);
-        self
-    }
-
     /// The same configuration with a memory-packing phase.
     pub fn with_mem_pack(mut self, mem_pack: MemPackConfig) -> Self {
         self.mem_pack = mem_pack;

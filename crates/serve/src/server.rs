@@ -15,10 +15,11 @@
 //!   waited in the queue longer than the request deadline is shed at
 //!   dequeue rather than served stale;
 //! * the shared [`ImplementationCache`] sits behind a
-//!   `parking_lot::RwLock`: lookups (`preimpl` hits, and the lookups of a
-//!   repeated `flow` whose modules are all cached) take the read lock —
-//!   such a flow then stitches with no lock held — while inserts and every
-//!   other cached-flow run take the write lock. Request memos map a
+//!   `parking_lot::RwLock`. Every `flow` and `preimpl` runs the same four
+//!   steps: a verified lookup under the read lock, the misses implemented
+//!   with no lock held, a fill under the write lock (only when something
+//!   was implemented), and — for a `flow` — a stitch with no lock held. No
+//!   lock spans an implementation or a stitch. Request memos map a
 //!   repeated `flow` design or `preimpl` spec to its cache keys, so a
 //!   repeat regenerates nothing (see `memo.rs`).
 //!
@@ -61,16 +62,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tms_cnn::cnvw1a1;
+use tms_cnn::{cnvw1a1, CnvDesign};
 use tms_device::{Device, DeviceName};
 use tms_estimator::{CfEstimator, FeatureSet, ModuleFeatures};
 use tms_fault::{FaultInjector, FaultPlan, FaultPoint, Retry};
 use tms_flow::{
-    implement_module_resilient, resume_cached_flow, run_rw_flow_cached, stitch_cached, CacheLookup,
-    CachedFlowResult, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, ModuleFingerprint,
-    Resilience, RwFlowConfig, StoreAuditor, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
+    CacheLookup, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, ModuleFingerprint,
+    RwFlowConfig, StoreAuditor, DEFAULT_CACHE_CAPACITY,
 };
-use tms_netlist::NetlistStats;
+use tms_netlist::{Netlist, NetlistStats};
 use tms_obs::prometheus::PromText;
 use tms_obs::{
     span, AggregatingSink, Phase, Recorder, RequestCtx, RequestOutcome, RequestRecorder, SloSpec,
@@ -81,7 +81,6 @@ use tms_place::{quick_place, PlacementModel};
 use tms_stitch::StitchConfig;
 use tms_store::{Store, StoreConfig};
 use tms_synth::pack;
-use tms_verify::Auditor;
 
 /// How long a worker waits on a quiet connection before re-checking the
 /// shutdown flag.
@@ -130,12 +129,6 @@ pub struct ServeConfig {
     /// handed to the store and flow layers. `None` (the default) serves
     /// fault-free with near-zero overhead.
     pub fault: Option<Arc<FaultPlan>>,
-    /// When set, flow requests stitch with the multi-lane search
-    /// portfolio instead of the single-run fast anneal; the portfolio's
-    /// `search.*` counters land in `/metrics` alongside the `stitch.*`
-    /// family. The per-request seed still wins: the configured portfolio
-    /// is re-seeded with each request's design seed.
-    pub stitch_portfolio: Option<tms_search::PortfolioConfig>,
     /// Ring capacity of the tail-sampling slowlog: how many full request
     /// span trees are retained for the `slowlog` endpoint.
     pub slowlog_capacity: usize,
@@ -172,7 +165,6 @@ impl Default for ServeConfig {
             degrade_after: 3,
             retry: Retry::default(),
             fault: None,
-            stitch_portfolio: None,
             slowlog_capacity: 64,
             slow_threshold: Duration::from_secs(1),
             slos: default_slos(),
@@ -215,12 +207,6 @@ impl ServeConfig {
         self
     }
 
-    /// Stitch flow requests with the multi-lane search portfolio.
-    pub fn with_portfolio(mut self, portfolio: tms_search::PortfolioConfig) -> Self {
-        self.stitch_portfolio = Some(portfolio);
-        self
-    }
-
     /// Run a background scrub pass over the persistent library every
     /// `interval`, paced at `bytes_per_sec` (`0` = unthrottled).
     pub fn with_scrub(mut self, interval: Duration, bytes_per_sec: u64) -> Self {
@@ -245,7 +231,6 @@ struct Limits {
     max_line_bytes: usize,
     request_deadline: Duration,
     degrade_after: u32,
-    retry: Retry,
 }
 
 /// Process-wide state shared by every worker.
@@ -265,7 +250,6 @@ struct ServerState {
     started: Instant,
     limits: Limits,
     fault: Option<Arc<FaultPlan>>,
-    portfolio: Option<tms_search::PortfolioConfig>,
     robust: Robust,
     /// Trace-id source for per-request [`RequestCtx`]s.
     traces: TraceIdGen,
@@ -286,19 +270,6 @@ impl ServerState {
     /// The persistent store behind the cache, when running in store mode.
     fn store(&self) -> Option<Arc<MacroStore>> {
         self.cache.read().store().cloned()
-    }
-
-    /// The fault injector to consult — the armed plan, or the no-op.
-    fn injector(&self) -> &dyn FaultInjector {
-        match &self.fault {
-            Some(plan) => plan.as_ref(),
-            None => tms_fault::noop(),
-        }
-    }
-
-    /// The resilience bundle handed to the flow layer.
-    fn resilience(&self) -> Resilience<'_> {
-        Resilience::new(self.injector(), self.limits.retry)
     }
 
     /// The SLO tracker covering `endpoint`, if one was configured.
@@ -466,10 +437,9 @@ pub fn serve(
     };
     let mut cache = cache.with_retry(config.retry);
     if let Some(plan) = &config.fault {
-        // Arm the cache with the plan and retry policy `resilience()`
-        // hands the rest of the flow layer: verified reads must catch
-        // whatever `cache.corrupt_macro` flips, and cached flows absorb
-        // `flow.place`/`flow.route` faults under the same retries.
+        // Verified reads must catch whatever `cache.corrupt_macro` flips,
+        // and every cached flow's lookup carries the plan and the retry
+        // policy on to absorb `flow.place`/`flow.route` faults.
         cache = cache.with_fault(Arc::clone(plan) as Arc<dyn FaultInjector>);
     }
     let state = Arc::new(ServerState {
@@ -485,10 +455,8 @@ pub fn serve(
             max_line_bytes: config.max_line_bytes.max(1),
             request_deadline: config.request_deadline,
             degrade_after: config.degrade_after,
-            retry: config.retry,
         },
         fault: config.fault.clone(),
-        portfolio: config.stitch_portfolio.clone(),
         robust: Robust {
             degraded: AtomicBool::new(degraded_at_open),
             ..Robust::default()
@@ -934,14 +902,12 @@ fn device_by_name(name: &str) -> Result<Device, String> {
 
 /// The per-request flow configuration: constant CF when given, minimal-CF
 /// search otherwise. The stitcher runs its fast schedule — this is an
-/// interactive service, not the benchmark harness — unless the server was
-/// configured with a search portfolio, which is then re-seeded with the
-/// request's seed so replies stay a pure function of the request. Pipeline
-/// telemetry lands in `obs` (the server passes its shared sink).
+/// interactive service, not the benchmark harness — seeded with the
+/// request's seed, so replies stay a pure function of the request.
+/// Pipeline telemetry lands in `obs` (the server passes its shared sink).
 fn flow_config<'a>(
     cf: Option<f64>,
     seed: u64,
-    portfolio: Option<&tms_search::PortfolioConfig>,
     mem_pack: tms_flow::MemPackConfig,
     obs: &'a dyn Recorder,
 ) -> RwFlowConfig<'a> {
@@ -953,7 +919,7 @@ fn flow_config<'a>(
         use_shape_report: true,
         model: PlacementModel::default(),
         stitch: StitchConfig::fast(seed),
-        portfolio: portfolio.map(|p| tms_search::PortfolioConfig { seed, ..p.clone() }),
+        portfolio: None,
         mem_pack,
         seed,
         obs,
@@ -1060,47 +1026,22 @@ fn do_preimpl(
             state.specs.insert(memo_key.clone(), key)
         }
     };
-    // Fast path: concurrent lookups share the read lock. Every hit is
-    // read-verified (digest + legality audit); a corrupt record is
-    // quarantined and transparently recomputed below, exactly like a miss.
-    let auditor = Auditor::new(&device);
-    let hit = state.cache.read().get_verified(&key, &auditor);
-    let (module, cached) = match hit {
-        VerifiedLookup::Hit(m) => {
-            obs.count("cache.hit", 1);
-            (m, true)
-        }
-        corrupt_or_miss => {
-            if matches!(corrupt_or_miss, VerifiedLookup::Corrupt(_)) {
-                obs.count("cache.quarantined", 1);
-            }
-            obs.count("cache.miss", 1);
-            let netlist = netlist.unwrap_or_else(synth);
-            let cfg = flow_config(
-                req.cf,
-                spec.seed,
-                state.portfolio.as_ref(),
-                tms_flow::MemPackConfig::off(),
-                obs,
-            );
-            let res = state.resilience();
-            let m = implement_module_resilient(&spec.name, &netlist, &device, &cfg, &res)?;
-            // A failed (already-retried) store put is not the client's
-            // problem: the implementation is still returned, the failure
-            // feeds the degrade decision. The insert runs under a Store
-            // span on the request's recorder, so persistence time shows
-            // up in the request's trace.
-            let inserted = {
-                let _store_span = span(obs, Phase::Store, &spec.name);
-                state.cache.write().try_insert((*key).clone(), m.clone())
-            };
-            if inserted.is_err() {
-                obs.count("serve.store_error", 1);
-            }
-            maybe_degrade(state);
-            (m, false)
-        }
-    };
+    // A cached flow of one module, without the stitch. The hit is
+    // read-verified; a corrupt record is quarantined and recomputed
+    // exactly like a miss.
+    let mut lookup = state
+        .cache
+        .read()
+        .lookup(vec![(*key).clone()], &device, obs);
+    let cached = lookup.is_complete();
+    if !cached {
+        let netlist = netlist.unwrap_or_else(synth);
+        let cfg = flow_config(req.cf, spec.seed, tms_flow::MemPackConfig::off(), obs);
+        lookup.implement(|_| (spec.name.as_str(), &netlist), &device, &cfg);
+        fill(state, &lookup, obs);
+    }
+    let (_, module) = lookup.into_outcomes().pop().expect("one key, one outcome");
+    let module = module?;
     Ok(PreimplResponse {
         name: module.name,
         cf: module.cf,
@@ -1114,11 +1055,13 @@ fn do_preimpl(
     })
 }
 
-/// Answer a `flow` request. A design the server has compiled before
-/// (packing off) comes from the design memo: when every module is a
-/// verified hit, the reply needs lookups under the read lock and a stitch
-/// with no lock held — no design generation, no statistics. Everything
-/// else takes the full path of [`flow_full`].
+/// Answer a `flow` request in the four steps of every cached flow. The
+/// keys of an unpacked request come from the design memo, or else from the
+/// generated design, fingerprinted in parallel and memoised; a packed
+/// request takes its keys from the packing phase and leaves the memo
+/// alone. The lookup runs under the read lock, the design is generated only
+/// if a module must be implemented, and the implementation and the stitch
+/// run with no lock held.
 fn do_flow(
     state: &ServerState,
     req: FlowRequest,
@@ -1126,33 +1069,44 @@ fn do_flow(
     obs: &RequestRecorder<'_>,
 ) -> Result<FlowResponse, String> {
     let device = device_by_name(&req.device)?;
-    let mem_pack = mem_pack_config(req.mem_pack.as_deref(), req.design_seed)?;
-    // Packed keys come out of the packing phase, not the generator: such
-    // requests neither consult nor fill the memo.
-    let memo_key =
-        (mem_pack.policy == MemPackPolicy::Off).then_some((req.design_seed, device.name()));
-    let cfg = flow_config(
-        req.cf,
-        req.design_seed,
-        state.portfolio.as_ref(),
-        mem_pack,
-        obs,
-    );
-    let res = state.resilience();
-    let memoised = memo_key.and_then(|key| {
-        let entry = state.designs.get(&key);
+    let seed = req.design_seed;
+    let mem_pack = mem_pack_config(req.mem_pack.as_deref(), seed)?;
+    let cfg = flow_config(req.cf, seed, mem_pack, obs);
+    let mut design = None;
+    let memoised = (cfg.mem_pack.policy == MemPackPolicy::Off).then(|| {
+        let memo_key = (seed, device.name());
+        let entry = state.designs.get(&memo_key);
         let counter = match entry {
             Some(_) => "serve.design_memo.hit",
             None => "serve.design_memo.miss",
         };
         obs.count(counter, 1);
-        entry
+        entry.unwrap_or_else(|| {
+            let generated = design.insert(cnvw1a1(seed));
+            state
+                .designs
+                .insert(memo_key, DesignKeys::of(generated, &device))
+        })
     });
-    let r = match memoised {
-        Some(entry) => flow_memoised(state, &entry, req.design_seed, &device, &cfg, &res, obs),
-        None => flow_full(state, req.design_seed, &device, &cfg, &res, obs, None),
+    let mut lookup = match &memoised {
+        Some(entry) => state
+            .cache
+            .read()
+            .lookup(entry.keys().to_vec(), &device, obs),
+        None => {
+            let generated = design.insert(cnvw1a1(seed));
+            state.cache.read().lookup_design(generated, &device, &cfg)
+        }
     };
-    maybe_degrade(state);
+    if !lookup.is_complete() {
+        let design = design.get_or_insert_with(|| cnvw1a1(seed));
+        lookup.implement(|idx| module_of(design, idx), &device, &cfg);
+        fill(state, &lookup, obs);
+    }
+    let r = match memoised {
+        Some(entry) => lookup.stitch(&*entry, &device, &cfg),
+        None => lookup.stitch(&design.expect("generated for the lookup"), &device, &cfg),
+    };
     Ok(FlowResponse {
         implemented: r.result.implemented.len(),
         failed: r.result.failed.len(),
@@ -1167,73 +1121,27 @@ fn do_flow(
     })
 }
 
-/// A memoised design. If the cache holds every module, look them all up
-/// (verified) under the read lock, then stitch with no lock held. A
-/// module missing from the cache sends the request down the full path; a
-/// record that fails verification, or vanishes between probe and read,
-/// is quarantined by the lookup and recomputed by the full path, which
-/// resumes from that lookup rather than reading every module twice.
-fn flow_memoised(
-    state: &ServerState,
-    entry: &DesignKeys,
-    design_seed: u64,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    res: &Resilience<'_>,
-    obs: &RequestRecorder<'_>,
-) -> CachedFlowResult {
-    let cache = state.cache.read();
-    if !entry.keys().iter().all(|key| cache.contains(key)) {
-        drop(cache);
-        return flow_full(state, design_seed, device, cfg, res, obs, None);
-    }
-    let lookup = cache.lookup(entry.keys().to_vec(), device, obs);
-    drop(cache);
-    if lookup.is_complete() {
-        stitch_cached(entry, lookup, device, cfg, res)
-    } else {
-        flow_full(state, design_seed, device, cfg, res, obs, Some(lookup))
-    }
+/// Module `idx` of `design`: the design's name, which seeds the placer,
+/// and its netlist.
+fn module_of(design: &CnvDesign, idx: usize) -> (&str, &Netlist) {
+    (&design.modules[idx].name, &design.modules[idx].netlist)
 }
 
-/// The full path: generate the design (its modules synthesised in
-/// parallel) and, for an unpacked request, fingerprint its modules in
-/// parallel and remember the keys — all before taking the write lock, so
-/// the cached flow under the lock finds every module's statistics stored.
-/// A flow resuming from a memoised lookup needs neither: its keys are
-/// remembered already, and it implements only what the lookup missed.
-fn flow_full(
-    state: &ServerState,
-    design_seed: u64,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    res: &Resilience<'_>,
-    obs: &RequestRecorder<'_>,
-    resumed: Option<CacheLookup>,
-) -> CachedFlowResult {
-    let design = cnvw1a1(design_seed);
-    if resumed.is_none() && cfg.mem_pack.policy == MemPackPolicy::Off {
-        state.designs.insert(
-            (design_seed, device.name()),
-            DesignKeys::of(&design, device),
-        );
-    }
-    // The cached run holds the write lock: it both reads and fills the
-    // cache, and its parallel section uses rayon, not the pool.
-    let mut cache = state.cache.write();
-    let failures_before = cache.store_put_failures();
-    let r = match resumed {
-        Some(lookup) => resume_cached_flow(&design, device, cfg, &mut cache, lookup, res),
-        None => run_rw_flow_cached(&design, device, cfg, &mut cache),
+/// Step 3 of a cached request: insert what `lookup` implemented, holding
+/// the write lock for the inserts alone, under a `store` span on the
+/// request's trace. The fill returns the failed puts that were its own, so
+/// they are booked as `serve.store_error` on this request and no other;
+/// the implementations are still served, and the failures feed the
+/// degrade decision.
+fn fill(state: &ServerState, lookup: &CacheLookup, obs: &RequestRecorder<'_>) {
+    let failed = {
+        let _store_span = span(obs, Phase::Store, "fill");
+        state.cache.write().fill(lookup, obs)
     };
-    // The write lock was held across the run, so any new put failures
-    // belong to this request: book them on its trace for classification.
-    let failures_during = cache.store_put_failures().saturating_sub(failures_before);
-    drop(cache);
-    if failures_during > 0 {
-        obs.count("serve.store_error", failures_during);
+    if failed > 0 {
+        obs.count("serve.store_error", failed);
     }
-    r
+    maybe_degrade(state);
 }
 
 /// Gracefully stop the server from the wire: make the persistent library

@@ -4,17 +4,19 @@
 //! robustness contract: no panics, no hangs, structured error replies
 //! for every malformed input, explicit `overloaded` sheds when the
 //! bounded queue fills, degraded memory-only serving when the store
-//! fails, and full recovery (warm start included) once faults clear.
+//! fails, full recovery (warm start included) once faults clear, and no
+//! cache lock held while a flow implements.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use tms_cnn::ModuleRole;
 use tms_estimator::{CfEstimator, EstimatorKind, FeatureSet};
 use tms_fault::{FaultPlan, FaultPoint, Retry};
 use tms_ml::Dataset;
-use tms_serve::{serve, Client, ClientError, ModuleSpec, Response, ServeConfig};
+use tms_obs::{RequestOutcome, TraceEvent};
+use tms_serve::{serve, Client, ClientError, FlowResponse, ModuleSpec, Response, ServeConfig};
 
 /// A quickly-trained linear estimator (same shape as the service tests):
 /// the chaos suite cares about failure handling, not model quality.
@@ -364,7 +366,7 @@ fn store_failure_degrades_to_memory_only_and_recovers_on_restart() {
     let degraded: Vec<_> = log
         .entries
         .iter()
-        .filter(|e| e.outcome == tms_obs::RequestOutcome::Degraded)
+        .filter(|e| e.outcome == RequestOutcome::Degraded)
         .collect();
     assert!(
         degraded.len() >= 2,
@@ -433,4 +435,141 @@ fn store_failure_degrades_to_memory_only_and_recovers_on_restart() {
     assert!(!stats.robustness.degraded, "the fresh process is healthy");
     handle.stop();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// No lock spans an implementation: a `preimpl` hit sent while a cold flow
+/// sits in an injected 2 s retry backoff is answered at once, while the
+/// flow is still backing off.
+#[test]
+fn a_preimpl_hit_is_answered_while_a_cold_flow_implements() {
+    let backoff = Duration::from_secs(2);
+    let plan = Arc::new(FaultPlan::seeded(4));
+    let config = ServeConfig {
+        workers: 2,
+        retry: Retry {
+            base_backoff: backoff,
+            max_backoff: backoff,
+            jitter: 0.0,
+            ..Retry::attempts(2)
+        },
+        ..ServeConfig::default()
+    }
+    .with_fault(Arc::clone(&plan));
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let addr = handle.addr();
+    let mut hits = Client::connect(addr).expect("connect");
+    let s = spec(ModuleRole::Activation, 30, "lock_hit");
+    assert!(!hits.preimpl(&s, "xc7z020", Some(1.6)).expect("warm").cached);
+
+    // The cold flow's first tool run fails and backs off for 2 s.
+    plan.fail_next(FaultPoint::FlowPlace, 1);
+    let flow = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.flow(9, "xc7z020", Some(1.6))
+    });
+    // Poll the plan, not `stats`, which takes the read lock too.
+    let waiting = Instant::now();
+    while plan.injected(FaultPoint::FlowPlace) == 0 {
+        assert!(waiting.elapsed() < Duration::from_secs(30), "no tool run");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let sent = Instant::now();
+    let hit = hits.preimpl(&s, "xc7z020", Some(1.6)).expect("hit");
+    let took = sent.elapsed();
+    assert!(hit.cached);
+    assert!(took < Duration::from_secs(1), "the hit waited {took:?}");
+    assert!(!flow.is_finished(), "the flow is still backing off");
+    let cold = flow.join().expect("flow thread").expect("retried flow");
+    assert_eq!(cold.fresh + cold.reused + cold.failed, 74);
+    handle.stop();
+}
+
+/// A cold flow's failed store puts are its own: the fill returns them, so
+/// they are booked on the flow's trace, which the slowlog keeps as
+/// degraded, and they account for every failure the server counted.
+#[test]
+fn a_cold_flows_failed_puts_are_booked_on_its_own_trace() {
+    let dir = unique_dir("flow_puts");
+    std::fs::remove_dir_all(&dir).ok();
+    let plan = Arc::new(FaultPlan::seeded(6));
+    let config = ServeConfig {
+        workers: 2,
+        degrade_after: 0,
+        retry: fast_retry(2),
+        ..ServeConfig::default()
+    }
+    .with_store_dir(dir.clone())
+    .with_fault(Arc::clone(&plan));
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    plan.set_rate(FaultPoint::StoreAppend, 1.0);
+    let cold = client
+        .flow(6, "xc7z020", Some(1.6))
+        .expect("a failed put is not the client's problem");
+    let stats = client.stats().expect("stats");
+    let log = client.slowlog(0).expect("slowlog");
+    let entry = log
+        .entries
+        .iter()
+        .find(|e| e.endpoint == "flow")
+        .expect("the degraded flow is retained");
+    assert_eq!(entry.outcome, RequestOutcome::Degraded);
+    let booked: u64 = entry
+        .events
+        .iter()
+        .map(|e| match e {
+            TraceEvent::Count { key, delta, .. } if key == "serve.store_error" => *delta,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!((cold.fresh, booked), (72, 72));
+    assert_eq!(stats.robustness.store_put_failures, booked);
+    assert!(!stats.robustness.degraded, "degradation is off");
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Two concurrent never-seen flows of one design may both implement a
+/// module, but they agree on every result, and a third flow reuses every
+/// module they implemented.
+#[test]
+fn concurrent_cold_flows_of_one_design_agree() {
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let addr = handle.addr();
+    let barrier = Arc::new(Barrier::new(2));
+    let flows: Vec<FlowResponse> = (0..2)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                barrier.wait();
+                client.flow(12, "xc7z020", Some(1.6)).expect("flow")
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|t| t.join().expect("flow thread"))
+        .collect();
+    let qor = |r: &FlowResponse| {
+        (
+            r.implemented,
+            r.failed,
+            r.placed_count,
+            r.unplaced_count,
+            r.total_tool_runs,
+        )
+    };
+    assert_eq!(qor(&flows[0]), qor(&flows[1]));
+    for r in &flows {
+        assert_eq!(r.fresh + r.reused + r.failed, 74);
+    }
+    let mut client = Client::connect(addr).expect("connect");
+    let third = client.flow(12, "xc7z020", Some(1.6)).expect("flow");
+    assert_eq!((third.fresh, third.reused), (0, third.implemented));
+    assert_eq!(qor(&third), qor(&flows[0]));
+    handle.stop();
 }

@@ -1,8 +1,9 @@
 //! The request memos end to end: a repeated `flow` is answered from the
 //! design memo (lookups under the read lock, a stitch with no lock held)
-//! with the same reply and the same telemetry as the full path, corrupt
-//! records still heal by recomputing exactly the victim, packed requests
-//! bypass the memo, and a repeated `preimpl` skips synthesis.
+//! with the same reply and the same telemetry as a first request that
+//! generates the design, corrupt records still heal by recomputing
+//! exactly the victim, packed requests bypass the memo, and a repeated
+//! `preimpl` skips synthesis.
 
 use std::sync::Arc;
 use tms_cnn::ModuleRole;
@@ -206,8 +207,9 @@ fn memo_served_replies_equal_a_restarted_servers() {
     }
 
     // Server two opens the same library with an empty memo: each first
-    // request takes the full path — generate, fingerprint, look up under
-    // the write lock — and must answer and record exactly the same.
+    // request generates and fingerprints the design before the same
+    // lookup under the read lock, and must answer and record exactly the
+    // same.
     let handle = start(two_workers().with_store_dir(&dir));
     let mut client = Client::connect(handle.addr()).expect("connect");
     for ((seed, device), (warm, warm_work)) in DESIGNS.into_iter().zip(&memo_served) {

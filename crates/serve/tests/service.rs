@@ -256,52 +256,6 @@ fn prometheus_page_agrees_with_the_stats_report() {
 }
 
 #[test]
-fn portfolio_server_exposes_search_metrics() {
-    // A server configured to stitch flow requests with the multi-lane
-    // search portfolio; its `search.*` telemetry must land in stats and
-    // on the Prometheus page next to the `stitch.*` family.
-    let config = ServeConfig {
-        workers: 2,
-        stitch_portfolio: Some(tms_search::PortfolioConfig {
-            rounds: 2,
-            moves_per_round: 1_000,
-            stall_stop: 0,
-            ..tms_search::PortfolioConfig::new(0)
-        }),
-        ..ServeConfig::default()
-    };
-    let handle =
-        serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind ephemeral port");
-    let mut client = Client::connect(handle.addr()).expect("connect");
-
-    let r = client.flow(1, "xc7z020", Some(1.72)).expect("flow");
-    assert_eq!(r.failed, 0);
-    assert!(r.placed_count > 0);
-
-    let stats = client.stats().expect("stats");
-    assert!(stats.pipeline.counter("search.rounds") >= 2);
-    assert_eq!(stats.pipeline.counter("search.lane.sa"), 3);
-    assert_eq!(stats.pipeline.counter("search.lane.ea"), 1);
-    assert!(stats.pipeline.counter("search.exchanges") >= 2);
-    // The portfolio path still feeds the stitcher's own family, so
-    // dashboards watching `stitch.*` keep working.
-    assert_eq!(
-        stats.pipeline.counter("stitch.placed"),
-        r.placed_count as u64
-    );
-
-    let text = client.metrics_text().expect("metrics");
-    let samples = tms_serve::prometheus::parse(&text).expect("prometheus page parses");
-    assert!(samples["tms_search_rounds_total"] as u64 >= 2);
-    assert_eq!(samples["tms_search_lane_sa_total"] as u64, 3);
-    assert_eq!(
-        samples["tms_stitch_placed_total"] as u64,
-        r.placed_count as u64
-    );
-    handle.stop();
-}
-
-#[test]
 fn packed_flow_round_trips_pack_telemetry() {
     // A `flow` request with `mem_pack: "packed"` must report its BRAM36
     // savings on the wire AND land the `pack.*` family in both `stats`

@@ -75,14 +75,12 @@ use tms_cnn::CnvDesign;
 use tms_device::Device;
 use tms_estimator::{
     build_dataset_observed, to_ml_dataset, CfEstimator, EstimatorKind, FeatureSet, LabelConfig,
-    ModuleFeatures,
 };
 use tms_flow::{run_rw_flow, CfPolicy, RwFlowConfig, RwFlowResult};
 use tms_obs::Recorder;
-use tms_place::{quick_place, PlacementModel};
+use tms_place::PlacementModel;
 use tms_rtlgen::{standard_sweep, SweepConfig};
 use tms_stitch::StitchConfig;
-use tms_synth::pack as synth_pack;
 
 /// A trained correction-factor estimator bound to its feature set.
 pub struct TrainedEstimator {
@@ -93,11 +91,7 @@ pub struct TrainedEstimator {
 impl TrainedEstimator {
     /// Predict the correction factor for a module netlist.
     pub fn predict(&self, netlist: &tms_netlist::Netlist) -> f64 {
-        let stats = netlist.stats();
-        let packing = synth_pack(&stats);
-        let shape = quick_place(&stats, &packing);
-        let feats = ModuleFeatures::extract(&stats, &packing, &shape);
-        self.est.predict(&feats.select(self.set)).max(0.5)
+        self.est.predict_cf(&netlist.stats(), self.set)
     }
 
     /// The underlying estimator.

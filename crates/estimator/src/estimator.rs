@@ -1,9 +1,13 @@
 //! The uniform CF-estimator wrapper over the four learner families.
 
+use crate::features::{FeatureSet, ModuleFeatures};
 use tms_ml::{
     metrics, Dataset, ForestConfig, LinearRegression, Mlp, MlpConfig, RandomForest, RegressionTree,
     Regressor, TreeConfig,
 };
+use tms_netlist::NetlistStats;
+use tms_place::quick_place;
+use tms_synth::pack;
 
 /// The four estimator families of Section VI-B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -120,6 +124,15 @@ impl CfEstimator {
             Model::Tree(m) => m.predict(x),
             Model::Forest(m) => m.predict(x),
         }
+    }
+
+    /// Predict the CF of a module from its statistics, as the flow does:
+    /// pack → quick-place → features (`set`) → model, clamped to ≥ 0.5.
+    pub fn predict_cf(&self, stats: &NetlistStats, set: FeatureSet) -> f64 {
+        let packing = pack(stats);
+        let shape = quick_place(stats, &packing);
+        let features = ModuleFeatures::extract(stats, &packing, &shape);
+        self.predict(&features.select(set)).max(0.5)
     }
 
     /// Predict a batch.

@@ -8,9 +8,9 @@
 //! cache misses and re-stitches everything.
 
 use crate::integrity::{audit_module, verify_sealed, SealedModule};
-use crate::resilient::{absorb_route_faults, implement_module_resilient, Resilience};
 use crate::rwflow::{
-    stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig, RwFlowResult,
+    implement_with, stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig,
+    RwFlowResult,
 };
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -23,7 +23,9 @@ use tms_fault::{FaultInjector, FaultPoint, NoopInjector, Retry};
 use tms_netlist::{Netlist, NetlistStats};
 use tms_obs::{span, Phase, Recorder};
 use tms_pack::{observe_pack_reuse, pack_memories, MemPackConfig, PackKey, PackedMemories};
+use tms_pblock::PBlockGenerator;
 use tms_store::{Store, StoreSnapshot};
+use tms_timing::TimingModel;
 use tms_verify::Auditor;
 
 /// The persistent macro library: a crash-safe [`tms_store::Store`] keyed
@@ -735,7 +737,38 @@ pub struct CacheLookup {
     retry: Retry,
 }
 
+/// Marker prefix of errors produced by injected faults: the transient
+/// class the `flow.place` retry loop absorbs.
+const INJECTED: &str = "injected fault";
+
+/// Whether an implementation error is a transient injected fault
+/// (retryable) rather than a genuine flow error (permanent).
+fn is_transient(e: &str) -> bool {
+    e.starts_with(INJECTED)
+}
+
 impl CacheLookup {
+    /// The cached flow with nothing cached, which is what
+    /// [`run_rw_flow`](crate::run_rw_flow) runs: the weights packed
+    /// through [`pack_memories`] (no memo), every module missing, and no
+    /// fault plan. It has no keys, so it is never
+    /// [`fill`](ImplementationCache::fill)ed.
+    pub(crate) fn uncached(
+        design: &CnvDesign,
+        device: &Device,
+        cfg: &RwFlowConfig<'_>,
+    ) -> CacheLookup {
+        CacheLookup {
+            keys: Vec::new(),
+            hits: Vec::new(),
+            missing: (0..design.modules.len()).collect(),
+            fresh: Vec::new(),
+            packed: pack_memories(design, device, &cfg.mem_pack, cfg.obs).map(Arc::new),
+            fault: Arc::new(NoopInjector),
+            retry: Retry::none(),
+        }
+    }
+
     /// Whether every module was a verified hit: nothing to implement, and
     /// nothing to fill.
     pub fn is_complete(&self) -> bool {
@@ -753,7 +786,8 @@ impl CacheLookup {
         device: &Device,
         cfg: &RwFlowConfig<'_>,
     ) {
-        let res = Resilience::new(self.fault.as_ref(), self.retry);
+        let gen = PBlockGenerator::new(device, cfg.use_shape_report);
+        let timing_model = TimingModel::default();
         let packed = self.packed.as_deref();
         self.fresh = self
             .missing
@@ -763,12 +797,65 @@ impl CacheLookup {
                 let netlist = packed
                     .and_then(|p| p.modules.iter().find(|(i, _)| *i == idx))
                     .map_or(netlist, |(_, m)| &m.netlist);
-                (
-                    idx,
-                    implement_module_resilient(name, netlist, device, cfg, &res),
-                )
+                let outcome = self.retry_place_faults(name, cfg, || {
+                    implement_with(&gen, &timing_model, name, netlist, device, cfg)
+                });
+                (idx, outcome)
             })
             .collect();
+    }
+
+    /// One module's implementation under the lookup's fault plan: each
+    /// tool-run attempt first consults `flow.place`; an injected fault
+    /// counts as a failed (transient) attempt and is retried with backoff,
+    /// while a genuine implementation error aborts at once. Exhausting the
+    /// budget returns the last injected fault. Unarmed, it is the plain
+    /// call.
+    fn retry_place_faults(
+        &self,
+        name: &str,
+        cfg: &RwFlowConfig<'_>,
+        implement: impl Fn() -> Result<ImplementedModule, String>,
+    ) -> Result<ImplementedModule, String> {
+        if !self.fault.armed() {
+            return implement();
+        }
+        let out = self.retry.run(
+            |e: &String| is_transient(e),
+            |attempt| {
+                if attempt > 1 {
+                    cfg.obs.count("flow.place.retry", 1);
+                }
+                if self.fault.should_fail(FaultPoint::FlowPlace) {
+                    cfg.obs.count("fault.flow.place", 1);
+                    return Err(format!(
+                        "{INJECTED}: flow.place ({name}, attempt {attempt})"
+                    ));
+                }
+                implement()
+            },
+        );
+        out.map_err(|failed| failed.last)
+    }
+
+    /// Consult `flow.route` before the stitch, absorbing transient faults
+    /// under the retry budget. The stitch itself is deterministic
+    /// in-process work; the injection models the external routing tool
+    /// failing and being re-invoked.
+    fn absorb_route_faults(&self, cfg: &RwFlowConfig<'_>) {
+        if !self.fault.armed() {
+            return;
+        }
+        let mut attempt = 0u32;
+        while self.fault.should_fail(FaultPoint::FlowRoute) {
+            cfg.obs.count("fault.flow.route", 1);
+            attempt += 1;
+            if attempt >= self.retry.max_attempts.max(1) {
+                cfg.obs.count("fault.flow.route.exhausted", 1);
+                break;
+            }
+            std::thread::sleep(self.retry.backoff_for(attempt));
+        }
     }
 
     /// Every module's outcome, in design order: the hits merged with what
@@ -802,7 +889,7 @@ impl CacheLookup {
             .iter()
             .map(|(_, m)| m.as_ref().map_or(1, |m| m.attempts))
             .sum();
-        absorb_route_faults(cfg, &Resilience::new(self.fault.as_ref(), self.retry));
+        self.absorb_route_faults(cfg);
         let pack = self.packed.as_ref().map(|p| p.report.clone());
         let mut result = stitch_diagram(diagram, device, cfg, self.into_outcomes());
         result.pack = pack;
@@ -878,7 +965,9 @@ pub fn run_rw_flow_cached(
 }
 
 /// `design`'s modules as [`CacheLookup::implement`] takes them.
-fn modules_of<'d>(design: &'d CnvDesign) -> impl Fn(usize) -> (&'d str, &'d Netlist) + Sync {
+pub(crate) fn modules_of<'d>(
+    design: &'d CnvDesign,
+) -> impl Fn(usize) -> (&'d str, &'d Netlist) + Sync {
     |idx| (&design.modules[idx].name, &design.modules[idx].netlist)
 }
 
@@ -940,6 +1029,104 @@ mod tests {
         assert_eq!(r.fresh, 1, "only the edited module re-implements");
         assert_eq!(r.reused, 73);
         assert!(r.tool_runs_spent < r.result.total_tool_runs);
+    }
+
+    /// Module 0 of cnvW1A1 (seed 2) on the xc7z020, through the implement
+    /// step of a one-module cached flow on `cache`.
+    fn implement_one(cache: &ImplementationCache) -> Result<ImplementedModule, String> {
+        let design = cnvw1a1(2);
+        let dev = Device::xc7z020();
+        let m = &design.modules[0];
+        let key = ModuleFingerprint::of(&m.netlist, &dev);
+        let mut lookup = cache.lookup(vec![key], &dev, tms_obs::noop());
+        lookup.implement(|_| (&m.name, &m.netlist), &dev, &cfg(3));
+        let (_, outcome) = lookup.into_outcomes().pop().expect("one module");
+        outcome
+    }
+
+    /// Module 0 of cnvW1A1 (seed 2) on the xc7z020, implemented directly.
+    fn implement_plain() -> ImplementedModule {
+        let design = cnvw1a1(2);
+        let m = &design.modules[0];
+        crate::rwflow::implement_module(&m.name, &m.netlist, &Device::xc7z020(), &cfg(3))
+            .expect("module 0 implements")
+    }
+
+    /// A cache armed with `plan`, retrying up to `attempts` times.
+    fn armed(plan: &Arc<tms_fault::FaultPlan>, attempts: u32) -> ImplementationCache {
+        let retry = Retry {
+            base_backoff: std::time::Duration::from_micros(50),
+            ..Retry::attempts(attempts)
+        };
+        ImplementationCache::new()
+            .with_fault(Arc::clone(plan) as Arc<dyn FaultInjector>)
+            .with_retry(retry)
+    }
+
+    #[test]
+    fn unarmed_cache_implements_like_the_plain_flow() {
+        let plain = implement_plain();
+        let cached = implement_one(&ImplementationCache::new()).unwrap();
+        assert_eq!(plain.pblock.rect, cached.pblock.rect);
+        assert_eq!(plain.cf, cached.cf);
+        assert_eq!(plain.attempts, cached.attempts);
+    }
+
+    #[test]
+    fn transient_place_faults_are_retried_to_success() {
+        // Two scheduled faults, three attempts: the third succeeds.
+        let plan =
+            Arc::new(tms_fault::FaultPlan::seeded(5).with_fail_next(FaultPoint::FlowPlace, 2));
+        let out = implement_one(&armed(&plan, 3)).expect("third attempt succeeds");
+        assert_eq!(
+            out.pblock.rect,
+            implement_plain().pblock.rect,
+            "result unaffected by retries"
+        );
+        assert_eq!(plan.injected(FaultPoint::FlowPlace), 2);
+    }
+
+    #[test]
+    fn exhausted_budget_surfaces_the_injected_fault() {
+        let plan = Arc::new(tms_fault::FaultPlan::seeded(5).with_rate(FaultPoint::FlowPlace, 1.0));
+        let err = implement_one(&armed(&plan, 2)).expect_err("every attempt is injected");
+        assert!(is_transient(&err), "{err}");
+        assert_eq!(plan.injected(FaultPoint::FlowPlace), 2, "one per attempt");
+    }
+
+    #[test]
+    fn resilient_cached_flow_recovers_from_scattered_faults() {
+        let design = cnvw1a1(5);
+        let dev = Device::xc7z045();
+        // 20% of place attempts fail. Which hits land on which module
+        // depends on rayon's interleaving, so the test budgets enough
+        // attempts (10) that a module-level failure is ~0.2^10 — never.
+        let plan = Arc::new(
+            tms_fault::FaultPlan::seeded(11)
+                .with_rate(FaultPoint::FlowPlace, 0.2)
+                .with_fail_next(FaultPoint::FlowRoute, 1),
+        );
+        let mut cache = armed(&plan, 10);
+        let faulty = run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
+        assert_eq!(
+            faulty.result.failed.len(),
+            0,
+            "retries absorbed every fault"
+        );
+        assert_eq!(faulty.fresh, 74);
+        assert!(
+            plan.injected(FaultPoint::FlowPlace) > 0,
+            "faults really fired"
+        );
+        assert_eq!(plan.injected(FaultPoint::FlowRoute), 1);
+
+        // Same design through a clean flow: identical stitched outcome.
+        let mut clean_cache = ImplementationCache::new();
+        let clean = run_rw_flow_cached(&design, &dev, &cfg(5), &mut clean_cache);
+        assert_eq!(
+            faulty.result.stitch.placed_count,
+            clean.result.stitch.placed_count
+        );
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod cache;
 pub mod experiments;
 pub mod integrity;
 pub mod render;
-pub mod resilient;
 pub mod rwflow;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
@@ -46,7 +45,6 @@ pub use cache::{
 };
 pub use integrity::{audit_module, module_digest, verify_sealed, SealedModule, StoreAuditor};
 pub use render::{coverage_line, render_cost_trace, render_stitched};
-pub use resilient::{implement_module_resilient, Resilience};
 pub use rwflow::{
     implement_module, run_rw_flow, stitch_implemented, BlockDiagram, CfPolicy, ImplementedModule,
     RwFlowConfig, RwFlowResult,

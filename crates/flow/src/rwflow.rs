@@ -1,14 +1,14 @@
 //! The RapidWright-style pre-implement-and-stitch flow.
 
-use rayon::prelude::*;
+use crate::cache::{modules_of, CacheLookup};
 use tms_cnn::CnvDesign;
 use tms_device::Device;
 use tms_obs::{noop, span, Phase, Recorder};
-use tms_pack::{pack_design, MemPackConfig, PackReport};
+use tms_pack::{MemPackConfig, PackReport};
 use tms_pblock::{
     guided_search_observed, min_feasible_cf_observed, CfSearch, PBlock, PBlockGenerator,
 };
-use tms_place::{detail::module_key, place_in_region, quick_place, Placement, PlacementModel};
+use tms_place::{detail::module_key, quick_place, Placement, PlacementModel};
 use tms_search::PortfolioConfig;
 use tms_stitch::{
     stitch_observed, stitch_portfolio_observed, MacroBlock, StitchConfig, StitchProblem,
@@ -142,11 +142,9 @@ impl RwFlowResult {
 
 /// Pre-implement one module under the configured CF policy.
 ///
-/// This is the per-module stage of [`run_rw_flow`], exposed so callers
-/// that already hold implementations for part of a design — the
-/// implementation cache, the serving layer — can implement exactly the
-/// modules they are missing and splice the rest in via
-/// [`stitch_implemented`].
+/// This is the per-module step that [`CacheLookup::implement`] runs for
+/// every missing module of [`run_rw_flow`] and of each cached flow,
+/// exposed for callers that implement a single module on their own.
 pub fn implement_module(
     name: &str,
     netlist: &tms_netlist::Netlist,
@@ -158,7 +156,7 @@ pub fn implement_module(
 }
 
 /// Per-module implementation against shared generator/timing state.
-fn implement_with(
+pub(crate) fn implement_with(
     gen: &PBlockGenerator<'_>,
     timing_model: &TimingModel,
     name: &str,
@@ -178,52 +176,24 @@ fn implement_with(
         (packing, shape)
     };
     let key = module_key(name, cfg.seed);
-    // The searches emit their own `place`-phase spans; only the constant
-    // branch — a single tool run — wraps one here, so every policy records
-    // exactly one Place span per module.
+    // Every policy runs on the search engine, which records the module's
+    // one `place` span. A constant CF is a guided search whose prediction
+    // is also its ceiling: one attempt, no ascent.
+    let guided = |predicted: f64, max_cf: f64| {
+        guided_search_observed(
+            gen, &stats, &packing, &shape, &cfg.model, predicted, max_cf, key, obs, name,
+        )
+        .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.first_try))
+        .ok_or_else(|| "no feasible CF".to_string())
+    };
     let outcome = match &cfg.policy {
-        CfPolicy::Constant(cf) => {
-            let mut sp = span(obs, Phase::Place, name);
-            sp.field("cf", *cf);
-            obs.observe("flow.cf.requested", *cf);
-            match gen.generate(&shape, *cf) {
-                None => {
-                    obs.count("pblock.generate.failed", 1);
-                    Err("no PBlock".to_string())
-                }
-                Some(pblock) => {
-                    match place_in_region(&stats, &packing, device, &pblock.rect, &cfg.model, key) {
-                        Ok(placement) => {
-                            sp.field("attempts", 1.0);
-                            obs.count("pblock.search.tool_runs", 1);
-                            obs.count("pblock.search.feasible", 1);
-                            obs.count("pblock.search.first_try", 1);
-                            obs.observe("flow.cf.placed", *cf);
-                            Ok((*cf, pblock, placement, 1u32, true))
-                        }
-                        Err(e) => {
-                            obs.count(e.counter_key(), 1);
-                            obs.count("pblock.search.infeasible", 1);
-                            obs.count("pblock.search.wasted_runs", 1);
-                            Err(e.to_string())
-                        }
-                    }
-                }
-            }
-        }
+        CfPolicy::Constant(cf) => guided(*cf, *cf),
         CfPolicy::Minimal(search) => min_feasible_cf_observed(
             gen, &stats, &packing, &shape, &cfg.model, search, key, obs, name,
         )
         .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.attempts == 1))
         .ok_or_else(|| "no feasible CF".to_string()),
-        CfPolicy::Guided { predict, max_cf } => {
-            let predicted = predict(name);
-            guided_search_observed(
-                gen, &stats, &packing, &shape, &cfg.model, predicted, *max_cf, key, obs, name,
-            )
-            .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.first_try))
-            .ok_or_else(|| "no feasible CF".to_string())
-        }
+        CfPolicy::Guided { predict, max_cf } => guided(predict(name), *max_cf),
     };
     outcome.map(|(cf, pblock, placement, attempts, first_try)| {
         let timing = {
@@ -244,32 +214,14 @@ fn implement_with(
 
 /// Run the flow: pre-implement every unique module under the CF policy,
 /// then replicate and stitch.
+///
+/// This is the cached flow ([`crate::run_rw_flow_cached`]) with nothing
+/// cached: every module is missing, so the same implement and stitch
+/// steps run over all of them, with no fault plan armed.
 pub fn run_rw_flow(design: &CnvDesign, device: &Device, cfg: &RwFlowConfig<'_>) -> RwFlowResult {
-    // Packing phase: regenerate weight-store netlists before any sizing.
-    let packed = pack_design(design, device, &cfg.mem_pack, cfg.obs);
-    let (design, pack_report) = match &packed {
-        Some((d, r)) => (d, Some(r.clone())),
-        None => (design, None),
-    };
-    let gen = PBlockGenerator::new(device, cfg.use_shape_report);
-    let timing_model = TimingModel::default();
-
-    // Pre-implement unique modules in parallel.
-    let per_module: Vec<(usize, Result<ImplementedModule, String>)> = design
-        .modules
-        .par_iter()
-        .enumerate()
-        .map(|(idx, m)| {
-            (
-                idx,
-                implement_with(&gen, &timing_model, &m.name, &m.netlist, device, cfg),
-            )
-        })
-        .collect();
-
-    let mut result = stitch_implemented(design, device, cfg, per_module);
-    result.pack = pack_report;
-    result
+    let mut lookup = CacheLookup::uncached(design, device, cfg);
+    lookup.implement(modules_of(design), device, cfg);
+    lookup.stitch(design, device, cfg).result
 }
 
 /// What stitching reads of a block design: the unique modules' names,
@@ -308,8 +260,8 @@ impl BlockDiagram for CnvDesign {
 /// Replicate per-module outcomes across the design's instances and stitch.
 ///
 /// `per_module` pairs each design-module index with its implementation
-/// outcome, in design order (as produced by [`run_rw_flow`]'s parallel
-/// stage or assembled from a cache). Tool-run accounting sums the
+/// outcome, in design order (as [`CacheLookup::into_outcomes`] assembles
+/// them from hits and fresh implementations). Tool-run accounting sums the
 /// `attempts` recorded in each implementation — for spliced cache hits
 /// that is what the implementation *originally* cost, not what this call
 /// spent; see `run_rw_flow_cached` for the spent-vs-total split.
@@ -626,6 +578,111 @@ mod tests {
         assert_eq!(ra.cost, rb.cost);
         assert_eq!(a.stitch.positions, b.stitch.positions);
         assert_eq!(a.stitch.final_cost, b.stitch.final_cost);
+    }
+
+    /// `run_rw_flow` is the cached flow with nothing cached: on a fresh
+    /// cache, `run_rw_flow_cached` returns the same result and records the
+    /// same telemetry, but for the cache's own spans and counters.
+    #[test]
+    fn run_rw_flow_equals_the_cached_flow_on_a_fresh_cache() {
+        use crate::cache::{run_rw_flow_cached, ImplementationCache};
+        use tms_obs::AggregatingSink;
+        let design = cnvw1a1(1);
+        let dev = Device::xc7z020();
+        let modules = |r: &RwFlowResult| {
+            r.implemented
+                .iter()
+                .map(|m| (m.name.clone(), m.cf.to_bits(), m.pblock.clone()))
+                .collect::<Vec<_>>()
+        };
+        let counters = |sink: &AggregatingSink| {
+            let mut counters = sink.snapshot().counters;
+            counters.retain(|(k, _)| !k.starts_with("cache.") && !k.starts_with("store."));
+            counters
+        };
+        for mem_pack in [
+            MemPackConfig::off(),
+            quick_pack(tms_pack::MemPackPolicy::Packed, 1, 1),
+        ] {
+            for cf in [Some(1.72), Some(1.0), None] {
+                let what = format!("cf {cf:?}, {:?}", mem_pack.policy);
+                let policy = || match cf {
+                    Some(cf) => CfPolicy::Constant(cf),
+                    None => CfPolicy::Minimal(CfSearch::wide()),
+                };
+                let cfg = |sink| {
+                    quick_cfg(policy(), 1)
+                        .with_mem_pack(mem_pack.clone())
+                        .with_recorder(sink)
+                };
+                let (flow_sink, cached_sink) = (AggregatingSink::new(), AggregatingSink::new());
+                let flow = run_rw_flow(&design, &dev, &cfg(&flow_sink));
+                let mut cache = ImplementationCache::new();
+                let cached = run_rw_flow_cached(&design, &dev, &cfg(&cached_sink), &mut cache);
+                let cached = &cached.result;
+                assert_eq!(cf == Some(1.0), !flow.failed.is_empty(), "{what}");
+                assert_eq!(flow.stitch.positions, cached.stitch.positions, "{what}");
+                assert_eq!(
+                    flow.stitch.final_cost.to_bits(),
+                    cached.stitch.final_cost.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(flow.total_tool_runs, cached.total_tool_runs, "{what}");
+                assert_eq!(modules(&flow), modules(cached), "{what}");
+                assert_eq!(flow.failed, cached.failed, "{what}");
+                for phase in Phase::ALL {
+                    if !matches!(phase, Phase::Cache | Phase::Store) {
+                        assert_eq!(
+                            flow_sink.phase_spans(phase),
+                            cached_sink.phase_spans(phase),
+                            "{what}: {phase:?}"
+                        );
+                    }
+                }
+                assert_eq!(counters(&flow_sink), counters(&cached_sink), "{what}");
+            }
+        }
+    }
+
+    /// A constant CF is one attempt of the search engine. Its oracle is
+    /// the direct path: generate the PBlock at that CF, then place in it.
+    #[test]
+    fn constant_cf_matches_generate_then_place() {
+        use tms_place::place_in_region;
+        let design = cnvw1a1(1);
+        let mut failures = 0;
+        for dev in [Device::xc7z020(), Device::xc7z045()] {
+            let gen = PBlockGenerator::new(&dev, true);
+            for cf in [0.9, 1.0, 1.5, 1.72] {
+                let mut cfg = quick_cfg(CfPolicy::Constant(cf), 1);
+                cfg.model = PlacementModel::default();
+                for m in &design.modules {
+                    let stats = m.netlist.stats();
+                    let packing = pack(&stats);
+                    let shape = quick_place(&stats, &packing);
+                    let key = module_key(&m.name, cfg.seed);
+                    let oracle = gen.generate(&shape, cf).and_then(|pblock| {
+                        place_in_region(&stats, &packing, &dev, &pblock.rect, &cfg.model, key)
+                            .ok()
+                            .map(|placement| (cf.to_bits(), pblock, placement, 1, true))
+                    });
+                    let got = implement_module(&m.name, &m.netlist, &dev, &cfg)
+                        .ok()
+                        .map(|m| {
+                            (
+                                m.cf.to_bits(),
+                                m.pblock,
+                                m.placement,
+                                m.attempts,
+                                m.first_try,
+                            )
+                        });
+                    failures += usize::from(oracle.is_none());
+                    assert_eq!(got, oracle, "{} at CF {cf} on {}", m.name, dev.name());
+                }
+            }
+        }
+        assert!(failures > 0, "the sweep exercises failing modules");
     }
 
     #[test]

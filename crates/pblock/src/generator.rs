@@ -21,13 +21,6 @@ pub struct PBlock {
     pub target_slices: u32,
 }
 
-impl PBlock {
-    /// Slack between provided and targeted slices (column snapping).
-    pub fn slack_slices(&self) -> u32 {
-        self.capacity.slices().saturating_sub(self.target_slices)
-    }
-}
-
 /// A hint carried between [`PBlockGenerator::plan_target_resumed`] calls
 /// of one module's CF search: the previous (no-larger) target, the initial
 /// height its growth sequence started from, and the rectangle it settled

@@ -327,12 +327,15 @@ pub fn guided_search_observed(
         return Some(r);
     }
     // Coarse ascent, stepped by index from the prediction and snapped to
-    // the fine grid so the interval endpoints are exact grid values.
+    // the fine grid so the interval endpoints are exact grid values. A
+    // step that is not finite (a NaN or infinite prediction) or does not
+    // grow (a prediction so large that +0.1 rounds away) never passes
+    // `max_cf` and would walk every index: it ends the ascent.
     let mut lo = predicted_cf;
     let mut found: Option<(f64, PBlock, Placement)> = None;
     for i in 1u32.. {
         let cf = snap_to_grid(predicted_cf + f64::from(i) * COARSE);
-        if cf > max_cf + 1e-9 {
+        if !cf.is_finite() || cf <= lo || cf > max_cf + 1e-9 {
             break;
         }
         attempts += 1;
@@ -850,6 +853,47 @@ mod tests {
         )
         .is_none());
         assert!(guided_search(&gen, &stats, &packing, &shape, &model, 1.0, 3.0, 1).is_none());
+    }
+
+    #[test]
+    fn out_of_range_cf_ends_the_guided_search_after_one_attempt() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        use tms_obs::AggregatingSink;
+        // Non-finite, and finite but too large for +0.1 to move: each used
+        // to keep the coarse ascent stepping through every `u32` index.
+        let cfs = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e16, 1e300];
+        let cases = cfs
+            .iter()
+            .flat_map(|&cf| [(cf, 3.0), (cf, cf)])
+            .collect::<Vec<_>>();
+        let n = cases.len();
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let dev = Device::xc7z020();
+            let gen = PBlockGenerator::new(&dev, true);
+            let stats = tms_cnn::cnvw1a1(1).modules[0].netlist.stats();
+            let packing = pack(&stats);
+            let shape = quick_place(&stats, &packing);
+            let model = PlacementModel::default();
+            for (predicted, max_cf) in cases {
+                let sink = AggregatingSink::new();
+                let r = guided_search_observed(
+                    &gen, &stats, &packing, &shape, &model, predicted, max_cf, 1, &sink, "m0",
+                );
+                let wasted = sink.counter("pblock.search.wasted_runs");
+                tx.send((predicted, max_cf, r.is_none(), wasted))
+                    .expect("the test thread waits for every case");
+            }
+        });
+        for _ in 0..n {
+            let (predicted, max_cf, none, wasted) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the guided search must end within 10 s");
+            assert!(none, "{predicted} (max {max_cf}) placed");
+            assert_eq!(wasted, 1, "{predicted} (max {max_cf})");
+        }
+        worker.join().expect("the search thread panicked");
     }
 
     #[test]

@@ -58,29 +58,28 @@ use crossbeam::channel::TrySendError;
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tms_cnn::{cnvw1a1, CnvDesign};
 use tms_device::{Device, DeviceName};
-use tms_estimator::{CfEstimator, FeatureSet, ModuleFeatures};
+use tms_estimator::{CfEstimator, FeatureSet};
 use tms_fault::{FaultInjector, FaultPlan, FaultPoint, Retry};
 use tms_flow::{
     CacheLookup, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, ModuleFingerprint,
     RwFlowConfig, StoreAuditor, DEFAULT_CACHE_CAPACITY,
 };
-use tms_netlist::{Netlist, NetlistStats};
+use tms_netlist::Netlist;
 use tms_obs::prometheus::PromText;
 use tms_obs::{
     span, AggregatingSink, Phase, Recorder, RequestCtx, RequestOutcome, RequestRecorder, SloSpec,
     SloTracker, Slowlog, SlowlogEntry, TraceIdGen,
 };
 use tms_pblock::CfSearch;
-use tms_place::{quick_place, PlacementModel};
+use tms_place::PlacementModel;
 use tms_stitch::StitchConfig;
 use tms_store::{Store, StoreConfig};
-use tms_synth::pack;
 
 /// How long a worker waits on a quiet connection before re-checking the
 /// shutdown flag.
@@ -216,16 +215,6 @@ impl ServeConfig {
     }
 }
 
-/// Shed/deadline/degrade counters, all lock-free.
-#[derive(Default)]
-struct Robust {
-    degraded: AtomicBool,
-    shed: AtomicU64,
-    deadline_expired: AtomicU64,
-    oversized: AtomicU64,
-    malformed: AtomicU64,
-}
-
 /// The limits a worker consults per request, copied out of [`ServeConfig`].
 struct Limits {
     max_line_bytes: usize,
@@ -250,15 +239,15 @@ struct ServerState {
     started: Instant,
     limits: Limits,
     fault: Option<Arc<FaultPlan>>,
-    robust: Robust,
+    /// Whether the cache runs memory-only because its store failed to
+    /// open or kept failing puts.
+    degraded: AtomicBool,
     /// Trace-id source for per-request [`RequestCtx`]s.
     traces: TraceIdGen,
     /// The tail-sampling slowlog behind the `slowlog` endpoint.
     slowlog: Slowlog,
     /// Per-endpoint SLO burn-rate trackers.
     slo: Vec<SloTracker>,
-    /// Background scrub passes completed by the scrubber thread.
-    scrub_passes: AtomicU64,
     /// `flow` designs (seed × device, packing off) → module keys and
     /// block diagram.
     designs: Memo<(u64, DeviceName), DesignKeys>,
@@ -285,14 +274,15 @@ impl ServerState {
         }
     }
 
-    /// Snapshot the robustness counters for `stats` and `/metrics`.
+    /// Snapshot the robustness counters for `stats` and `/metrics`. The
+    /// event counts are the `serve.*` counters on the shared sink.
     fn robustness_report(&self, cache: &ImplementationCache) -> RobustnessReport {
         RobustnessReport {
-            degraded: self.robust.degraded.load(Ordering::SeqCst),
-            shed: self.robust.shed.load(Ordering::Relaxed),
-            deadline_expired: self.robust.deadline_expired.load(Ordering::Relaxed),
-            oversized: self.robust.oversized.load(Ordering::Relaxed),
-            malformed: self.robust.malformed.load(Ordering::Relaxed),
+            degraded: self.degraded.load(Ordering::SeqCst),
+            shed: self.sink.counter("serve.shed"),
+            deadline_expired: self.sink.counter("serve.deadline_expired"),
+            oversized: self.sink.counter("serve.oversized"),
+            malformed: self.sink.counter("serve.malformed"),
             store_put_failures: cache.store_put_failures(),
             faults_injected: self.fault.as_ref().map(|p| p.injected_total()).unwrap_or(0),
         }
@@ -313,7 +303,7 @@ impl ServerState {
             verify_failures: cache.verify_failures(),
             quarantined: cache.quarantined(),
             insert_rejected: cache.insert_rejected(),
-            scrub_passes: self.scrub_passes.load(Ordering::Relaxed),
+            scrub_passes: self.sink.counter("serve.scrub.pass"),
             last_scrub: cache.store().and_then(|s| s.last_scrub()),
         }
     }
@@ -457,17 +447,13 @@ pub fn serve(
             degrade_after: config.degrade_after,
         },
         fault: config.fault.clone(),
-        robust: Robust {
-            degraded: AtomicBool::new(degraded_at_open),
-            ..Robust::default()
-        },
+        degraded: AtomicBool::new(degraded_at_open),
         traces: TraceIdGen::new(),
         slowlog: Slowlog::new(
             config.slowlog_capacity,
             config.slow_threshold.as_micros() as u64,
         ),
         slo: config.slos.iter().map(|&s| SloTracker::new(s)).collect(),
-        scrub_passes: AtomicU64::new(0),
         designs: Memo::new(),
         specs: Memo::new(),
     });
@@ -540,7 +526,6 @@ pub fn serve(
                 };
                 match store.scrub_with(bytes_per_sec, |k, v| auditor.audit(k, v)) {
                     Ok(report) => {
-                        state.scrub_passes.fetch_add(1, Ordering::Relaxed);
                         state.sink.count("serve.scrub.pass", 1);
                         if report.quarantined > 0 {
                             state
@@ -568,7 +553,6 @@ pub fn serve(
 /// Shed a connection: count it, answer an explicit `overloaded` error
 /// reply (bounded write, best-effort), and close.
 fn refuse(state: &ServerState, mut stream: TcpStream, why: &str) {
-    state.robust.shed.fetch_add(1, Ordering::Relaxed);
     state.sink.count("serve.shed", 1);
     // A shed connection never reaches an endpoint, but it is exactly the
     // kind of request the tail-sampler exists for: retain it.
@@ -680,7 +664,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             LineOutcome::Timeout => continue,
             LineOutcome::Eof | LineOutcome::Failed => break,
             LineOutcome::TooLong => {
-                state.robust.oversized.fetch_add(1, Ordering::Relaxed);
                 state.sink.count("serve.oversized", 1);
                 let resp = Response::failure(
                     0,
@@ -702,7 +685,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                 let line = match String::from_utf8(std::mem::take(&mut buf)) {
                     Ok(s) => s,
                     Err(_) => {
-                        state.robust.malformed.fetch_add(1, Ordering::Relaxed);
                         state.sink.count("serve.malformed", 1);
                         let resp =
                             Response::failure(0, "request line is not valid UTF-8".to_string());
@@ -799,7 +781,6 @@ fn handle_request(state: &ServerState, line: &str) -> Response {
     let req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
         Err(e) => {
-            state.robust.malformed.fetch_add(1, Ordering::Relaxed);
             state.sink.count("serve.malformed", 1);
             return Response::failure(0, format!("bad request envelope: {e}"));
         }
@@ -828,10 +809,6 @@ fn handle_request(state: &ServerState, line: &str) -> Response {
     let mut deadline_hit = false;
     if outcome.is_ok() && elapsed > state.limits.request_deadline {
         deadline_hit = true;
-        state
-            .robust
-            .deadline_expired
-            .fetch_add(1, Ordering::Relaxed);
         state.sink.count("serve.deadline_expired", 1);
         outcome = Err(format!(
             "deadline exceeded: handled in {}ms, {}ms allowed; result discarded",
@@ -949,7 +926,7 @@ fn mem_pack_config(mem_pack: Option<&str>, seed: u64) -> Result<tms_flow::MemPac
 /// Serving continues uninterrupted — only persistence is lost.
 fn maybe_degrade(state: &ServerState) {
     let threshold = state.limits.degrade_after;
-    if threshold == 0 || state.robust.degraded.load(Ordering::SeqCst) {
+    if threshold == 0 || state.degraded.load(Ordering::SeqCst) {
         return;
     }
     if state.cache.read().store_fail_streak() < threshold {
@@ -963,18 +940,9 @@ fn maybe_degrade(state: &ServerState) {
     }
     let carried = cache.degrade_to_memory();
     drop(cache);
-    state.robust.degraded.store(true, Ordering::SeqCst);
+    state.degraded.store(true, Ordering::SeqCst);
     state.sink.count("serve.degraded", 1);
     state.sink.count("serve.degraded.carried", carried as u64);
-}
-
-/// Predict a CF from statistics, mirroring the flow's prediction path
-/// (pack → quick-place → features → model, clamped to ≥ 0.5).
-fn predict_cf(est: &CfEstimator, set: FeatureSet, stats: &NetlistStats) -> f64 {
-    let packing = pack(stats);
-    let shape = quick_place(stats, &packing);
-    let feats = ModuleFeatures::extract(stats, &packing, &shape);
-    est.predict(&feats.select(set)).max(0.5)
 }
 
 fn do_estimate(
@@ -991,7 +959,7 @@ fn do_estimate(
         (None, None) => return Err("estimate needs either 'stats' or 'spec'".to_string()),
     };
     let _estimate_span = span(obs, Phase::Estimate, "serve");
-    let cf = predict_cf(&state.estimator, state.features, &stats);
+    let cf = state.estimator.predict_cf(&stats, state.features);
     Ok(EstimateResponse {
         cf,
         estimator: state.estimator.kind().label().to_string(),

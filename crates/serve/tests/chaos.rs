@@ -573,3 +573,41 @@ fn concurrent_cold_flows_of_one_design_agree() {
     assert_eq!(qor(&third), qor(&flows[0]));
     handle.stop();
 }
+
+/// A constant CF from the wire need not be finite: the JSON number
+/// `1e999` parses to `inf`. A raw `flow` and a raw `preimpl` at that CF
+/// are each answered within a second: every module of the flow fails,
+/// and the `preimpl` gets an error reply.
+#[test]
+fn an_infinite_constant_cf_is_answered_promptly() {
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = raw.try_clone().unwrap();
+    let mut reader = BufReader::new(raw);
+    let mut ask = |line: &str| {
+        let start = Instant::now();
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        let resp = read_reply(&mut reader);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "{line} took {took:?}");
+        resp
+    };
+    let resp = ask(
+        r#"{"id":1,"endpoint":"flow","payload":{"design_seed":5,"device":"xc7z020","cf":1e999}}"#,
+    );
+    assert!(resp.ok, "{:?}", resp.error);
+    let flow: FlowResponse = serde_json::from_value(&resp.payload).expect("a flow reply");
+    assert_eq!((flow.failed, flow.implemented), (74, 0));
+    let spec = serde_json::to_string(&spec(ModuleRole::Mvau, 60, "m")).unwrap();
+    let resp = ask(&format!(
+        r#"{{"id":2,"endpoint":"preimpl","payload":{{"spec":{spec},"device":"xc7z020","cf":1e999}}}}"#
+    ));
+    assert!(!resp.ok, "an infinite CF cannot implement");
+    handle.stop();
+}

@@ -12,12 +12,12 @@
 //! independently verifiable. A crash mid-append leaves a *torn tail*: a
 //! frame whose header or body is incomplete, or whose checksum does not
 //! match. [`read_records`] stops at the first such frame and reports the
-//! byte offset of the last good record, which [`recover_file`] truncates
-//! the file back to — every fully committed record before the tear
+//! byte offset of the last good record, which [`recover_file_resync`]
+//! truncates the file back to — every fully committed record before the tear
 //! survives bit-identically, everything after it is discarded.
 
 use std::fs::OpenOptions;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 use tms_fault::{check_io, FaultInjector, FaultPoint};
 
@@ -204,36 +204,18 @@ pub fn read_records_resync(bytes: &[u8]) -> ResyncOutcome {
     out
 }
 
-/// Read a framed file and truncate any torn tail in place, so the next
-/// append continues from the last committed record. Missing files read as
-/// empty (nothing to recover).
-pub fn recover_file(path: &Path) -> io::Result<ReadOutcome> {
-    let mut file = match OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ReadOutcome::default()),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let outcome = read_records(&bytes);
-    if outcome.torn_bytes > 0 {
-        file.set_len(outcome.good_bytes)?;
-        file.sync_all()?;
-    }
-    Ok(outcome)
-}
-
 /// Read a framed file without modifying it (for `verify`-style audits).
 pub fn scan_file(path: &Path) -> io::Result<ReadOutcome> {
     let bytes = std::fs::read(path)?;
     Ok(read_records(&bytes))
 }
 
-/// [`recover_file`] with resynchronization: mid-stream corrupt records
+/// Read a framed file and repair it in place, so the next append
+/// continues from the last committed record: mid-stream corrupt records
 /// are cut out (the file is atomically rewritten from the surviving good
 /// frames) and returned in `corrupt_regions` for the caller to
-/// quarantine; a plain torn tail is truncated exactly as before. Missing
-/// files read as empty.
+/// quarantine, and a plain torn tail is truncated. Missing files read as
+/// empty.
 pub fn recover_file_resync(path: &Path) -> io::Result<ResyncOutcome> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -310,7 +292,7 @@ pub struct WalFile {
 
 impl WalFile {
     /// Open (creating if needed) the WAL for appending; the caller must
-    /// have run [`recover_file`] first so the tail is clean.
+    /// have run [`recover_file_resync`] first so the tail is clean.
     pub fn open_append(path: &Path) -> io::Result<WalFile> {
         let mut file = OpenOptions::new()
             .create(true)

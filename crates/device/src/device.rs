@@ -28,9 +28,27 @@ pub enum DeviceName {
     TestFabric,
 }
 
-impl fmt::Display for DeviceName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl DeviceName {
+    /// The modelled parts: every name but the unit-test fabric.
+    pub const PARTS: [DeviceName; 6] = [
+        DeviceName::Xc7z010,
+        DeviceName::Xc7z020,
+        DeviceName::Xc7z030,
+        DeviceName::Xc7z045,
+        DeviceName::Xc7z100,
+        DeviceName::UltraScaleLike,
+    ];
+
+    /// The part whose [`Display`](fmt::Display) form is `s`, or `None`.
+    /// The unit-test fabric is not a part: `"test-fabric"` parses to `None`.
+    pub fn parse(s: &str) -> Option<DeviceName> {
+        DeviceName::PARTS
+            .into_iter()
+            .find(|part| part.as_str() == s)
+    }
+
+    fn as_str(self) -> &'static str {
+        match self {
             DeviceName::Xc7z010 => "xc7z010",
             DeviceName::Xc7z020 => "xc7z020",
             DeviceName::Xc7z030 => "xc7z030",
@@ -38,8 +56,13 @@ impl fmt::Display for DeviceName {
             DeviceName::Xc7z100 => "xc7z100",
             DeviceName::UltraScaleLike => "ultrascale-like",
             DeviceName::TestFabric => "test-fabric",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for DeviceName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -400,6 +423,18 @@ mod tests {
         assert_eq!(aligned_sites(0, 9, 5), 1); // second site clipped
         assert_eq!(aligned_sites(3, 4, 5), 0);
         assert_eq!(aligned_sites(5, 5, 5), 0);
+    }
+
+    #[test]
+    fn parse_inverts_display() {
+        for part in DeviceName::PARTS {
+            assert_eq!(DeviceName::parse(&part.to_string()), Some(part));
+        }
+        let fabric = DeviceName::TestFabric.to_string();
+        assert_eq!(DeviceName::parse(&fabric), None);
+        assert_eq!(DeviceName::parse("xc7z02O"), None);
+        assert_eq!(DeviceName::parse("XC7Z020"), None);
+        assert_eq!(DeviceName::parse(""), None);
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub struct ImplementationCache {
     verified: Mutex<HashSet<u64>>,
     /// Weight-packing results by the exact inputs that produced them,
     /// bounded by [`PACK_MEMO_CAPACITY`]. Behind a mutex so packing is
-    /// part of the `&self` read side; never held across a pack search.
+    /// part of the `&self` read side; never held while packing.
     pack_memo: Mutex<HashMap<PackKey, Arc<PackedMemories>>>,
 }
 
@@ -1476,15 +1476,6 @@ mod tests {
         assert!(hit(&cache, &keys[3], &dev).is_none(), "LRU entry evicted");
     }
 
-    fn quick_pack(policy: tms_pack::MemPackPolicy, seed: u64, threads: usize) -> MemPackConfig {
-        MemPackConfig {
-            rounds: 6,
-            moves_per_round: 1_024,
-            threads,
-            ..MemPackConfig::new(policy, seed)
-        }
-    }
-
     /// cnvW1A1 with one non-weight module resynthesised at a new size.
     fn edited_cnvw1a1(seed: u64) -> CnvDesign {
         let mut design = cnvw1a1(seed);
@@ -1501,17 +1492,13 @@ mod tests {
     /// The packed flow the memo tests run, recording through `obs`.
     fn packed_cfg(obs: &dyn Recorder) -> RwFlowConfig<'_> {
         cfg(1)
-            .with_mem_pack(quick_pack(tms_pack::MemPackPolicy::Packed, 1, 1))
+            .with_mem_pack(MemPackConfig::new(tms_pack::MemPackPolicy::Packed, 1))
             .with_recorder(obs)
     }
 
-    /// A pack report with its one machine-dependent field cleared.
+    /// Every field of a pack report, to compare two reports whole.
     fn pack_fields(report: &tms_pack::PackReport) -> String {
-        let mut r = report.clone();
-        if let Some(s) = &mut r.search {
-            s.wall_ms = 0.0;
-        }
-        serde_json::to_string(&r).unwrap()
+        serde_json::to_string(report).unwrap()
     }
 
     #[test]
@@ -1548,7 +1535,7 @@ mod tests {
         use tms_pack::MemPackPolicy::{Naive, Packed};
         let design = cnvw1a1(1);
         let dev = Device::xc7z020();
-        let base = quick_pack(Packed, 1, 1);
+        let base = MemPackConfig::new(Packed, 1);
         let cache = ImplementationCache::new();
         let first = cache.pack(&design, &dev, &base, tms_obs::noop()).unwrap();
         let hits = |d: &CnvDesign, dev: &Device, pack: &MemPackConfig| {
@@ -1560,19 +1547,11 @@ mod tests {
         };
         assert!(hits(&design, &dev, &base), "identical inputs");
         assert!(hits(&edited_cnvw1a1(1), &dev, &base), "non-weight edit");
-        assert!(hits(&design, &dev, &quick_pack(Packed, 1, 8)), "threads");
-        assert!(!hits(&design, &dev, &quick_pack(Naive, 1, 1)), "policy");
-        assert!(!hits(&design, &dev, &quick_pack(Packed, 2, 1)), "seed");
-        let rounds = MemPackConfig {
-            rounds: 7,
-            ..base.clone()
-        };
-        assert!(!hits(&design, &dev, &rounds), "rounds");
-        let moves = MemPackConfig {
-            moves_per_round: 2_048,
-            ..base.clone()
-        };
-        assert!(!hits(&design, &dev, &moves), "moves");
+        assert!(
+            !hits(&design, &dev, &MemPackConfig::new(Naive, 1)),
+            "policy"
+        );
+        assert!(!hits(&design, &dev, &MemPackConfig::new(Packed, 2)), "seed");
         assert!(!hits(&design, &Device::xc7z045(), &base), "device");
         let w = design.modules.iter().position(|m| m.mem.is_some()).unwrap();
         let mut spec = design.clone();
@@ -1616,28 +1595,11 @@ mod tests {
             assert_eq!(sink.counter("pack.bins.bram18_half"), report.banks_bram18);
             assert_eq!(sink.counter("pack.bins.lutram"), report.banks_lutram);
         }
-        let search = report.search.as_ref().unwrap();
-        assert_eq!(cold_sink.counter("pack.search.moves"), search.moves);
-        assert_eq!(
-            cold_sink.counter("pack.win.sa") + cold_sink.counter("pack.win.ea"),
-            1
-        );
-        for counter in [
-            "pack.search.rounds",
-            "pack.search.moves",
-            "pack.search.adoptions",
-            "pack.lane.wins.sa",
-            "pack.lane.wins.ea",
-            "pack.win.sa",
-            "pack.win.ea",
-        ] {
-            assert_eq!(warm_sink.counter(counter), 0, "{counter}");
-        }
     }
 
     #[test]
     fn pack_memo_is_capped_and_cleared_wholesale() {
-        // The naive policy runs no search, so distinct keys are cheap: the
+        // The naive policy solves nothing, so distinct keys are cheap: the
         // seed is part of the key.
         let design = cnvw1a1(1);
         let dev = Device::xc7z020();

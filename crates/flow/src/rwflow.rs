@@ -345,6 +345,7 @@ pub(crate) fn stitch_diagram(
 mod tests {
     use super::*;
     use tms_cnn::cnvw1a1;
+    use tms_device::DeviceName::{self, UltraScaleLike, Xc7z020};
 
     fn quick_cfg(policy: CfPolicy<'_>, seed: u64) -> RwFlowConfig<'_> {
         RwFlowConfig {
@@ -499,14 +500,35 @@ mod tests {
         assert_eq!(sink.observation("flow.cf.placed").unwrap().0, n);
     }
 
-    fn quick_pack(policy: tms_pack::MemPackPolicy, seed: u64, threads: usize) -> MemPackConfig {
-        MemPackConfig {
-            rounds: 6,
-            moves_per_round: 1_024,
-            threads,
-            ..MemPackConfig::new(policy, seed)
-        }
-    }
+    type PackingFlow = (
+        &'static str,
+        DeviceName,
+        (u64, u64),
+        (usize, usize),
+        (u32, u32),
+        usize,
+        usize,
+    );
+
+    /// The packing flow table: cnvW1A1 and every zoo member (seed 1) on
+    /// both device presets, each run with the naive and the packed
+    /// assignment under the minimal-CF (wide) policy and the fast stitch.
+    /// Per row: design, device, then (naive, packed) pairs of BRAM36
+    /// sites, placed blocks and weights PBlock area, the block count, and
+    /// the weights classes whose minimal PBlock shrank under packing.
+    #[rustfmt::skip]
+    const PACKING_FLOWS: [PackingFlow; 10] = [
+        ("cnvw1a1", Xc7z020, (142, 85), (118, 174), (4_575, 2_200), 175, 35),
+        ("cnvw1a1", UltraScaleLike, (142, 85), (175, 175), (3_350, 1_850), 175, 35),
+        ("bnn-wide", Xc7z020, (140, 94), (50, 50), (6_275, 3_300), 77, 17),
+        ("bnn-wide", UltraScaleLike, (140, 94), (76, 77), (4_405, 2_365), 77, 17),
+        ("bnn-deep", Xc7z020, (114, 78), (67, 103), (3_950, 2_120), 109, 28),
+        ("bnn-deep", UltraScaleLike, (114, 78), (109, 109), (2_905, 1_775), 109, 28),
+        ("bnn-fc", Xc7z020, (72, 52), (43, 59), (2_420, 1_335), 59, 15),
+        ("bnn-fc", UltraScaleLike, (72, 52), (59, 59), (1_800, 1_090), 59, 15),
+        ("bnn-slim", Xc7z020, (52, 30), (42, 50), (1_700, 675), 50, 15),
+        ("bnn-slim", UltraScaleLike, (52, 30), (50, 50), (1_285, 575), 50, 16),
+    ];
 
     #[test]
     fn packed_weights_beat_naive_on_minimal_footprint_and_placement() {
@@ -515,69 +537,59 @@ mod tests {
         // BRAM column span into its PBlock (the minimal-CF search bottoms
         // out at the floor with an 18-wide, 5-tall macro); packing moves
         // those stores to BRAM18 halves / LUTRAM, so the minimal feasible
-        // PBlock of 26 weights classes shrinks strictly. Naive BRAM36
-        // demand (142 sites) nearly fills the xc7z020's 150; packing cuts
-        // it to 68, and the smaller macros let the stitch place 24 more
-        // block instances.
-        let design = cnvw1a1(1);
-        let dev = Device::xc7z020();
-        let run = |policy| {
-            let mut cfg = quick_cfg(CfPolicy::Minimal(CfSearch::wide()), 1);
-            cfg.mem_pack = quick_pack(policy, 1, 1);
-            run_rw_flow(&design, &dev, &cfg)
-        };
-        let naive = run(tms_pack::MemPackPolicy::Naive);
-        let packed = run(tms_pack::MemPackPolicy::Packed);
-        assert!(packed.failed.is_empty(), "failed: {:?}", packed.failed);
-        let report = packed.pack.as_ref().expect("packed flow carries a report");
-        assert!(report.feasible);
-        assert_eq!((report.naive_bram36, report.bram36_total), (142, 68));
-        let area = |m: &ImplementedModule| m.pblock.rect.w * m.pblock.rect.h;
-        let weights = |r: &RwFlowResult| {
-            r.implemented
-                .iter()
-                .filter(|m| m.name.starts_with("weights"))
-                .map(area)
-                .sum::<u32>()
-        };
-        let strictly_smaller = naive
-            .implemented
-            .iter()
-            .filter(|m| m.name.starts_with("weights"))
-            .filter_map(|m| packed.module(&m.name).map(|p| (m, p)))
-            .filter(|(n, p)| area(p) < area(n))
-            .count();
-        assert_eq!(strictly_smaller, 26);
-        assert_eq!((weights(&naive), weights(&packed)), (4_575, 4_489));
-        assert_eq!(
-            (naive.stitch.placed_count, packed.stitch.placed_count),
-            (118, 142)
-        );
-        assert_eq!(
-            (naive.stitch.unplaced_count, packed.stitch.unplaced_count),
-            (57, 33)
-        );
-    }
-
-    #[test]
-    fn packed_flow_is_deterministic_across_thread_counts() {
-        // Thread invariance must survive the full pipeline, not just the
-        // packing phase: same stitched placement and same pack report with
-        // 1 and 8 portfolio workers.
-        let design = cnvw1a1(1);
-        let dev = Device::xc7z020();
-        let run = |threads| {
-            let mut cfg = quick_cfg(CfPolicy::Minimal(CfSearch::wide()), 1);
-            cfg.mem_pack = quick_pack(tms_pack::MemPackPolicy::Packed, 1, threads);
-            run_rw_flow(&design, &dev, &cfg)
-        };
-        let a = run(1);
-        let b = run(8);
-        let (ra, rb) = (a.pack.as_ref().unwrap(), b.pack.as_ref().unwrap());
-        assert_eq!(ra.bram36_total, rb.bram36_total);
-        assert_eq!(ra.cost, rb.cost);
-        assert_eq!(a.stitch.positions, b.stitch.positions);
-        assert_eq!(a.stitch.final_cost, b.stitch.final_cost);
+        // PBlock of many weights classes shrinks strictly. On the xc7z020,
+        // where naive cnvW1A1 demand (142 sites) nearly fills the 150
+        // budgeted, the smaller macros let the stitch place more blocks.
+        let mut designs = vec![("cnvw1a1".to_string(), cnvw1a1(1))];
+        designs.extend(tms_cnn::zoo(1));
+        let mut actual = Vec::new();
+        for (name, design) in &designs {
+            for dev in [Device::xc7z020(), Device::ultrascale_like()] {
+                let run = |policy| {
+                    let mut cfg = quick_cfg(CfPolicy::Minimal(CfSearch::wide()), 1);
+                    cfg.mem_pack = MemPackConfig::new(policy, 1);
+                    run_rw_flow(design, &dev, &cfg)
+                };
+                let naive = run(tms_pack::MemPackPolicy::Naive);
+                let packed = run(tms_pack::MemPackPolicy::Packed);
+                let what = format!("{name}/{}", dev.name());
+                assert!(naive.failed.is_empty(), "{what}: failed {:?}", naive.failed);
+                assert!(
+                    packed.failed.is_empty(),
+                    "{what}: failed {:?}",
+                    packed.failed
+                );
+                let (rn, rp) = (naive.pack.as_ref().unwrap(), packed.pack.as_ref().unwrap());
+                assert!(rp.feasible, "{what}");
+                let area = |m: &ImplementedModule| m.pblock.rect.w * m.pblock.rect.h;
+                let weights = |r: &RwFlowResult| {
+                    r.implemented
+                        .iter()
+                        .filter(|m| m.name.starts_with("weights"))
+                        .map(area)
+                        .sum::<u32>()
+                };
+                let blocks = |r: &RwFlowResult| r.stitch.placed_count + r.stitch.unplaced_count;
+                assert_eq!(blocks(&naive), blocks(&packed), "{what}");
+                let shrunken = naive
+                    .implemented
+                    .iter()
+                    .filter(|m| m.name.starts_with("weights"))
+                    .filter_map(|m| packed.module(&m.name).map(|p| (m, p)))
+                    .filter(|(n, p)| area(p) < area(n))
+                    .count();
+                actual.push((
+                    name.as_str(),
+                    dev.name(),
+                    (rn.bram36_total, rp.bram36_total),
+                    (naive.stitch.placed_count, packed.stitch.placed_count),
+                    (weights(&naive), weights(&packed)),
+                    blocks(&packed),
+                    shrunken,
+                ));
+            }
+        }
+        assert_eq!(actual, PACKING_FLOWS);
     }
 
     /// `run_rw_flow` is the cached flow with nothing cached: on a fresh
@@ -602,7 +614,7 @@ mod tests {
         };
         for mem_pack in [
             MemPackConfig::off(),
-            quick_pack(tms_pack::MemPackPolicy::Packed, 1, 1),
+            MemPackConfig::new(tms_pack::MemPackPolicy::Packed, 1),
         ] {
             for cf in [Some(1.72), Some(1.0), None] {
                 let what = format!("cf {cf:?}, {:?}", mem_pack.policy);

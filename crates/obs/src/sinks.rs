@@ -190,6 +190,9 @@ impl AggregatingSink {
     }
 
     /// `(count, sum)` of an observation series, if any value was recorded.
+    /// A value that would make the sum non-finite (NaN, ±∞, or an
+    /// overflow) is counted but left out of the sum, so the sum can always
+    /// be written as JSON.
     pub fn observation(&self, key: &str) -> Option<(u64, f64)> {
         self.observations
             .lock()
@@ -258,7 +261,10 @@ impl Recorder for AggregatingSink {
         let mut map = self.observations.lock().expect("observation map poisoned");
         let entry = map.entry(key.to_string()).or_insert((0, 0.0));
         entry.0 += 1;
-        entry.1 += value;
+        let sum = entry.1 + value;
+        if sum.is_finite() {
+            entry.1 = sum;
+        }
     }
 }
 
@@ -266,6 +272,20 @@ impl Recorder for AggregatingSink {
 mod tests {
     use super::*;
     use crate::record::span;
+
+    #[test]
+    fn non_finite_observations_are_counted_but_not_summed() {
+        let sink = AggregatingSink::new();
+        sink.observe("cf", 1.5);
+        sink.observe("cf", f64::INFINITY);
+        sink.observe("cf", f64::NAN);
+        sink.observe("big", f64::MAX);
+        sink.observe("big", f64::MAX);
+        assert_eq!(sink.observation("cf"), Some((3, 1.5)));
+        assert_eq!(sink.observation("big"), Some((2, f64::MAX)));
+        let json = serde_json::to_string(&sink.snapshot()).expect("the snapshot serialises");
+        assert!(json.contains("\"cf\""), "{json}");
+    }
 
     #[test]
     fn aggregates_spans_counters_and_observations() {

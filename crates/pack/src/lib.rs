@@ -16,20 +16,20 @@
 //!
 //! - [`bins`] — the bin geometry: RAMB36/RAMB18 aspect menus and the
 //!   64-bit-per-LUT distributed-RAM model with its depth cut-off.
-//! - [`problem`] — packing as a [`tms_search::SearchProblem`]: one
-//!   [`BankSplit`] per weights module, O(1) move deltas, a budget penalty
-//!   that keeps SA delta-tracking exact.
+//! - [`problem`] — the packing problem: one [`BankSplit`] per weights
+//!   module, an integer cost model whose LUTRAM price follows from the
+//!   fabric, and [`PackProblem::solve`], an exact dynamic programme over
+//!   the two design-wide budget sums.
 //! - [`phase`] — the flow phase: [`MemPackPolicy`] (`Off` / `Naive` /
-//!   `Packed`), the portfolio-driven [`pack_design`] entry point (and
+//!   `Packed`), the [`pack_design`] entry point (and
 //!   [`pack_memories`], which returns only the regenerated weights
 //!   modules), `pack.*` telemetry, and [`PackKey`], the exact inputs the
 //!   phase reads, under which a caller may store a [`PackedMemories`]
 //!   result and reuse it.
 //!
-//! The search runs on the `tms-search` portfolio (SA + EA lanes,
-//! deterministic per-lane seeds), so packing results are bit-identical
-//! across thread counts — the same invariance contract the stitch phase
-//! already keeps.
+//! The solver needs no seed and no search budget: a packing result is a
+//! pure function of the design's memories, the device budget and the
+//! policy, and the seed only seeds the regenerated netlists.
 
 pub mod bins;
 pub mod phase;
@@ -43,7 +43,7 @@ pub use bins::{
 };
 pub use phase::{
     observe_pack_reuse, pack_design, pack_memories, MemPackConfig, MemPackPolicy, ModuleAssignment,
-    PackKey, PackReport, PackSearchStats, PackedMemories,
+    PackKey, PackReport, PackedMemories,
 };
 pub use problem::{
     design_memories, module_lutram, module_sites36, BankSplit, MemBudget, ModuleMem, PackProblem,

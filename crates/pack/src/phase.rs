@@ -1,10 +1,10 @@
-//! The packing phase: policy, portfolio search, netlist regeneration,
-//! and telemetry.
+//! The packing phase: policy, exact solve, netlist regeneration, and
+//! telemetry.
 //!
 //! [`pack_design`] runs *before* PBlock sizing. Under
-//! [`MemPackPolicy::Packed`] it searches bin assignments with the
-//! `tms-search` portfolio and regenerates every weight-store netlist to
-//! reflect its assignment: banks on BRAM become RAMB36 primitives (and the
+//! [`MemPackPolicy::Packed`] it solves the bin assignment exactly
+//! ([`PackProblem::solve`]) and regenerates every weight-store netlist to
+//! reflect it: banks on BRAM become RAMB36 primitives (and the
 //! module sheds its LUT-ROM fabric), banks in LUTRAM become distributed-RAM
 //! LUTs. The downstream minimal-CF search then sees the shrunken memory
 //! demand — a module packed entirely into LUTRAM no longer forces its
@@ -17,7 +17,6 @@ use tms_cnn::{CnvDesign, CnvModule, WeightSpec};
 use tms_device::Device;
 use tms_obs::{span, Phase, Recorder};
 use tms_rtlgen::{Generator, MixedParams};
-use tms_search::{run_portfolio, LaneKind, PortfolioConfig, PortfolioOutcome};
 
 /// How the flow treats weight memories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,7 +27,7 @@ pub enum MemPackPolicy {
     /// Every bank on full RAMB36 sites, aspect-optimised but with no half
     /// pairing and no LUTRAM — the baseline packing reports compare against.
     Naive,
-    /// Portfolio-searched mix of BRAM36 / BRAM18-half / LUTRAM bins.
+    /// The least-cost mix of BRAM36 / BRAM18-half / LUTRAM bins.
     Packed,
 }
 
@@ -56,17 +55,10 @@ impl MemPackPolicy {
 /// Configuration of the packing phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemPackConfig {
-    /// Policy: off (default), naive baseline, or portfolio-packed.
+    /// Policy: off (default), naive baseline, or packed.
     pub policy: MemPackPolicy,
-    /// Seed: drives both the portfolio lanes and netlist regeneration.
+    /// Seed of the regenerated weight-store netlists.
     pub seed: u64,
-    /// Portfolio exchange rounds.
-    pub rounds: u32,
-    /// Per-lane move budget per round.
-    pub moves_per_round: u64,
-    /// Worker threads for the portfolio (`0` = one per core). Wall-clock
-    /// only — results are bit-identical for every value.
-    pub threads: usize,
 }
 
 impl MemPackConfig {
@@ -75,27 +67,9 @@ impl MemPackConfig {
         MemPackConfig::new(MemPackPolicy::Off, 0)
     }
 
-    /// A policy with the default search budget. The packing space is
-    /// small (tens of modules × 3 bin kinds), so the default is far
-    /// lighter than the stitch portfolio: 12 rounds × 2048 moves/lane.
+    /// A policy whose regenerated netlists are seeded with `seed`.
     pub fn new(policy: MemPackPolicy, seed: u64) -> MemPackConfig {
-        MemPackConfig {
-            policy,
-            seed,
-            rounds: 12,
-            moves_per_round: 2_048,
-            threads: 0,
-        }
-    }
-
-    /// The portfolio configuration the packed policy searches with.
-    pub fn portfolio(&self) -> PortfolioConfig {
-        PortfolioConfig {
-            rounds: self.rounds,
-            moves_per_round: self.moves_per_round,
-            threads: self.threads,
-            ..PortfolioConfig::new(self.seed)
-        }
+        MemPackConfig { policy, seed }
     }
 }
 
@@ -106,33 +80,12 @@ pub struct ModuleAssignment {
     pub name: String,
     /// Instance count the physical quantities multiply by.
     pub instances: u32,
-    /// The bank split the search chose.
+    /// The bank split the policy chose.
     pub split: crate::problem::BankSplit,
     /// RAMB36 sites per instance under that split.
     pub sites36: u32,
     /// LUTRAM LUTs per instance under that split.
     pub lutram_luts: u32,
-}
-
-/// Portfolio accounting of a packed run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct PackSearchStats {
-    /// Exchange rounds actually run.
-    pub rounds: u32,
-    /// Total moves across all lanes.
-    pub moves: u64,
-    /// Global-best adoptions across all lanes.
-    pub adoptions: u64,
-    /// Kind of the winning lane (`sa` / `ea`).
-    pub winner: String,
-    /// Rounds in which an SA lane held the global best.
-    pub sa_wins: u32,
-    /// Rounds in which the EA lane held the global best.
-    pub ea_wins: u32,
-    /// Cost of the best solution found.
-    pub best_cost: f64,
-    /// Search wall-clock in milliseconds (machine-dependent; never gated).
-    pub wall_ms: f64,
 }
 
 /// Result of the packing phase.
@@ -160,27 +113,22 @@ pub struct PackReport {
     pub budget_bram36: u32,
     /// Whether the assignment fits the device budget.
     pub feasible: bool,
-    /// Model cost of the assignment.
+    /// Model cost of the assignment, budget penalty included.
     pub cost: f64,
-    /// Portfolio stats (`None` under the naive policy).
-    pub search: Option<PackSearchStats>,
 }
 
 /// Everything [`pack_design`] reads from its inputs: for each module that
 /// carries a [`WeightSpec`], its index, name, instance count and spec; the
-/// device's [`MemBudget`]; and the [`MemPackConfig`] without `threads`,
-/// which never changes a result. Two calls whose keys are equal return the
-/// same packed netlists and the same [`PackReport`], apart from the
-/// machine-dependent `search.wall_ms`. This is what lets a caller store a
-/// packing result and reuse it instead of searching again.
+/// device's [`MemBudget`]; and the [`MemPackConfig`]. Two calls whose
+/// keys are equal return the same packed netlists and the same
+/// [`PackReport`]. This is what lets a caller store a packing result and
+/// reuse it instead of packing again.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PackKey {
     memories: Vec<(usize, String, u32, WeightSpec)>,
     budget: MemBudget,
     policy: MemPackPolicy,
     seed: u64,
-    rounds: u32,
-    moves_per_round: u64,
 }
 
 impl PackKey {
@@ -188,13 +136,7 @@ impl PackKey {
     /// call packs nothing (policy off, or no weight memories).
     pub fn of(design: &CnvDesign, device: &Device, cfg: &MemPackConfig) -> Option<PackKey> {
         // Destructured so that a new config field must be classified here.
-        let MemPackConfig {
-            policy,
-            seed,
-            rounds,
-            moves_per_round,
-            threads: _,
-        } = *cfg;
+        let MemPackConfig { policy, seed } = *cfg;
         if policy == MemPackPolicy::Off {
             return None;
         }
@@ -212,8 +154,6 @@ impl PackKey {
             budget: MemBudget::for_device(device),
             policy,
             seed,
-            rounds,
-            moves_per_round,
         })
     }
 }
@@ -262,24 +202,13 @@ pub fn pack_memories(
     }
     let mut sp = span(obs, Phase::MemPack, "mempack");
     let naive = problem.naive_solution();
-    let (solution, search) = match cfg.policy {
+    let solution = match cfg.policy {
         MemPackPolicy::Off => unreachable!("handled above"),
-        MemPackPolicy::Naive => (naive.clone(), None),
-        MemPackPolicy::Packed => {
-            let out = run_portfolio(&problem, &cfg.portfolio());
-            let stats = search_stats(&out);
-            // The lanes all start from one seeded scatter; if that run
-            // somehow ends above the baseline, fall back to it so packed
-            // is never worse than naive.
-            if problem.cost(&naive) < out.best_score.cost {
-                (naive.clone(), Some(stats))
-            } else {
-                (out.best, Some(stats))
-            }
-        }
+        MemPackPolicy::Naive => naive.clone(),
+        MemPackPolicy::Packed => problem.solve(),
     };
-    let report = build_report(&problem, &naive, &solution, cfg.policy, search);
-    observe_pack(&report, obs);
+    let report = build_report(&problem, &naive, &solution, cfg.policy);
+    observe_outcome(&report, obs);
     sp.field("modules", report.modules.len() as f64);
     sp.field("bram36_saved", report.bram36_saved as f64);
     sp.field("cost", report.cost);
@@ -287,32 +216,11 @@ pub fn pack_memories(
     Some(PackedMemories { modules, report })
 }
 
-fn search_stats<S>(out: &PortfolioOutcome<S>) -> PackSearchStats {
-    let wins = |kind: LaneKind| -> u32 {
-        out.lanes
-            .iter()
-            .filter(|l| l.kind == kind)
-            .map(|l| l.wins)
-            .sum()
-    };
-    PackSearchStats {
-        rounds: out.rounds_run,
-        moves: out.total_moves,
-        adoptions: out.adoptions,
-        winner: out.lanes[out.winner].kind.label().to_string(),
-        sa_wins: wins(LaneKind::Sa),
-        ea_wins: wins(LaneKind::Ea),
-        best_cost: out.best_score.cost,
-        wall_ms: out.wall.as_secs_f64() * 1e3,
-    }
-}
-
 fn build_report(
     problem: &PackProblem,
     naive: &PackSolution,
     solution: &PackSolution,
     policy: MemPackPolicy,
-    search: Option<PackSearchStats>,
 ) -> PackReport {
     let mut banks = [0u64; 3];
     let modules: Vec<ModuleAssignment> = problem
@@ -345,44 +253,20 @@ fn build_report(
         banks_lutram: banks[2],
         budget_bram36: problem.budget().bram36,
         feasible: problem.fits_budget(solution),
-        cost: problem.cost(solution),
-        search,
+        cost: problem.cost(solution) as f64 / 10.0,
     }
 }
 
-/// Record a searched report's `pack.*` counters through `obs`; a result
-/// reused without a search is booked with [`observe_pack_reuse`] instead.
-fn observe_pack(report: &PackReport, obs: &dyn Recorder) {
-    observe_outcome(report, obs);
-    if let Some(s) = &report.search {
-        obs.count("pack.search.rounds", u64::from(s.rounds));
-        obs.count("pack.search.moves", s.moves);
-        obs.count("pack.search.adoptions", s.adoptions);
-        obs.count("pack.lane.wins.sa", u64::from(s.sa_wins));
-        obs.count("pack.lane.wins.ea", u64::from(s.ea_wins));
-        obs.count(
-            if s.winner == "sa" {
-                "pack.win.sa"
-            } else {
-                "pack.win.ea"
-            },
-            1,
-        );
-        obs.observe("pack.best_cost", s.best_cost);
-    }
-}
-
-/// Record a stored packing result reused in place of a search:
-/// `pack.memo.hit` plus the outcome counters a search books (`pack.runs`,
-/// `pack.modules`, `pack.bram36_saved`, `pack.bins.*`, `pack.infeasible`),
-/// so `pack.runs` still counts once per flow. The search-work counters
-/// (`pack.search.*`, `pack.lane.*`, `pack.win.*`) stay untouched, since
-/// no search ran.
+/// Record a stored packing result reused in place of packing again:
+/// `pack.memo.hit` plus the outcome counters a packing run books
+/// (`pack.runs`, `pack.modules`, `pack.bram36_saved`, `pack.bins.*`,
+/// `pack.infeasible`), so `pack.runs` still counts once per flow.
 pub fn observe_pack_reuse(report: &PackReport, obs: &dyn Recorder) {
     obs.count("pack.memo.hit", 1);
     observe_outcome(report, obs);
 }
 
+/// Record a report's outcome counters through `obs`.
 fn observe_outcome(report: &PackReport, obs: &dyn Recorder) {
     obs.count("pack.runs", 1);
     obs.count("pack.modules", report.modules.len() as u64);
@@ -458,14 +342,6 @@ mod tests {
     use tms_obs::AggregatingSink;
     use tms_synth::pack as synth_pack;
 
-    fn quick(policy: MemPackPolicy, seed: u64) -> MemPackConfig {
-        MemPackConfig {
-            rounds: 6,
-            moves_per_round: 1_024,
-            ..MemPackConfig::new(policy, seed)
-        }
-    }
-
     #[test]
     fn off_policy_packs_nothing() {
         let d = cnvw1a1(1);
@@ -477,8 +353,13 @@ mod tests {
     fn packed_beats_naive_on_bram_demand() {
         let d = cnvw1a1(1);
         let dev = Device::xc7z020();
-        let (_, report) =
-            pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), tms_obs::noop()).unwrap();
+        let (_, report) = pack_design(
+            &d,
+            &dev,
+            &MemPackConfig::new(MemPackPolicy::Packed, 1),
+            tms_obs::noop(),
+        )
+        .unwrap();
         assert!(report.feasible, "packed must fit the budget");
         assert!(
             report.bram36_saved > 0,
@@ -505,20 +386,29 @@ mod tests {
     fn naive_policy_reports_zero_savings() {
         let d = cnvw1a1(1);
         let dev = Device::xc7z020();
-        let (_, report) =
-            pack_design(&d, &dev, &quick(MemPackPolicy::Naive, 1), tms_obs::noop()).unwrap();
+        let (_, report) = pack_design(
+            &d,
+            &dev,
+            &MemPackConfig::new(MemPackPolicy::Naive, 1),
+            tms_obs::noop(),
+        )
+        .unwrap();
         assert_eq!(report.bram36_saved, 0);
         assert_eq!(report.bram36_total, report.naive_bram36);
         assert_eq!(report.banks_bram18 + report.banks_lutram, 0);
-        assert!(report.search.is_none());
     }
 
     #[test]
     fn regenerated_netlists_reflect_the_assignment() {
         let d = cnvw1a1(1);
         let dev = Device::xc7z020();
-        let (packed, report) =
-            pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), tms_obs::noop()).unwrap();
+        let (packed, report) = pack_design(
+            &d,
+            &dev,
+            &MemPackConfig::new(MemPackPolicy::Packed, 1),
+            tms_obs::noop(),
+        )
+        .unwrap();
         // Non-weight modules are bit-identical to the input design.
         for (a, b) in d.modules.iter().zip(&packed.modules) {
             if a.role != ModuleRole::Weights {
@@ -550,12 +440,17 @@ mod tests {
 
     #[test]
     fn deep_stores_stay_in_bram() {
-        // weights_14 (depth 5200) cannot go to LUTRAM; the search must
+        // weights_14 (depth 5200) cannot go to LUTRAM; the solver must
         // keep it on block RAM in some form.
         let d = cnvw1a1(1);
         let dev = Device::xc7z020();
-        let (_, report) =
-            pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), tms_obs::noop()).unwrap();
+        let (_, report) = pack_design(
+            &d,
+            &dev,
+            &MemPackConfig::new(MemPackPolicy::Packed, 1),
+            tms_obs::noop(),
+        )
+        .unwrap();
         let w14 = report
             .modules
             .iter()
@@ -566,34 +461,17 @@ mod tests {
     }
 
     #[test]
-    fn packing_is_deterministic_and_thread_invariant() {
-        let d = cnvw1a1(1);
-        let dev = Device::xc7z020();
-        let run = |threads: usize| {
-            let cfg = MemPackConfig {
-                threads,
-                ..quick(MemPackPolicy::Packed, 7)
-            };
-            pack_design(&d, &dev, &cfg, tms_obs::noop()).unwrap()
-        };
-        let (da, ra) = run(1);
-        let (db, rb) = run(8);
-        assert_eq!(ra.bram36_total, rb.bram36_total);
-        assert_eq!(ra.cost, rb.cost);
-        for (ma, mb) in ra.modules.iter().zip(&rb.modules) {
-            assert_eq!(ma.split, mb.split, "{}", ma.name);
-        }
-        for (ma, mb) in da.modules.iter().zip(&db.modules) {
-            assert_eq!(ma.netlist.stats(), mb.netlist.stats(), "{}", ma.name);
-        }
-    }
-
-    #[test]
     fn telemetry_reconciles_with_the_report() {
         let d = cnvw1a1(1);
         let dev = Device::xc7z020();
         let sink = AggregatingSink::new();
-        let (_, report) = pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), &sink).unwrap();
+        let (_, report) = pack_design(
+            &d,
+            &dev,
+            &MemPackConfig::new(MemPackPolicy::Packed, 1),
+            &sink,
+        )
+        .unwrap();
         assert_eq!(sink.phase_spans(Phase::MemPack), 1);
         assert_eq!(sink.phase_spans(Phase::Pack), 0);
         assert_eq!(sink.counter("pack.runs"), 1);
@@ -601,27 +479,23 @@ mod tests {
         assert_eq!(sink.counter("pack.bins.bram36"), report.banks_bram36);
         assert_eq!(sink.counter("pack.bins.bram18_half"), report.banks_bram18);
         assert_eq!(sink.counter("pack.bins.lutram"), report.banks_lutram);
-        let s = report.search.as_ref().unwrap();
-        assert_eq!(sink.counter("pack.search.rounds"), u64::from(s.rounds));
-        assert_eq!(sink.counter("pack.search.moves"), s.moves);
-        assert_eq!(sink.counter("pack.win.sa") + sink.counter("pack.win.ea"), 1);
     }
 
-    /// cnvW1A1 and every zoo member packed for both device presets under
-    /// the `quick` budget: design, device, weights modules, naive and
+    /// cnvW1A1 and every zoo member packed for both device presets:
+    /// design, device, weights modules, naive and
     /// packed BRAM36 sites, the device's RAMB36 budget, LUTRAM LUTs.
     #[rustfmt::skip]
     const PACKED: [(&str, DeviceName, usize, u64, u64, u32, u64); 10] = [
-        ("cnvw1a1", Xc7z020, 43, 142, 68, 150, 5_760),
-        ("cnvw1a1", UltraScaleLike, 43, 142, 73, 500, 4_104),
+        ("cnvw1a1", Xc7z020, 43, 142, 85, 150, 0),
+        ("cnvw1a1", UltraScaleLike, 43, 142, 85, 500, 0),
         ("bnn-wide", Xc7z020, 26, 140, 94, 150, 0),
         ("bnn-wide", UltraScaleLike, 26, 140, 94, 500, 0),
-        ("bnn-deep", Xc7z020, 39, 114, 67, 150, 2_880),
-        ("bnn-deep", UltraScaleLike, 39, 114, 67, 500, 2_880),
-        ("bnn-fc", Xc7z020, 22, 72, 46, 150, 2_340),
-        ("bnn-fc", UltraScaleLike, 22, 72, 46, 500, 2_340),
-        ("bnn-slim", Xc7z020, 16, 52, 14, 150, 4_356),
-        ("bnn-slim", UltraScaleLike, 16, 52, 14, 500, 4_356),
+        ("bnn-deep", Xc7z020, 39, 114, 78, 150, 0),
+        ("bnn-deep", UltraScaleLike, 39, 114, 78, 500, 0),
+        ("bnn-fc", Xc7z020, 22, 72, 52, 150, 0),
+        ("bnn-fc", UltraScaleLike, 22, 72, 52, 500, 0),
+        ("bnn-slim", Xc7z020, 16, 52, 30, 150, 0),
+        ("bnn-slim", UltraScaleLike, 16, 52, 30, 500, 0),
     ];
 
     #[test]
@@ -631,9 +505,13 @@ mod tests {
         let mut actual = Vec::new();
         for (name, d) in &designs {
             for dev in [Device::xc7z020(), Device::ultrascale_like()] {
-                let (_, r) =
-                    pack_design(d, &dev, &quick(MemPackPolicy::Packed, 1), tms_obs::noop())
-                        .unwrap();
+                let (_, r) = pack_design(
+                    d,
+                    &dev,
+                    &MemPackConfig::new(MemPackPolicy::Packed, 1),
+                    tms_obs::noop(),
+                )
+                .unwrap();
                 assert!(r.feasible, "{name}/{} over budget", dev.name());
                 actual.push((
                     name.as_str(),

@@ -1,40 +1,44 @@
-//! Packing as a [`SearchProblem`]: assign every weight bank of every
+//! Packing as an exact optimisation: assign every weight bank of every
 //! module to a bin kind, minimising the BRAM36 capacity vector the
 //! downstream minimal-CF search must satisfy.
 //!
-//! The solution space is one [`BankSplit`] per weights module — how many
-//! of its `pe` banks go to full RAMB36 sites, RAMB18 halves, or LUTRAM.
-//! Moves transfer one bank between kinds, so cost deltas are O(1): only
-//! the touched module's contribution and the two global totals change.
+//! A solution is one [`BankSplit`] per weights module — how many of its
+//! `pe` banks go to full RAMB36 sites, RAMB18 halves, or LUTRAM. Its cost
+//! is a sum of per-module terms plus a penalty on two design-wide sums,
+//! instance-weighted RAMB36 sites and LUTRAM LUTs, over the device budget.
+//! That is the only coupling between modules, so [`PackProblem::solve`]
+//! finds the optimum with a dynamic programme over the two sums.
 //!
-//! Budget overflow is folded into the cost as a steep linear penalty
-//! rather than an infeasibility count: the SA lanes track cost by deltas,
-//! and a penalty that moves with the totals keeps those deltas exact
-//! while still making any over-budget solution lose to every in-budget
-//! one.
+//! Every price and both penalties are whole tenths of a cost unit, so
+//! costs are integer tenths and add exactly.
 
 use crate::bins::{bram18_halves, bram36_sites, lutram_legal, lutram_luts};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use tms_cnn::CnvDesign;
-use tms_device::{Device, LUTRAM_PER_M_SLICE};
-use tms_search::{Proposal, Score, SearchProblem};
+use tms_device::{Device, LUTRAM_PER_M_SLICE, RAMB36_ROWS};
 
-/// Cost of one occupied RAMB36 site (the unit the PBlock height/column
-/// constraints are driven by, so it dominates the model).
-pub const COST_BRAM36: f64 = 12.0;
-/// Extra cost per RAMB18 half: cascading and dual-clock plumbing.
-pub const COST_HALF_EXTRA: f64 = 0.5;
-/// Cost per LUTRAM LUT: cheap, but not free — it consumes M-slices.
-pub const COST_LUTRAM_LUT: f64 = 0.1;
-/// Per-instance overhead once a module touches BRAM at all: its PBlock
-/// must then cover a BRAM column and grow to the RAMB36 row alignment,
-/// which is exactly the capacity-vector pressure packing tries to avoid.
-pub const MODULE_BRAM_OVERHEAD: f64 = 25.0;
-/// Penalty per weighted RAMB36 site over the device budget.
-const PENALTY_BRAM36: f64 = 1.0e6;
-/// Penalty per weighted LUTRAM LUT over the device budget.
-const PENALTY_LUT: f64 = 1.0e4;
+/// Cost of one occupied RAMB36 site, in tenths (12.0): the unit the
+/// PBlock height/column constraints are driven by, so it dominates the
+/// model.
+pub const COST_BRAM36: u64 = 120;
+/// Extra cost per RAMB18 half, in tenths (0.5): cascading and dual-clock
+/// plumbing.
+pub const COST_HALF_EXTRA: u64 = 5;
+/// Cost per LUTRAM LUT, in tenths (0.6): what a RAMB36 site pays per cell
+/// of PBlock area. A site spans `RAMB36_ROWS` cells of its column, and an
+/// M-slice cell holds `LUTRAM_PER_M_SLICE` LUTRAM LUTs.
+pub const COST_LUTRAM_LUT: u64 = COST_BRAM36 / LUTS_PER_BRAM36_AREA;
+/// LUTRAM LUTs in the fabric cells one RAMB36 site spans.
+const LUTS_PER_BRAM36_AREA: u64 = RAMB36_ROWS as u64 * LUTRAM_PER_M_SLICE as u64;
+const _: () = assert!(COST_BRAM36.is_multiple_of(LUTS_PER_BRAM36_AREA));
+/// Per-instance overhead once a module touches BRAM at all, in tenths
+/// (25.0): its PBlock must then cover a BRAM column and grow to the
+/// RAMB36 row alignment, which is exactly the capacity-vector pressure
+/// packing tries to avoid.
+pub const MODULE_BRAM_OVERHEAD: u64 = 250;
+/// Penalty per weighted RAMB36 site over the device budget, in tenths.
+const PENALTY_BRAM36: u64 = 10_000_000;
+/// Penalty per weighted LUTRAM LUT over the device budget, in tenths.
+const PENALTY_LUT: u64 = 100_000;
 
 /// The memory demand of one weights module, precomputed per bin kind.
 #[derive(Debug, Clone)]
@@ -176,16 +180,68 @@ pub fn module_lutram(m: &ModuleMem, split: &BankSplit) -> u32 {
     split.lutram * m.lutram
 }
 
-/// The memory-packing search problem over one design on one device.
+/// Cost of one module under `split`, in tenths: its sites, halves and
+/// LUTRAM LUTs, plus the BRAM overhead when it touches BRAM, all per
+/// instance.
+fn module_cost(m: &ModuleMem, split: &BankSplit) -> u64 {
+    let overhead = if split.uses_bram() {
+        MODULE_BRAM_OVERHEAD
+    } else {
+        0
+    };
+    u64::from(m.instances)
+        * (COST_BRAM36 * u64::from(module_sites36(m, split))
+            + COST_HALF_EXTRA * u64::from(split.halves * m.halves18)
+            + COST_LUTRAM_LUT * u64::from(module_lutram(m, split))
+            + overhead)
+}
+
+/// Every legal split of one module, in split order: more banks on full
+/// RAMB36 sites first, then more on halves, the rest in LUTRAM.
+fn splits_of(m: &ModuleMem) -> impl Iterator<Item = BankSplit> + '_ {
+    (0..=m.banks).rev().flat_map(move |full36| {
+        (0..=m.banks - full36)
+            .rev()
+            .map(move |halves| BankSplit {
+                full36,
+                halves,
+                lutram: m.banks - full36 - halves,
+            })
+            .filter(|s| s.lutram == 0 || m.lutram_ok)
+    })
+}
+
+/// A state of [`PackProblem::solve`]: the totals and cost of the modules
+/// decided so far, and the step that reached it.
+#[derive(Debug, Clone, Copy)]
+struct State {
+    bram36: u64,
+    lutram: u64,
+    cost: u64,
+    /// Index of the predecessor in the previous layer.
+    prev: usize,
+    /// The split of the module this layer decided.
+    split: BankSplit,
+}
+
+/// Add `s` to the frontier of states that share its RAMB36 total, unless
+/// a state with no more LUTRAM and no more cost is already there; drop the
+/// states `s` beats on both.
+fn insert_pareto(frontier: &mut Vec<State>, s: State) {
+    if frontier
+        .iter()
+        .any(|f| f.lutram <= s.lutram && f.cost <= s.cost)
+    {
+        return;
+    }
+    frontier.retain(|f| f.lutram < s.lutram || f.cost < s.cost);
+    frontier.push(s);
+}
+
+/// The memory-packing problem over one design on one device.
 pub struct PackProblem {
     memories: Vec<ModuleMem>,
     budget: MemBudget,
-}
-
-/// Undo token: which module moved and its previous split.
-pub struct PackUndo {
-    idx: usize,
-    old: BankSplit,
 }
 
 impl PackProblem {
@@ -195,6 +251,12 @@ impl PackProblem {
             memories: design_memories(design),
             budget,
         }
+    }
+
+    /// A problem over hand-made memories (the brute-force tests).
+    #[cfg(test)]
+    pub(crate) fn from_memories(memories: Vec<ModuleMem>, budget: MemBudget) -> PackProblem {
+        PackProblem { memories, budget }
     }
 
     /// The packable memories, in module order.
@@ -216,177 +278,102 @@ impl PackProblem {
     /// Build a solution from a per-module split rule, recomputing totals.
     pub fn solution_from(&self, mut rule: impl FnMut(&ModuleMem) -> BankSplit) -> PackSolution {
         let splits: Vec<BankSplit> = self.memories.iter().map(&mut rule).collect();
-        for (m, s) in self.memories.iter().zip(&splits) {
-            assert_eq!(s.banks(), m.banks, "{}: split loses banks", m.name);
-            assert!(s.lutram == 0 || m.lutram_ok, "{}: illegal LUTRAM", m.name);
-        }
         let mut sol = PackSolution {
             splits,
             bram36_total: 0,
             lutram_total: 0,
         };
-        self.recompute_totals(&mut sol);
+        for (m, s) in self.memories.iter().zip(&sol.splits) {
+            assert_eq!(s.banks(), m.banks, "{}: split loses banks", m.name);
+            assert!(s.lutram == 0 || m.lutram_ok, "{}: illegal LUTRAM", m.name);
+            sol.bram36_total += u64::from(m.instances) * u64::from(module_sites36(m, s));
+            sol.lutram_total += u64::from(m.instances) * u64::from(module_lutram(m, s));
+        }
         sol
     }
 
-    fn recompute_totals(&self, s: &mut PackSolution) {
-        s.bram36_total = 0;
-        s.lutram_total = 0;
-        for (m, split) in self.memories.iter().zip(&s.splits) {
-            s.bram36_total += u64::from(m.instances) * u64::from(module_sites36(m, split));
-            s.lutram_total += u64::from(m.instances) * u64::from(module_lutram(m, split));
-        }
-    }
-
-    /// Whether `s` fits the budget (the hard feasibility the penalty
-    /// enforces softly during the search).
+    /// Whether `s` fits the budget.
     pub fn fits_budget(&self, s: &PackSolution) -> bool {
         s.bram36_total <= u64::from(self.budget.bram36) && s.lutram_total <= self.budget.lutram_luts
     }
 
-    fn module_cost(&self, m: &ModuleMem, split: &BankSplit) -> f64 {
-        let inst = f64::from(m.instances);
-        let mut c = inst
-            * (COST_BRAM36 * f64::from(module_sites36(m, split))
-                + COST_HALF_EXTRA * f64::from(split.halves * m.halves18)
-                + COST_LUTRAM_LUT * f64::from(module_lutram(m, split)));
-        if split.uses_bram() {
-            c += MODULE_BRAM_OVERHEAD * inst;
-        }
-        c
-    }
-
-    fn penalty(&self, bram36_total: u64, lutram_total: u64) -> f64 {
+    fn penalty(&self, bram36_total: u64, lutram_total: u64) -> u64 {
         let over_bram = bram36_total.saturating_sub(u64::from(self.budget.bram36));
         let over_lut = lutram_total.saturating_sub(self.budget.lutram_luts);
-        PENALTY_BRAM36 * over_bram as f64 + PENALTY_LUT * over_lut as f64
+        PENALTY_BRAM36 * over_bram + PENALTY_LUT * over_lut
     }
 
-    /// Full cost of a solution (module costs + budget penalty).
-    pub fn cost(&self, s: &PackSolution) -> f64 {
-        let modules: f64 = self
+    /// Full cost of a solution in tenths: module costs plus the budget
+    /// penalty.
+    pub fn cost(&self, s: &PackSolution) -> u64 {
+        let modules: u64 = self
             .memories
             .iter()
             .zip(&s.splits)
-            .map(|(m, split)| self.module_cost(m, split))
+            .map(|(m, split)| module_cost(m, split))
             .sum();
         modules + self.penalty(s.bram36_total, s.lutram_total)
     }
 
-    /// Apply `new` to module `idx`, updating cached totals; returns the
-    /// exact cost delta.
-    fn apply_split(&self, s: &mut PackSolution, idx: usize, new: BankSplit) -> f64 {
-        let m = &self.memories[idx];
-        let old = s.splits[idx];
-        let inst = u64::from(m.instances);
-        let old_pen = self.penalty(s.bram36_total, s.lutram_total);
-        let old_cost = self.module_cost(m, &old);
-        s.bram36_total = s.bram36_total - inst * u64::from(module_sites36(m, &old))
-            + inst * u64::from(module_sites36(m, &new));
-        s.lutram_total = s.lutram_total - inst * u64::from(module_lutram(m, &old))
-            + inst * u64::from(module_lutram(m, &new));
-        s.splits[idx] = new;
-        self.module_cost(m, &new) - old_cost + self.penalty(s.bram36_total, s.lutram_total)
-            - old_pen
-    }
-}
-
-impl SearchProblem for PackProblem {
-    type Solution = PackSolution;
-    type Undo = PackUndo;
-
-    fn initial(&self, seed: u64) -> PackSolution {
-        // Seeded scatter over the per-module extremes: the lanes start
-        // from diverse corners of the space and the penalty walks any
-        // over-budget start back in.
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.solution_from(|m| match rng.gen_range(0..4u32) {
-            0 => BankSplit::all_bram36(m.banks),
-            1 => BankSplit {
-                full36: 0,
-                halves: m.banks,
-                lutram: 0,
-            },
-            2 if m.lutram_ok => BankSplit {
-                full36: 0,
-                halves: 0,
-                lutram: m.banks,
-            },
-            _ => BankSplit {
-                full36: m.banks - m.banks / 2,
-                halves: m.banks / 2,
-                lutram: 0,
-            },
-        })
-    }
-
-    fn score(&self, s: &PackSolution) -> Score {
-        Score::feasible(self.cost(s))
-    }
-
-    fn propose(
-        &self,
-        s: &mut PackSolution,
-        _temp_ratio: f64,
-        rng: &mut StdRng,
-    ) -> Proposal<PackUndo> {
-        if self.memories.is_empty() {
-            return Proposal::Skip;
-        }
-        let idx = rng.gen_range(0..self.memories.len());
-        let m = &self.memories[idx];
-        let old = s.splits[idx];
-        // Transfer one bank between two distinct kinds. Kinds:
-        // 0 = full36, 1 = halves, 2 = lutram.
-        let from = rng.gen_range(0..3u32);
-        let to = (from + 1 + rng.gen_range(0..2u32)) % 3;
-        let count_of = |k: u32, sp: &BankSplit| match k {
-            0 => sp.full36,
-            1 => sp.halves,
-            _ => sp.lutram,
+    /// The least-cost solution, found exactly.
+    ///
+    /// A dynamic programme decides the modules one at a time. Its states
+    /// are the two design-wide totals; for each RAMB36 total it keeps only
+    /// the states that no other state beats on both LUTRAM and cost, which
+    /// is exact because the penalty never falls as either total grows.
+    /// When no assignment fits the budget, the answer is the one with the
+    /// least penalty-inclusive cost, and [`PackProblem::fits_budget`] says
+    /// so. The answer needs no seed: among equal costs it has the fewest
+    /// RAMB36 sites, and equal totals go to the split listed first (more
+    /// full RAMB36 banks, then more halves), earlier modules first.
+    pub fn solve(&self) -> PackSolution {
+        let root = State {
+            bram36: 0,
+            lutram: 0,
+            cost: 0,
+            prev: usize::MAX,
+            split: BankSplit::all_bram36(0),
         };
-        if count_of(from, &old) == 0 || (to == 2 && !m.lutram_ok) {
-            return Proposal::Illegal;
+        // Modules are decided last to first, so the backtrack below meets
+        // them in module order and ties favour the earlier module.
+        let mut layers: Vec<Vec<State>> = vec![vec![root]];
+        // One frontier per RAMB36 total, reused across layers.
+        let mut frontiers: Vec<Vec<State>> = Vec::new();
+        for m in self.memories.iter().rev() {
+            let inst = u64::from(m.instances);
+            let prev = layers.last().expect("the root layer");
+            for split in splits_of(m) {
+                let bram36 = inst * u64::from(module_sites36(m, &split));
+                let lutram = inst * u64::from(module_lutram(m, &split));
+                let cost = module_cost(m, &split);
+                for (i, p) in prev.iter().enumerate() {
+                    let s = State {
+                        bram36: p.bram36 + bram36,
+                        lutram: p.lutram + lutram,
+                        cost: p.cost + cost,
+                        prev: i,
+                        split,
+                    };
+                    let total = s.bram36 as usize;
+                    if total >= frontiers.len() {
+                        frontiers.resize_with(total + 1, Vec::new);
+                    }
+                    insert_pareto(&mut frontiers[total], s);
+                }
+            }
+            layers.push(frontiers.iter_mut().flat_map(|f| f.drain(..)).collect());
         }
-        let mut new = old;
-        match from {
-            0 => new.full36 -= 1,
-            1 => new.halves -= 1,
-            _ => new.lutram -= 1,
+        let last = layers.last().expect("the root layer");
+        let mut at = (0..last.len())
+            .min_by_key(|&i| last[i].cost + self.penalty(last[i].bram36, last[i].lutram))
+            .expect("every module has a legal split");
+        let mut splits = Vec::with_capacity(self.memories.len());
+        for layer in layers[1..].iter().rev() {
+            splits.push(layer[at].split);
+            at = layer[at].prev;
         }
-        match to {
-            0 => new.full36 += 1,
-            1 => new.halves += 1,
-            _ => new.lutram += 1,
-        }
-        let delta = self.apply_split(s, idx, new);
-        Proposal::Applied {
-            delta,
-            undo: PackUndo { idx, old },
-        }
-    }
-
-    fn undo(&self, s: &mut PackSolution, undo: PackUndo) {
-        self.apply_split(s, undo.idx, undo.old);
-    }
-
-    fn neighborhood(&self) -> u64 {
-        (self.memories.len() as u64) * 6
-    }
-
-    fn crossover(&self, a: &PackSolution, b: &PackSolution, rng: &mut StdRng) -> PackSolution {
-        let mut sol = PackSolution {
-            splits: a
-                .splits
-                .iter()
-                .zip(&b.splits)
-                .map(|(&ga, &gb)| if rng.gen::<bool>() { ga } else { gb })
-                .collect(),
-            bram36_total: 0,
-            lutram_total: 0,
-        };
-        self.recompute_totals(&mut sol);
-        sol
+        let mut next = splits.into_iter();
+        self.solution_from(|_| next.next().expect("one split per module"))
     }
 }
 
@@ -422,63 +409,5 @@ mod tests {
             "naive = {} sites, budget = {budget}",
             naive.bram36_total()
         );
-    }
-
-    #[test]
-    fn deltas_match_full_recompute() {
-        let p = problem();
-        let mut s = p.initial(7);
-        let mut cost = p.cost(&s);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..2_000 {
-            if let Proposal::Applied { delta, .. } = p.propose(&mut s, 1.0, &mut rng) {
-                cost += delta;
-            }
-        }
-        let fresh = p.cost(&s);
-        assert!(
-            (cost - fresh).abs() < 1e-6 * fresh.abs().max(1.0),
-            "tracked {cost} vs fresh {fresh}"
-        );
-        // Cached totals must also match a recompute.
-        let rebuilt = p.solution_from(|m| {
-            let i = p
-                .memories()
-                .iter()
-                .position(|mm| mm.module_idx == m.module_idx)
-                .unwrap();
-            s.splits[i]
-        });
-        assert_eq!(rebuilt.bram36_total(), s.bram36_total());
-        assert_eq!(rebuilt.lutram_total(), s.lutram_total());
-    }
-
-    #[test]
-    fn propose_undo_roundtrips() {
-        let p = problem();
-        let mut s = p.initial(5);
-        let orig = s.clone();
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..500 {
-            if let Proposal::Applied { undo, .. } = p.propose(&mut s, 1.0, &mut rng) {
-                p.undo(&mut s, undo);
-                assert_eq!(s, orig);
-            }
-        }
-    }
-
-    #[test]
-    fn crossover_preserves_bank_counts() {
-        let p = problem();
-        let a = p.initial(1);
-        let b = p.initial(2);
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..20 {
-            let c = p.crossover(&a, &b, &mut rng);
-            for (m, sp) in p.memories().iter().zip(&c.splits) {
-                assert_eq!(sp.banks(), m.banks);
-                assert!(sp.lutram == 0 || m.lutram_ok);
-            }
-        }
     }
 }

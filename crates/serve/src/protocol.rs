@@ -177,8 +177,9 @@ pub struct FlowRequest {
     /// per server (or store directory).
     pub cf: Option<f64>,
     /// Memory-packing policy for weight stores: `"off"` (default when
-    /// absent), `"naive"` (all-BRAM36 baseline), or `"packed"` (portfolio
-    /// search over BRAM36 / BRAM18-half / LUTRAM bins).
+    /// absent), `"naive"` (all-BRAM36 baseline), or `"packed"` (the
+    /// least-cost BRAM36 / BRAM18-half / LUTRAM assignment, solved
+    /// exactly).
     pub mem_pack: Option<String>,
 }
 

@@ -866,15 +866,9 @@ fn parse<T: Deserialize>(v: &Value) -> Result<T, String> {
 }
 
 fn device_by_name(name: &str) -> Result<Device, String> {
-    match name {
-        "xc7z010" => Ok(Device::xc7z010()),
-        "xc7z020" => Ok(Device::xc7z020()),
-        "xc7z030" => Ok(Device::xc7z030()),
-        "xc7z045" => Ok(Device::xc7z045()),
-        "xc7z100" => Ok(Device::xc7z100()),
-        "ultrascale-like" => Ok(Device::ultrascale_like()),
-        other => Err(format!("unknown device '{other}'")),
-    }
+    DeviceName::parse(name)
+        .map(Device::from_name)
+        .ok_or_else(|| format!("unknown device '{name}'"))
 }
 
 /// The per-request flow configuration: constant CF when given, minimal-CF
@@ -882,13 +876,17 @@ fn device_by_name(name: &str) -> Result<Device, String> {
 /// interactive service, not the benchmark harness — seeded with the
 /// request's seed, so replies stay a pure function of the request.
 /// Pipeline telemetry lands in `obs` (the server passes its shared sink).
+/// A non-finite CF (JSON's `1e999` parses to infinity) is an error.
 fn flow_config<'a>(
     cf: Option<f64>,
     seed: u64,
     mem_pack: tms_flow::MemPackConfig,
     obs: &'a dyn Recorder,
-) -> RwFlowConfig<'a> {
-    RwFlowConfig {
+) -> Result<RwFlowConfig<'a>, String> {
+    if let Some(cf) = cf.filter(|cf| !cf.is_finite()) {
+        return Err(format!("cf must be a finite number, got {cf}"));
+    }
+    Ok(RwFlowConfig {
         policy: match cf {
             Some(cf) => CfPolicy::Constant(cf),
             None => CfPolicy::Minimal(CfSearch::wide()),
@@ -900,13 +898,13 @@ fn flow_config<'a>(
         mem_pack,
         seed,
         obs,
-    }
+    })
 }
 
 /// Parse a request's `mem_pack` field into a packing configuration: the
-/// policy names are the wire contract (`off` / `naive` / `packed`), the
-/// search budget is the library default, and the seed is the request's so
-/// replies stay a pure function of the request.
+/// policy names are the wire contract (`off` / `naive` / `packed`), and
+/// the request's seed seeds the regenerated netlists, so replies stay a
+/// pure function of the request.
 fn mem_pack_config(mem_pack: Option<&str>, seed: u64) -> Result<tms_flow::MemPackConfig, String> {
     match mem_pack {
         None => Ok(tms_flow::MemPackConfig::off()),
@@ -975,6 +973,7 @@ fn do_preimpl(
     obs: &RequestRecorder<'_>,
 ) -> Result<PreimplResponse, String> {
     let device = device_by_name(&req.device)?;
+    let cfg = flow_config(req.cf, req.spec.seed, tms_flow::MemPackConfig::off(), obs)?;
     let memo_key = (req.spec, device.name());
     let spec = &memo_key.0;
     let synth = || tms_cnn::synth_module(spec.role, spec.target_slices, &spec.name, spec.seed);
@@ -1004,7 +1003,6 @@ fn do_preimpl(
     let cached = lookup.is_complete();
     if !cached {
         let netlist = netlist.unwrap_or_else(synth);
-        let cfg = flow_config(req.cf, spec.seed, tms_flow::MemPackConfig::off(), obs);
         lookup.implement(|_| (spec.name.as_str(), &netlist), &device, &cfg);
         fill(state, &lookup, obs);
     }
@@ -1039,7 +1037,7 @@ fn do_flow(
     let device = device_by_name(&req.device)?;
     let seed = req.design_seed;
     let mem_pack = mem_pack_config(req.mem_pack.as_deref(), seed)?;
-    let cfg = flow_config(req.cf, seed, mem_pack, obs);
+    let cfg = flow_config(req.cf, seed, mem_pack, obs)?;
     let mut design = None;
     let memoised = (cfg.mem_pack.policy == MemPackPolicy::Off).then(|| {
         let memo_key = (seed, device.name());

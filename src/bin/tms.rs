@@ -95,14 +95,10 @@
 //! pack options:
 //!   --design <name>      cnvw1a1 (default) or a zoo member
 //!                        (bnn-wide | bnn-deep | bnn-fc | bnn-slim)
-//!   --mode <naive|packed>  all-BRAM36 baseline or portfolio search
-//!                        (default packed)
-//!   --device <name>      as above, plus ultrascale-like
-//!   --seed <N>           design + search seed (default 2024)
-//!   --rounds <N>         portfolio exchange rounds (default 12)
-//!   --moves <N>          per-lane moves per round (default 2048)
-//!   --threads <N>        worker threads; 0 = one per core (default 0).
-//!                        Wall-clock only — results are bit-identical
+//!   --mode <naive|packed>  all-BRAM36 baseline or the least-cost
+//!                        assignment, solved exactly (default packed)
+//!   --device <name>      as above
+//!   --seed <N>           design + regenerated-netlist seed (default 2024)
 //!   --modules            also print the per-module assignment table
 //!
 //! chaos options (an in-process server is bombarded under a seeded
@@ -146,7 +142,7 @@
 
 use std::collections::HashMap;
 use tailored_macro_sizes::cnn::{cnvw1a1, ModuleRole};
-use tailored_macro_sizes::device::Device;
+use tailored_macro_sizes::device::{Device, DeviceName};
 use tailored_macro_sizes::estimator::{CfEstimator, EstimatorKind, FeatureSet};
 use tailored_macro_sizes::flow::experiments::common::Scale;
 use tailored_macro_sizes::flow::{coverage_line, render_cost_trace, render_stitched};
@@ -175,17 +171,20 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     (positional, flags)
 }
 
+/// The `--device` part (default xc7z045); an unknown name exits 2.
 fn device_of(flags: &HashMap<String, String>) -> Device {
-    match flags.get("device").map(String::as_str) {
-        Some("xc7z010") => Device::xc7z010(),
-        Some("xc7z020") => Device::xc7z020(),
-        Some("xc7z030") => Device::xc7z030(),
-        Some("xc7z100") => Device::xc7z100(),
-        Some("ultrascale-like") => Device::ultrascale_like(),
-        Some("xc7z045") | None => Device::xc7z045(),
-        Some(other) => {
-            eprintln!("unknown device '{other}', using xc7z045");
-            Device::xc7z045()
+    let Some(name) = flags.get("device") else {
+        return Device::xc7z045();
+    };
+    match DeviceName::parse(name) {
+        Some(part) => Device::from_name(part),
+        None => {
+            let parts: Vec<String> = DeviceName::PARTS.iter().map(|p| p.to_string()).collect();
+            eprintln!(
+                "unknown device '{name}' (expected one of: {})",
+                parts.join(", ")
+            );
+            std::process::exit(2);
         }
     }
 }
@@ -1113,12 +1112,7 @@ fn cmd_pack(flags: &HashMap<String, String>) {
             std::process::exit(2);
         }
     };
-    let cfg = MemPackConfig {
-        rounds: num(flags, "rounds", 12) as u32,
-        moves_per_round: num(flags, "moves", 2_048),
-        threads: num(flags, "threads", 0) as usize,
-        ..MemPackConfig::new(policy, seed)
-    };
+    let cfg = MemPackConfig::new(policy, seed);
     println!(
         "packing {design_name} (seed {seed}) for {}: {} policy ...",
         device.name(),
@@ -1148,12 +1142,6 @@ fn cmd_pack(flags: &HashMap<String, String>) {
         report.lutram_luts,
         report.cost
     );
-    if let Some(s) = &report.search {
-        println!(
-            "portfolio: {} rounds, {} moves, {} adoptions, winner {} (SA {} / EA {} wins) in {:.1}ms",
-            s.rounds, s.moves, s.adoptions, s.winner, s.sa_wins, s.ea_wins, s.wall_ms
-        );
-    }
     if flags.contains_key("modules") {
         println!(
             "  {:<14} {:>4}  {:>6} {:>6} {:>6}  {:>7} {:>7}",

@@ -216,7 +216,12 @@ pub(crate) fn assert_same_design(a: &CnvDesign, b: &CnvDesign) {
         assert_eq!(ma.mem, mb.mem);
         assert_eq!(ma.netlist.name(), mb.netlist.name());
         assert_eq!(ma.netlist.cells(), mb.netlist.cells(), "{}", ma.name);
-        assert_eq!(ma.netlist.nets(), mb.netlist.nets(), "{}", ma.name);
+        assert_eq!(
+            ma.netlist.nets().collect::<Vec<_>>(),
+            mb.netlist.nets().collect::<Vec<_>>(),
+            "{}",
+            ma.name
+        );
     }
     assert_eq!(a.instances, b.instances);
     assert_eq!(a.nets.len(), b.nets.len());

@@ -473,11 +473,24 @@ impl ImplementationCache {
     /// fails; each failure counts `cache.store_error`, and the return value
     /// is how many of this call's puts failed.
     pub fn fill(&mut self, lookup: &CacheLookup, obs: &dyn Recorder) -> u64 {
+        // One device and one auditor per device name, not per insert.
+        let mut devices: Vec<Device> = Vec::new();
+        for (idx, _) in lookup.fresh.iter().filter(|(_, outcome)| outcome.is_ok()) {
+            let name = lookup.keys[*idx].device();
+            if devices.iter().all(|d| d.name() != name) {
+                devices.push(Device::from_name(name));
+            }
+        }
+        let auditors: Vec<Auditor<'_>> = devices.iter().map(Auditor::new).collect();
         let mut failed = 0;
         for (idx, outcome) in &lookup.fresh {
             let Ok(m) = outcome else { continue };
             let key = lookup.keys[*idx].clone();
-            if self.try_insert(key, m.clone()).is_err() {
+            let auditor = auditors
+                .iter()
+                .find(|a| a.device().name() == key.device())
+                .expect("an auditor per device name");
+            if self.insert_audited(key, m.clone(), auditor).is_err() {
                 obs.count("cache.store_error", 1);
                 failed += 1;
             }
@@ -538,8 +551,18 @@ impl ImplementationCache {
         module: ImplementedModule,
     ) -> io::Result<()> {
         let device = Device::from_name(key.device());
-        let auditor = Auditor::new(&device);
-        let violations = audit_module(&auditor, &module);
+        self.insert_audited(key, module, &Auditor::new(&device))
+    }
+
+    /// [`try_insert`](ImplementationCache::try_insert) with the auditor of
+    /// the fingerprint's device already built.
+    fn insert_audited(
+        &mut self,
+        key: ModuleFingerprint,
+        module: ImplementedModule,
+        auditor: &Auditor<'_>,
+    ) -> io::Result<()> {
+        let violations = audit_module(auditor, &module);
         if let Some(first) = violations.first() {
             self.insert_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::new(

@@ -1,7 +1,7 @@
 //! Convenience builder used by the RTL generators and tests.
 
 use crate::cell::{CellId, CellKind, ControlSet};
-use crate::netlist::{Net, NetId, Netlist};
+use crate::netlist::{NetId, NetStore, Netlist};
 
 /// Incrementally constructs a [`Netlist`].
 ///
@@ -12,7 +12,7 @@ use crate::netlist::{Net, NetId, Netlist};
 pub struct NetlistBuilder {
     name: String,
     cells: Vec<CellKind>,
-    nets: Vec<Net>,
+    nets: NetStore,
     next_chain: u32,
 }
 
@@ -22,7 +22,7 @@ impl NetlistBuilder {
         NetlistBuilder {
             name: name.into(),
             cells: Vec::new(),
-            nets: Vec::new(),
+            nets: NetStore::default(),
             next_chain: 0,
         }
     }
@@ -81,22 +81,12 @@ impl NetlistBuilder {
 
     /// Wire a net from `driver` to `sinks`.
     pub fn connect(&mut self, driver: CellId, sinks: &[CellId]) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net {
-            driver: Some(driver),
-            sinks: sinks.to_vec(),
-        });
-        id
+        self.nets.push(Some(driver), sinks)
     }
 
     /// Wire a primary-input net (no driving cell) to `sinks`.
     pub fn input_net(&mut self, sinks: &[CellId]) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(Net {
-            driver: None,
-            sinks: sinks.to_vec(),
-        });
-        id
+        self.nets.push(None, sinks)
     }
 
     /// Number of cells added so far.
@@ -149,8 +139,8 @@ mod tests {
         let l = b.lut(3);
         b.input_net(&[l]);
         let nl = b.finish();
-        assert_eq!(nl.nets()[0].driver, None);
-        assert_eq!(nl.nets()[0].fanout(), 1);
+        assert_eq!(nl.net(NetId(0)).driver, None);
+        assert_eq!(nl.net(NetId(0)).fanout(), 1);
     }
 
     #[test]

@@ -9,20 +9,60 @@ use std::sync::OnceLock;
 pub struct NetId(pub u32);
 
 /// A net: one driver (or a primary input when `driver` is `None`) fanning
-/// out to zero or more sink cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Net {
+/// out to zero or more sink cells. A view into its netlist's net store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Net<'a> {
     /// Driving cell; `None` models a primary input or external source.
     pub driver: Option<CellId>,
     /// Sink cells. The net's fanout is `sinks.len()`.
-    pub sinks: Vec<CellId>,
+    pub sinks: &'a [CellId],
 }
 
-impl Net {
+impl Net<'_> {
     /// Fanout of the net.
     #[inline]
     pub fn fanout(&self) -> u32 {
         self.sinks.len() as u32
+    }
+}
+
+/// Every net of a netlist in compressed sparse rows: net `i` is driven by
+/// `drivers[i]` and fans out to `sinks[ends[i - 1]..ends[i]]` (from 0 for
+/// the first net). Three arrays hold the whole connectivity, however many
+/// nets there are.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NetStore {
+    drivers: Vec<Option<CellId>>,
+    ends: Vec<u32>,
+    sinks: Vec<CellId>,
+}
+
+impl NetStore {
+    /// Append a net; its id is the number of nets before it.
+    pub(crate) fn push(&mut self, driver: Option<CellId>, sinks: &[CellId]) -> NetId {
+        let id = NetId(self.drivers.len() as u32);
+        self.drivers.push(driver);
+        self.sinks.extend_from_slice(sinks);
+        self.ends.push(self.sinks.len() as u32);
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.drivers.len()
+    }
+
+    /// The sink range of net `i` within `sinks`.
+    #[inline]
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        start..self.ends[i] as usize
+    }
+
+    fn get(&self, i: usize) -> Net<'_> {
+        Net {
+            driver: self.drivers[i],
+            sinks: &self.sinks[self.range(i)],
+        }
     }
 }
 
@@ -38,12 +78,12 @@ impl Net {
 pub struct Netlist {
     name: String,
     cells: Vec<CellKind>,
-    nets: Vec<Net>,
+    nets: NetStore,
     stats: OnceLock<NetlistStats>,
 }
 
 impl Netlist {
-    pub(crate) fn from_parts(name: String, cells: Vec<CellKind>, nets: Vec<Net>) -> Self {
+    pub(crate) fn from_parts(name: String, cells: Vec<CellKind>, nets: NetStore) -> Self {
         Netlist {
             name,
             cells,
@@ -68,9 +108,14 @@ impl Netlist {
         &self.cells
     }
 
-    /// All nets, indexable by [`NetId`].
-    pub fn nets(&self) -> &[Net] {
-        &self.nets
+    /// All nets, in [`NetId`] order.
+    pub fn nets(&self) -> impl ExactSizeIterator<Item = Net<'_>> + '_ {
+        (0..self.nets.len()).map(|i| self.nets.get(i))
+    }
+
+    /// The net with a given id.
+    pub fn net(&self, id: NetId) -> Net<'_> {
+        self.nets.get(id.0 as usize)
     }
 
     /// The kind of a given cell.
@@ -105,65 +150,77 @@ impl Netlist {
     /// any combinational cycle (which a well-formed design does not have)
     /// contributes no additional depth rather than hanging.
     pub fn logic_depth(&self) -> u32 {
-        let n = self.cells.len();
-        if n == 0 {
-            return 0;
+        /// The end of a driver's net chain.
+        const NONE: u32 = u32::MAX;
+        /// The in-degree of a sequential cell, which no edge enters.
+        const SEQUENTIAL: u32 = u32::MAX;
+        /// One cell's walk state: its combinational fan-in not yet popped,
+        /// its depth so far, and the first net it drives.
+        #[derive(Clone, Copy)]
+        struct Node {
+            indeg: u32,
+            depth: u32,
+            first: u32,
         }
-        // Combinational adjacency (driver -> sinks where both ends are
-        // combinational; paths launched from sequential cells start at
-        // depth 0 on their first combinational sink) in CSR form: the
-        // edges of cell `u` are `targets[offsets[u]..offsets[u + 1]]`, in
-        // net order. The first pass counts edges, the second fills them.
-        let comb: Vec<bool> = self.cells.iter().map(|c| c.is_combinational()).collect();
-        let mut offsets: Vec<u32> = vec![0; n + 1];
-        let mut indeg: Vec<u32> = vec![0; n];
-        for net in &self.nets {
-            let Some(d) = net.driver.filter(|d| comb[d.index()]) else {
-                continue;
-            };
-            for sink in net.sinks.iter().filter(|s| comb[s.index()]) {
-                offsets[d.index() + 1] += 1;
-                indeg[sink.index()] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets: Vec<u32> = vec![0; offsets[n] as usize];
-        for net in &self.nets {
-            let Some(d) = net.driver.filter(|d| comb[d.index()]) else {
-                continue;
-            };
-            for sink in net.sinks.iter().filter(|s| comb[s.index()]) {
-                targets[cursor[d.index()] as usize] = sink.0;
-                cursor[d.index()] += 1;
-            }
-        }
-        let mut depth: Vec<u32> = comb.iter().map(|&c| u32::from(c)).collect();
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| indeg[i as usize] == 0 && comb[i as usize])
+        // The walk reads its edges from the net store: one runs from a
+        // combinational driver to each combinational sink of its nets, and
+        // each such driver's nets are chained in net order (`next[i]` is
+        // the net after net `i`). Paths launched from sequential cells
+        // start at depth 0 on their first combinational sink.
+        let nets = &self.nets;
+        let mut node: Vec<Node> = self
+            .cells
+            .iter()
+            .map(|c| Node {
+                indeg: if c.is_combinational() { 0 } else { SEQUENTIAL },
+                depth: u32::from(c.is_combinational()),
+                first: NONE,
+            })
             .collect();
-        let mut best = depth.iter().copied().max().unwrap_or(0);
+        let mut next: Vec<u32> = vec![NONE; nets.len()];
+        for i in (0..nets.len()).rev() {
+            let Some(d) = nets.drivers[i].filter(|d| node[d.index()].indeg != SEQUENTIAL) else {
+                continue;
+            };
+            next[i] = node[d.index()].first;
+            node[d.index()].first = i as u32;
+            for sink in &nets.sinks[nets.range(i)] {
+                let s = &mut node[sink.index()];
+                if s.indeg != SEQUENTIAL {
+                    s.indeg += 1;
+                }
+            }
+        }
+        let mut queue: Vec<u32> = (0..node.len() as u32)
+            .filter(|&i| node[i as usize].indeg == 0)
+            .collect();
+        let mut best = node.iter().map(|c| c.depth).max().unwrap_or(0);
         while let Some(u) = queue.pop() {
-            let du = depth[u as usize];
+            let Node {
+                depth: du, first, ..
+            } = node[u as usize];
             best = best.max(du);
-            let edges = offsets[u as usize] as usize..offsets[u as usize + 1] as usize;
-            for &v in &targets[edges] {
-                if depth[v as usize] < du + 1 {
-                    depth[v as usize] = du + 1;
+            let mut net = first;
+            while net != NONE {
+                for v in &nets.sinks[nets.range(net as usize)] {
+                    let sink = &mut node[v.index()];
+                    if sink.indeg == SEQUENTIAL {
+                        continue;
+                    }
+                    sink.depth = sink.depth.max(du + 1);
+                    sink.indeg -= 1;
+                    if sink.indeg == 0 {
+                        queue.push(v.0);
+                    }
                 }
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    queue.push(v);
-                }
+                net = next[net as usize];
             }
         }
         best
     }
 
-    /// The `Vec<Vec<u32>>`-adjacency `logic_depth` the CSR version
-    /// replaced, kept as the oracle its tests compare against.
+    /// A `logic_depth` over a `Vec<Vec<u32>>` adjacency copied out of the
+    /// nets, kept as the oracle the net-store walk is tested against.
     #[cfg(test)]
     pub(crate) fn logic_depth_reference(&self) -> u32 {
         let n = self.cells.len();
@@ -172,12 +229,12 @@ impl Netlist {
         }
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut indeg: Vec<u32> = vec![0; n];
-        for net in &self.nets {
+        for net in self.nets() {
             let Some(driver) = net.driver else { continue };
             if !self.cells[driver.index()].is_combinational() {
                 continue;
             }
-            for &sink in &net.sinks {
+            for &sink in net.sinks {
                 if self.cells[sink.index()].is_combinational() {
                     adj[driver.index()].push(sink.0);
                     indeg[sink.index()] += 1;
@@ -213,7 +270,7 @@ impl Netlist {
 
 #[cfg(test)]
 mod tests {
-    use super::Netlist;
+    use super::{NetId, Netlist};
     use crate::builder::NetlistBuilder;
     use crate::cell::{CellId, ControlSet};
     use crate::stats::NetlistStats;
@@ -294,7 +351,7 @@ mod tests {
         let sinks: Vec<_> = (0..7).map(|_| b.lut(1)).collect();
         b.connect(d, &sinks);
         let nl = b.finish();
-        assert_eq!(nl.nets()[0].fanout(), 7);
+        assert_eq!(nl.net(NetId(0)).fanout(), 7);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::cell::{CellKind, ControlSet};
 use crate::netlist::Netlist;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Post-synthesis resource demand of a module, in primitive units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -88,33 +87,50 @@ impl NetlistStats {
     /// Compute all statistics for `nl`.
     pub fn compute(nl: &Netlist) -> NetlistStats {
         let mut counts = ResourceCounts::default();
-        let mut control_sets: BTreeSet<ControlSet> = BTreeSet::new();
-        let mut ff_by_cs: BTreeMap<ControlSet, u32> = BTreeMap::new();
-        let mut chains: BTreeMap<u32, u32> = BTreeMap::new();
+        // Runs of cells under one control set, with the FFs of each run: a
+        // generator places each set's cells together, so there are far
+        // fewer runs than cells.
+        let mut runs: Vec<(ControlSet, u32)> = Vec::new();
+        // Carry bits per chain id; the builder numbers chains densely.
+        let mut chains: Vec<u32> = Vec::new();
         for cell in nl.cells() {
             match *cell {
                 CellKind::Lut { .. } => counts.luts += 1,
-                CellKind::Ff { cs } => {
-                    counts.ffs += 1;
-                    control_sets.insert(cs);
-                    *ff_by_cs.entry(cs).or_insert(0) += 1;
-                }
+                CellKind::Ff { .. } => counts.ffs += 1,
                 CellKind::Carry { chain, .. } => {
                     counts.carry_bits += 1;
-                    *chains.entry(chain).or_insert(0) += 1;
+                    let chain = chain as usize;
+                    if chains.len() <= chain {
+                        chains.resize(chain + 1, 0);
+                    }
+                    chains[chain] += 1;
                 }
-                CellKind::LutRam { cs } => {
-                    counts.lutram_luts += 1;
-                    control_sets.insert(cs);
-                }
-                CellKind::Srl { cs } => {
-                    counts.srls += 1;
-                    control_sets.insert(cs);
-                }
+                CellKind::LutRam { .. } => counts.lutram_luts += 1,
+                CellKind::Srl { .. } => counts.srls += 1,
                 CellKind::Bram => counts.bram36 += 1,
                 CellKind::Dsp => counts.dsp48 += 1,
             }
+            if let Some(cs) = cell.control_set() {
+                let ff = u32::from(matches!(cell, CellKind::Ff { .. }));
+                match runs.last_mut() {
+                    Some(run) if run.0 == cs => run.1 += ff,
+                    _ => runs.push((cs, ff)),
+                }
+            }
         }
+        // Merge the runs of each set: every set counts once, and a set
+        // with flip-flops contributes its FF total.
+        runs.sort_unstable_by_key(|&(cs, _)| cs);
+        let mut control_sets = 0u32;
+        let mut ff_per_control_set: Vec<u32> = Vec::new();
+        for set in runs.chunk_by(|a, b| a.0 == b.0) {
+            control_sets += 1;
+            let ffs: u32 = set.iter().map(|&(_, ffs)| ffs).sum();
+            if ffs > 0 {
+                ff_per_control_set.push(ffs);
+            }
+        }
+        ff_per_control_set.sort_unstable_by(|a, b| b.cmp(a));
 
         let mut max_fanout = 0u32;
         let mut fanout_sum = 0u64;
@@ -134,17 +150,15 @@ impl NetlistStats {
             fanout_sum as f64 / nl.net_count() as f64
         };
 
-        let mut ff_per_control_set: Vec<u32> = ff_by_cs.into_values().collect();
-        ff_per_control_set.sort_unstable_by(|a, b| b.cmp(a));
-
         NetlistStats {
             counts,
-            control_sets: control_sets.len() as u32,
+            control_sets,
             max_fanout,
             avg_fanout,
             fanout_histogram,
             logic_depth: nl.logic_depth(),
-            carry_chains: chains.into_values().collect(),
+            // A chain created with no bits has no cells and no entry.
+            carry_chains: chains.into_iter().filter(|&bits| bits > 0).collect(),
             ff_per_control_set,
             cell_count: nl.cell_count() as u32,
         }
@@ -161,6 +175,7 @@ mod tests {
     use super::*;
     use crate::builder::NetlistBuilder;
     use crate::cell::ControlSet;
+    use proptest::prelude::*;
 
     fn sample() -> Netlist {
         let mut b = NetlistBuilder::new("sample");
@@ -241,6 +256,79 @@ mod tests {
         let sum = a.add(&a);
         assert_eq!(sum.luts, 2 * a.luts);
         assert_eq!(sum.bram36, 2 * a.bram36);
+    }
+
+    /// The control-set and carry-chain tallies over ordered maps that the
+    /// run tally replaced: (control sets, FFs per set sorted descending,
+    /// chain lengths by chain id).
+    fn tallies_reference(nl: &Netlist) -> (u32, Vec<u32>, Vec<u32>) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut control_sets: BTreeSet<ControlSet> = BTreeSet::new();
+        let mut ff_by_cs: BTreeMap<ControlSet, u32> = BTreeMap::new();
+        let mut chains: BTreeMap<u32, u32> = BTreeMap::new();
+        for cell in nl.cells() {
+            if let Some(cs) = cell.control_set() {
+                control_sets.insert(cs);
+            }
+            match *cell {
+                CellKind::Ff { cs } => *ff_by_cs.entry(cs).or_insert(0) += 1,
+                CellKind::Carry { chain, .. } => *chains.entry(chain).or_insert(0) += 1,
+                _ => {}
+            }
+        }
+        let mut ffs: Vec<u32> = ff_by_cs.into_values().collect();
+        ffs.sort_unstable_by(|a, b| b.cmp(a));
+        (
+            control_sets.len() as u32,
+            ffs,
+            chains.into_values().collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Cells of every kind in random order, control sets drawn from a
+        /// small pool so runs break and resume, and carry chains of 0–3
+        /// bits (a 0-bit chain takes an id but has no cells).
+        #[test]
+        fn run_tallies_match_the_ordered_maps(
+            ops in proptest::collection::vec((0u8..8, 0u16..4), 0..200),
+        ) {
+            let mut b = NetlistBuilder::new("random");
+            for (kind, set) in ops {
+                let cs = ControlSet::new(0, set, set % 2);
+                match kind {
+                    0 => {
+                        b.lut(3);
+                    }
+                    1 | 2 => {
+                        b.ff(cs);
+                    }
+                    3 => {
+                        b.lutram(cs);
+                    }
+                    4 => {
+                        b.srl(cs);
+                    }
+                    5 => {
+                        b.carry_chain(u32::from(set));
+                    }
+                    6 => {
+                        b.bram();
+                    }
+                    _ => {
+                        b.dsp();
+                    }
+                }
+            }
+            let nl = b.finish();
+            let s = NetlistStats::compute(&nl);
+            let (control_sets, ffs, chains) = tallies_reference(&nl);
+            prop_assert_eq!(s.control_sets, control_sets);
+            prop_assert_eq!(s.ff_per_control_set, ffs);
+            prop_assert_eq!(s.carry_chains, chains);
+        }
     }
 
     #[test]

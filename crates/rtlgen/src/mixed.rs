@@ -185,8 +185,8 @@ mod tests {
         let a = p.generate(1);
         let b = p.generate(2);
         assert_ne!(
-            a.nets(),
-            b.nets(),
+            a.nets().collect::<Vec<_>>(),
+            b.nets().collect::<Vec<_>>(),
             "wiring should be seed-dependent even at equal parameters"
         );
     }

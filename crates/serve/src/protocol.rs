@@ -205,6 +205,10 @@ pub struct FlowResponse {
     /// BRAM36 sites the memory-packing phase saved versus the naive
     /// all-BRAM36 baseline; `None` when the request ran with packing off.
     pub pack_bram36_saved: Option<u64>,
+    /// Whether the packed weight memories fit the device's memory budget
+    /// (`false`: no assignment fits, and the flow ran the least-penalty
+    /// one); `None` when the request ran with packing off.
+    pub pack_feasible: Option<bool>,
     /// Server-side handling time in microseconds.
     pub micros: u64,
 }

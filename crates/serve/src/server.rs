@@ -1083,6 +1083,7 @@ fn do_flow(
         tool_runs_spent: r.tool_runs_spent,
         total_tool_runs: r.result.total_tool_runs,
         pack_bram36_saved: r.result.pack.as_ref().map(|p| p.bram36_saved),
+        pack_feasible: r.result.pack.as_ref().map(|p| p.feasible),
         micros: start.elapsed().as_micros() as u64,
     })
 }

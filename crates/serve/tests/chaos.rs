@@ -224,15 +224,27 @@ fn full_accept_queue_sheds_with_overloaded_reply() {
 /// answers with an explicit error instead of an ambiguous late result.
 #[test]
 fn deadline_overrun_returns_explicit_error() {
+    // The flow's first tool run fails and backs off for 50 ms, ten times
+    // the deadline, so the overrun does not depend on how fast the host
+    // implements the cold flow.
+    let backoff = Duration::from_millis(50);
+    let plan = Arc::new(FaultPlan::seeded(5));
     let config = ServeConfig {
         workers: 2,
         request_deadline: Duration::from_millis(5),
+        retry: Retry {
+            base_backoff: backoff,
+            max_backoff: backoff,
+            jitter: 0.0,
+            ..Retry::attempts(2)
+        },
         ..ServeConfig::default()
-    };
+    }
+    .with_fault(Arc::clone(&plan));
     let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    // A cold 75-module flow comfortably exceeds a 5 ms deadline.
+    plan.fail_next(FaultPoint::FlowPlace, 1);
     let err = client
         .flow(1, "xc7z045", None)
         .expect_err("cold flow blows the deadline");
@@ -240,6 +252,7 @@ fn deadline_overrun_returns_explicit_error() {
         ClientError::Remote(m) => assert!(m.contains("deadline exceeded"), "{m}"),
         other => panic!("expected a server-side deadline error, got {other}"),
     }
+    assert_eq!(plan.injected(FaultPoint::FlowPlace), 1);
     let stats = client.stats().expect("stats");
     assert!(stats.robustness.deadline_expired >= 1);
     handle.stop();

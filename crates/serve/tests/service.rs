@@ -313,6 +313,36 @@ fn packed_flow_round_trips_pack_telemetry() {
 }
 
 #[test]
+fn flow_reply_says_whether_its_packing_fits() {
+    // No packing of cnvW1A1's weights fits the xc7z010's memory budget:
+    // the flow still succeeds on the least-penalty packing, and its reply
+    // says it is over budget, as `pack.infeasible` counts. The xc7z020
+    // fits; a flow with packing off has nothing to report.
+    let handle = start_server(2);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let over = client
+        .flow_packed(1, "xc7z010", Some(1.72), Some("packed"))
+        .expect("packed flow on the xc7z010");
+    assert_eq!(over.pack_feasible, Some(false));
+    assert!(over.pack_bram36_saved.is_some());
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.pipeline.counter("pack.infeasible"), 1);
+
+    let fits = client
+        .flow_packed(1, "xc7z020", Some(1.72), Some("packed"))
+        .expect("packed flow on the xc7z020");
+    assert_eq!(fits.pack_feasible, Some(true));
+    let off = client
+        .flow_packed(1, "xc7z020", Some(1.72), None)
+        .expect("flow without packing");
+    assert_eq!(off.pack_feasible, None);
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.pipeline.counter("pack.infeasible"), 1);
+    handle.stop();
+}
+
+#[test]
 fn minimal_cf_flow_surfaces_the_prescreen_counter() {
     // A flow request without a CF runs the minimal-CF search per module;
     // the incremental engine's `pblock.search.prescreened` skip counter

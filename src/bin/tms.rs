@@ -100,6 +100,7 @@
 //!   --device <name>      as above
 //!   --seed <N>           design + regenerated-netlist seed (default 2024)
 //!   --modules            also print the per-module assignment table
+//!   exits 1 when the report says OVER BUDGET (no assignment fits)
 //!
 //! chaos options (an in-process server is bombarded under a seeded
 //! fault plan, then the faults are lifted to demonstrate recovery):
@@ -1159,6 +1160,9 @@ fn cmd_pack(flags: &HashMap<String, String>) {
                 m.lutram_luts
             );
         }
+    }
+    if !report.feasible {
+        std::process::exit(1);
     }
 }
 

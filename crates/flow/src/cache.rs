@@ -1359,6 +1359,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An injector that is never armed and counts every consult.
+    #[derive(Default)]
+    struct UnarmedSpy {
+        consults: AtomicU64,
+    }
+
+    impl FaultInjector for UnarmedSpy {
+        fn should_fail(&self, _: FaultPoint) -> bool {
+            self.consults.fetch_add(1, Ordering::Relaxed);
+            false
+        }
+
+        fn corrupt(&self, _: FaultPoint, _: &mut [u8]) -> bool {
+            self.consults.fetch_add(1, Ordering::Relaxed);
+            false
+        }
+    }
+
+    #[test]
+    fn unarmed_injector_is_never_consulted() {
+        use tms_store::StoreConfig;
+        let dir = std::env::temp_dir().join(format!(
+            "tms_flow_unarmed_spy_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let spy = Arc::new(UnarmedSpy::default());
+        let fault = Arc::clone(&spy) as Arc<dyn FaultInjector>;
+        let obs = Arc::new(tms_obs::NoopRecorder) as Arc<dyn Recorder>;
+        let store =
+            Store::open_faulty(StoreConfig::at(&dir), obs, Arc::clone(&fault)).expect("open store");
+        let mut cache = ImplementationCache::with_store(Arc::new(store)).with_fault(fault);
+        let design = cnvw1a1(5);
+        let dev = Device::xc7z020();
+        let cold = run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
+        let warm = run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
+        assert_eq!((cold.fresh, warm.reused), (74, 74));
+        cache.flush().expect("flush");
+        cache
+            .store()
+            .expect("store mode")
+            .checkpoint()
+            .expect("checkpoint");
+        assert_eq!(spy.consults.load(Ordering::Relaxed), 0);
+        drop(cache);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn stitching_a_complete_lookup_equals_the_warm_flow() {
         use tms_obs::{AggregatingSink, Phase};

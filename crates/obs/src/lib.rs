@@ -56,8 +56,8 @@ pub mod slo;
 pub mod slowlog;
 
 pub use metrics::{
-    quantile_from_buckets, Counter, EndpointMetrics, EndpointSnapshot, Histogram,
-    FINE_LATENCY_BUCKETS_US, LATENCY_BUCKETS_US,
+    nearest_rank, quantile_from_buckets, Counter, EndpointMetrics, EndpointSnapshot, Histogram,
+    LATENCY_BUCKETS_US,
 };
 pub use phase::Phase;
 pub use record::{noop, now_us, span, NoopRecorder, Recorder, Span, SpanRecord, TraceEvent};

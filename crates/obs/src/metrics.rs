@@ -9,35 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const LATENCY_BUCKETS_US: [u64; 7] =
     [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, u64::MAX];
 
-/// Fine-grained latency bounds (inclusive, microseconds) for quantile
-/// estimation: a 1-2-5 ladder from 10 µs to 1 minute. The decade buckets
-/// of [`LATENCY_BUCKETS_US`] are too coarse for interpolated p99/p999 —
-/// the loadgen harness and the per-phase report quantiles use these.
-pub const FINE_LATENCY_BUCKETS_US: [u64; 22] = [
-    10,
-    20,
-    50,
-    100,
-    200,
-    500,
-    1_000,
-    2_000,
-    5_000,
-    10_000,
-    20_000,
-    50_000,
-    100_000,
-    200_000,
-    500_000,
-    1_000_000,
-    2_000_000,
-    5_000_000,
-    10_000_000,
-    30_000_000,
-    60_000_000,
-    u64::MAX,
-];
-
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -166,6 +137,20 @@ pub fn quantile_from_buckets(bounds: &[u64], buckets: &[u64], q: f64) -> Option<
     // edge of the first non-empty bucket.
     let i = buckets.iter().position(|&b| b > 0)?;
     Some(if i == 0 { 0 } else { bounds[i - 1] })
+}
+
+/// Exact nearest-rank `q`-quantile (`0.0 ..= 1.0`) of `samples`: the
+/// sample at rank ⌈q·n⌉ (at least 1) in ascending order, so the answer is
+/// always one of the samples and never exceeds their maximum. Sorts
+/// `samples` in place. Returns `None` when there are no samples.
+pub fn nearest_rank(samples: &mut [u64], q: f64) -> Option<u64> {
+    if samples.is_empty() {
+        return None;
+    }
+    samples.sort_unstable();
+    let n = samples.len();
+    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+    Some(samples[rank - 1])
 }
 
 /// Counters for one serving endpoint: request/error totals and a latency
@@ -338,6 +323,31 @@ mod tests {
         // Empty histogram has no quantiles.
         let h = Histogram::new([100, u64::MAX]);
         assert_eq!(h.quantile(0.5), None);
+    }
+
+    #[test]
+    fn nearest_rank_is_a_sample_and_never_exceeds_the_maximum() {
+        assert_eq!(nearest_rank(&mut [], 0.5), None);
+        for q in [0.0, 0.001, 0.5, 0.99, 0.999, 1.0] {
+            assert_eq!(nearest_rank(&mut [101], q), Some(101), "q {q}");
+        }
+        // Ten samples, slowest 900: p50 is the 5th, p99 and p999 the 10th.
+        let mut ten = [900, 10, 20, 30, 40, 50, 60, 70, 80, 90];
+        assert_eq!(nearest_rank(&mut ten, 0.5), Some(50));
+        assert_eq!(nearest_rank(&mut ten, 0.99), Some(900));
+        assert_eq!(nearest_rank(&mut ten, 0.999), Some(900));
+        assert_eq!(nearest_rank(&mut ten, 0.0), Some(10));
+        // 1,000 samples 1..=1000 in scrambled order: rank ⌈q·n⌉ exactly.
+        let mut many: Vec<u64> = (1..=1000u64).map(|i| i * 7919 % 1000 + 1).collect();
+        for (q, want) in [
+            (0.5, 500),
+            (0.9, 900),
+            (0.99, 990),
+            (0.999, 999),
+            (1.0, 1000),
+        ] {
+            assert_eq!(nearest_rank(&mut many, q), Some(want), "q {q}");
+        }
     }
 
     #[test]

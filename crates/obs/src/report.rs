@@ -1,7 +1,7 @@
 //! The `tms report` renderer: a per-phase flame-style table (plus counter
 //! and observation listings) from a JSONL trace.
 
-use crate::metrics::{Histogram, FINE_LATENCY_BUCKETS_US};
+use crate::metrics::nearest_rank;
 use crate::record::TraceEvent;
 use crate::sinks::{replay, AggregatingSink};
 use crate::Phase;
@@ -26,14 +26,11 @@ pub fn render(events: &[TraceEvent]) -> String {
     replay(events, &sink);
     let total_us = sink.total_us().max(1);
 
-    // Per-phase duration histograms for interpolated quantiles.
-    let durations: Vec<Histogram<{ FINE_LATENCY_BUCKETS_US.len() }>> = Phase::ALL
-        .iter()
-        .map(|_| Histogram::new(FINE_LATENCY_BUCKETS_US))
-        .collect();
+    // Every span duration per phase, for exact quantiles.
+    let mut durations: Vec<Vec<u64>> = vec![Vec::new(); Phase::ALL.len()];
     for event in events {
         if let TraceEvent::Span(s) = event {
-            durations[s.phase.index()].observe(s.duration_us);
+            durations[s.phase.index()].push(s.duration_us);
         }
     }
 
@@ -58,8 +55,8 @@ pub fn render(events: &[TraceEvent]) -> String {
         let us = sink.phase_total_us(phase);
         let share = us as f64 / total_us as f64;
         let filled = ((share * BAR_WIDTH as f64).round() as usize).min(BAR_WIDTH);
-        let h = &durations[phase.index()];
-        let q = |q: f64| fmt_us(h.quantile(q).unwrap_or(0));
+        let samples = &mut durations[phase.index()];
+        let mut q = |q: f64| fmt_us(nearest_rank(samples, q).unwrap_or(0));
         out.push_str(&format!(
             "{:<10} {:>8} {:>10} {:>6.1}% {:>9} {:>9} {:>9}  {}{}\n",
             phase.label(),
@@ -140,6 +137,28 @@ mod tests {
         assert!(report.contains('7'), "{report}");
         assert!(report.contains("flow.cf.placed"), "{report}");
         assert!(report.contains("1.5000"), "{report}");
+    }
+
+    /// The report's p50, p99 and p999 cells for `phase`.
+    fn quantile_cells(report: &str, phase: Phase) -> Vec<&str> {
+        let row = report
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(phase.label()))
+            .unwrap_or_else(|| panic!("no {phase:?} row:\n{report}"));
+        row.split_whitespace().skip(4).take(3).collect()
+    }
+
+    #[test]
+    fn quantiles_are_samples_of_the_trace() {
+        let mut events: Vec<TraceEvent> = (0..100).map(|_| span_event(Phase::Place, 101)).collect();
+        events.extend((1..=10).map(|i| span_event(Phase::Stitch, 90 * i)));
+        let report = render(&events);
+        assert_eq!(quantile_cells(&report, Phase::Place), ["101µs"; 3]);
+        // Ten spans, slowest 900 µs: p99 and p999 are that span, not more.
+        assert_eq!(
+            quantile_cells(&report, Phase::Stitch),
+            ["450µs", "900µs", "900µs"]
+        );
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! moment the previous reply lands) or **open loop** (arrivals are
 //! scheduled at a fixed rate and latency is measured from the *intended*
 //! start, so queueing delay counts against the server, not the client).
-//! Client-observed latency lands in fine-grained
-//! [`FINE_LATENCY_BUCKETS_US`] histograms, reported as
-//! bucket-interpolated p50/p99/p999 per endpoint.
+//! Every client-observed latency is kept, and p50/p99/p999 per endpoint
+//! are exact nearest-rank quantiles of them ([`tms_obs::nearest_rank`]).
 //!
 //! The request *sequence* is a pure function of the seed (one splitmix64
 //! stream per client), so the machine-independent outcome counts —
@@ -23,7 +22,7 @@ use std::net::SocketAddr;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tms_cnn::ModuleRole;
-use tms_obs::{Histogram, FINE_LATENCY_BUCKETS_US};
+use tms_obs::nearest_rank;
 
 /// How the load generator paces its requests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,11 +135,11 @@ pub struct EndpointLoadStats {
     pub requests: u64,
     /// Requests answered with an error (server-reported or transport).
     pub errors: u64,
-    /// Bucket-interpolated median latency, microseconds.
+    /// Median latency (nearest rank), microseconds.
     pub p50_us: u64,
-    /// Bucket-interpolated 99th-percentile latency, microseconds.
+    /// 99th-percentile latency (nearest rank), microseconds.
     pub p99_us: u64,
-    /// Bucket-interpolated 99.9th-percentile latency, microseconds.
+    /// 99.9th-percentile latency (nearest rank), microseconds.
     pub p999_us: u64,
     /// Mean latency, microseconds.
     pub mean_us: u64,
@@ -274,21 +273,19 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<ServeBenchReport, String> {
     }
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    // Merge the per-client tallies into per-endpoint histograms.
+    // Merge the per-client tallies into per-endpoint latency samples.
     let mut endpoints = Vec::new();
     let mut requests_total = 0u64;
     let mut errors_total = 0u64;
     for (i, &name) in ENDPOINTS.iter().enumerate() {
-        let hist = Histogram::new(FINE_LATENCY_BUCKETS_US);
+        let mut latencies = Vec::new();
         let mut requests = 0u64;
         let mut errors = 0u64;
         for tally in &tallies {
             let t = tally.lock().expect("tally");
             requests += t[i].requests;
             errors += t[i].errors;
-            for &us in &t[i].latencies {
-                hist.observe(us);
-            }
+            latencies.extend_from_slice(&t[i].latencies);
         }
         requests_total += requests;
         errors_total += errors;
@@ -299,10 +296,10 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<ServeBenchReport, String> {
             endpoint: name.to_string(),
             requests,
             errors,
-            p50_us: hist.quantile(0.50).unwrap_or(0),
-            p99_us: hist.quantile(0.99).unwrap_or(0),
-            p999_us: hist.quantile(0.999).unwrap_or(0),
-            mean_us: hist.sum() / hist.count().max(1),
+            p50_us: nearest_rank(&mut latencies, 0.50).unwrap_or(0),
+            p99_us: nearest_rank(&mut latencies, 0.99).unwrap_or(0),
+            p999_us: nearest_rank(&mut latencies, 0.999).unwrap_or(0),
+            mean_us: latencies.iter().sum::<u64>() / latencies.len().max(1) as u64,
         });
     }
 

@@ -7,24 +7,12 @@
 //! ```
 //!
 //! Targets: `table1 fig3 fig4 fig5 fig7 fig8 table2 fig9 fig10 fig11 fig12
-//! fig13 resolution ablations all`; scale: `quick` (default) or `paper`;
+//! fig13 resolution ablations all` (the table in
+//! `tms_flow::experiments::TARGETS`); scale: `quick` (default) or `paper`;
 //! add `json` to emit machine-readable results instead of the text tables.
+//! An unknown target exits 2 before anything runs.
 
-use serde::Serialize;
-use std::fmt::Display;
-use tailored_macro_sizes::flow::experiments::{
-    ablations, common::Scale, fig10, fig11, fig12, fig13, fig3, fig4, fig5, fig7, fig8, fig9,
-    resolution, table1, table2,
-};
-
-/// Render a result either as its display table or as pretty JSON.
-fn emit<T: Display + Serialize>(value: T, as_json: bool) -> String {
-    if as_json {
-        serde_json::to_string_pretty(&value).expect("experiment results serialize")
-    } else {
-        format!("{value}")
-    }
-}
+use tailored_macro_sizes::flow::experiments::{common::Scale, select};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,29 +22,15 @@ fn main() {
         Scale::quick()
     };
     let as_json = args.iter().any(|a| a == "json");
-    let mut targets: Vec<&str> = args
+    let names: Vec<&str> = args
         .iter()
         .map(String::as_str)
         .filter(|a| !matches!(*a, "paper" | "quick" | "json"))
         .collect();
-    if targets.is_empty() || targets.contains(&"all") {
-        targets = vec![
-            "table1",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig7",
-            "fig8",
-            "table2",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "resolution",
-            "ablations",
-        ];
-    }
+    let targets = select(&names).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     if !as_json {
         println!(
@@ -68,29 +42,9 @@ fn main() {
     }
     for t in targets {
         let start = std::time::Instant::now();
-        let output = match t {
-            "table1" => emit(table1::run(scale.seed), as_json),
-            "fig3" => emit(fig3::run(scale.seed), as_json),
-            "fig4" => emit(fig4::run(scale.seed), as_json),
-            "fig5" => emit(fig5::run(&scale), as_json),
-            "fig7" => emit(fig7::run(&scale), as_json),
-            "fig8" => emit(fig8::run(&scale), as_json),
-            "table2" => emit(table2::run(&scale), as_json),
-            "fig9" => emit(fig9::run(&scale), as_json),
-            "fig10" => emit(fig10::run(&scale), as_json),
-            "fig11" => emit(fig11::run(&scale), as_json),
-            "fig12" => emit(fig12::run(&scale), as_json),
-            "fig13" => emit(fig13::run(&scale), as_json),
-            "resolution" => emit(resolution::run(scale.seed), as_json),
-            "ablations" => emit(ablations::run(&scale), as_json),
-            other => {
-                eprintln!("unknown target '{other}'");
-                continue;
-            }
-        };
-        println!("{output}");
+        println!("{}", (t.run)(&scale, as_json));
         if !as_json {
-            println!("[{t} took {:.1}s]\n", start.elapsed().as_secs_f64());
+            println!("[{} took {:.1}s]\n", t.name, start.elapsed().as_secs_f64());
         }
     }
 }

@@ -145,7 +145,7 @@ use std::collections::HashMap;
 use tailored_macro_sizes::cnn::{cnvw1a1, ModuleRole};
 use tailored_macro_sizes::device::{Device, DeviceName};
 use tailored_macro_sizes::estimator::{CfEstimator, EstimatorKind, FeatureSet};
-use tailored_macro_sizes::flow::experiments::common::Scale;
+use tailored_macro_sizes::flow::experiments::{self, common::Scale};
 use tailored_macro_sizes::flow::{coverage_line, render_cost_trace, render_stitched};
 use tailored_macro_sizes::obs::{read_trace, JsonlSink, Recorder};
 use tailored_macro_sizes::route::{route_stitched_observed, RouterConfig};
@@ -154,6 +154,10 @@ use tailored_macro_sizes::serve::{
 };
 use tailored_macro_sizes::MacroSizingFlow;
 
+/// Flags that take no value, so the word after one stays positional
+/// (`tms experiments --paper fig5` runs `fig5`).
+const SWITCHES: [&str; 6] = ["all", "json", "modules", "paper", "portfolio", "render"];
+
 fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
@@ -161,7 +165,9 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
+                Some(v) if !v.starts_with("--") && !SWITCHES.contains(&name) => {
+                    it.next().unwrap().clone()
+                }
                 _ => String::from("true"),
             };
             flags.insert(name.to_string(), value);
@@ -365,53 +371,18 @@ fn cmd_report(flags: &HashMap<String, String>) {
 }
 
 fn cmd_experiments(targets: &[String], flags: &HashMap<String, String>) {
-    // Delegate to the experiment drivers at the requested scale.
-    use tailored_macro_sizes::flow::experiments as ex;
     let scale = if flags.contains_key("paper") {
         Scale::paper()
     } else {
         Scale::quick()
     };
-    let all = [
-        "table1",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig7",
-        "fig8",
-        "table2",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "resolution",
-        "ablations",
-    ];
-    let run_list: Vec<&str> = if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        all.to_vec()
-    } else {
-        targets.iter().map(String::as_str).collect()
-    };
-    for t in run_list {
-        let out = match t {
-            "table1" => format!("{}", ex::table1::run(scale.seed)),
-            "fig3" => format!("{}", ex::fig3::run(scale.seed)),
-            "fig4" => format!("{}", ex::fig4::run(scale.seed)),
-            "fig5" => format!("{}", ex::fig5::run(&scale)),
-            "fig7" => format!("{}", ex::fig7::run(&scale)),
-            "fig8" => format!("{}", ex::fig8::run(&scale)),
-            "table2" => format!("{}", ex::table2::run(&scale)),
-            "fig9" => format!("{}", ex::fig9::run(&scale)),
-            "fig10" => format!("{}", ex::fig10::run(&scale)),
-            "fig11" => format!("{}", ex::fig11::run(&scale)),
-            "fig12" => format!("{}", ex::fig12::run(&scale)),
-            "fig13" => format!("{}", ex::fig13::run(&scale)),
-            "resolution" => format!("{}", ex::resolution::run(scale.seed)),
-            "ablations" => format!("{}", ex::ablations::run(&scale)),
-            other => format!("unknown experiment '{other}'"),
-        };
-        println!("{out}");
+    let names: Vec<&str> = targets.iter().map(String::as_str).collect();
+    let targets = experiments::select(&names).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    for t in targets {
+        println!("{}", (t.run)(&scale, false));
     }
 }
 

@@ -14,7 +14,7 @@
 //! against each other on every modelled device.
 
 use crate::capacity::{SliceCapacity, DSP48_ROWS, RAMB36_ROWS};
-use crate::device::{aligned_sites, ColumnSignature, Device};
+use crate::device::{aligned_sites, Device};
 use crate::geom::Rect;
 use crate::kinds::ColumnKind;
 
@@ -125,51 +125,6 @@ impl CapacityPrefix {
         let a = x0.min(x_end.min(self.width)) as usize;
         (self.l[b] - self.l[a]) + (self.m[b] - self.m[a])
     }
-
-    fn kind_count(&self, kind: ColumnKind, a: usize, b: usize) -> u32 {
-        let table = match kind {
-            ColumnKind::ClbL => &self.l,
-            ColumnKind::ClbM => &self.m,
-            ColumnKind::Bram => &self.bram_cols,
-            ColumnKind::Dsp => &self.dsp_cols,
-            ColumnKind::Clock => &self.clock_cols,
-        };
-        table[b] - table[a]
-    }
-
-    /// All x-offsets where `device`'s column sequence equals `sig` —
-    /// identical output to [`Device::matching_anchors`], but candidate
-    /// windows whose per-kind column *counts* already mismatch are rejected
-    /// in O(1) before the exact column-by-column comparison runs.
-    pub fn matching_anchors(&self, device: &Device, sig: &ColumnSignature) -> Vec<u32> {
-        let w = sig.0.len();
-        if w == 0 || w > device.columns().len() {
-            return Vec::new();
-        }
-        let mut sig_counts = [0u32; 5];
-        for &k in &sig.0 {
-            sig_counts[k as usize] += 1;
-        }
-        let kinds = [
-            ColumnKind::ClbL,
-            ColumnKind::ClbM,
-            ColumnKind::Bram,
-            ColumnKind::Dsp,
-            ColumnKind::Clock,
-        ];
-        (0..=device.columns().len() - w)
-            .filter(|&x| {
-                kinds
-                    .iter()
-                    .all(|&k| self.kind_count(k, x, x + w) == sig_counts[k as usize])
-                    && device.columns()[x..x + w]
-                        .iter()
-                        .zip(&sig.0)
-                        .all(|(c, &k)| c.kind == k)
-            })
-            .map(|x| x as u32)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -219,30 +174,6 @@ mod tests {
                 .filter(|&x| dev.column(x).kind.is_clb())
                 .count() as u32;
             assert_eq!(p.clb_columns_in(x0, x_end), scan, "[{x0}, {x_end})");
-        }
-    }
-
-    #[test]
-    fn anchors_match_the_scan_implementation() {
-        for dev in [Device::test_fabric(), Device::xc7z020()] {
-            let p = CapacityPrefix::build(&dev);
-            for x0 in [0u32, 3, 11, 20] {
-                for w in [1u32, 2, 5, 9] {
-                    if x0 + w > dev.width() {
-                        continue;
-                    }
-                    let sig = dev.signature(x0, w);
-                    assert_eq!(
-                        p.matching_anchors(&dev, &sig),
-                        dev.matching_anchors(&sig),
-                        "{} sig at ({x0}, {w})",
-                        dev.name()
-                    );
-                }
-            }
-            // A signature wider than the device has no anchors.
-            let too_wide = ColumnSignature(vec![ColumnKind::ClbL; dev.width() as usize + 1]);
-            assert!(p.matching_anchors(&dev, &too_wide).is_empty());
         }
     }
 }

@@ -96,16 +96,6 @@ proptest! {
         prop_assert_eq!(prefix.capacity_in(&r), dev.capacity_in(&r));
     }
 
-    /// The count-prefiltered anchor search returns exactly the anchors of
-    /// the exact column-compare scan.
-    #[test]
-    fn prefix_anchors_match_scan(dev in arb_device(), x0 in 0u32..80, w in 1u32..12) {
-        prop_assume!(x0 + w <= dev.width());
-        let prefix = CapacityPrefix::build(&dev);
-        let sig = dev.signature(x0, w);
-        prop_assert_eq!(prefix.matching_anchors(&dev, &sig), dev.matching_anchors(&sig));
-    }
-
     /// Clock-region arithmetic is consistent with the region height.
     #[test]
     fn regions_spanned_is_consistent(dev in arb_device(), y in 0u32..300, h in 1u32..200) {

@@ -153,12 +153,15 @@ pub fn nearest_rank(samples: &mut [u64], q: f64) -> Option<u64> {
     Some(samples[rank - 1])
 }
 
-/// Counters for one serving endpoint: request/error totals and a latency
-/// histogram over [`LATENCY_BUCKETS_US`].
+/// Counters for one serving endpoint: request/error totals, a latency
+/// histogram over [`LATENCY_BUCKETS_US`], and the exact fastest and
+/// slowest latency.
 pub struct EndpointMetrics {
     requests: Counter,
     errors: Counter,
     latency: Histogram<{ LATENCY_BUCKETS_US.len() }>,
+    min_us: AtomicU64,
+    max_us: AtomicU64,
 }
 
 impl Default for EndpointMetrics {
@@ -167,6 +170,8 @@ impl Default for EndpointMetrics {
             requests: Counter::new(),
             errors: Counter::new(),
             latency: Histogram::new(LATENCY_BUCKETS_US),
+            min_us: AtomicU64::new(u64::MAX),
+            max_us: AtomicU64::new(0),
         }
     }
 }
@@ -178,18 +183,32 @@ impl EndpointMetrics {
         if !ok {
             self.errors.inc();
         }
+        self.min_us.fetch_min(micros, Ordering::Relaxed);
+        self.max_us.fetch_max(micros, Ordering::Relaxed);
         self.latency.observe(micros);
     }
 
-    /// A consistent-enough snapshot for reporting.
+    /// A consistent-enough snapshot for reporting. Each quantile is
+    /// interpolated inside its decade bucket, then clamped into the exact
+    /// observed range, so a single sample reads as itself at every
+    /// quantile and no quantile exceeds the slowest request.
     pub fn snapshot(&self) -> EndpointSnapshot {
+        let (lo, hi) = (
+            self.min_us.load(Ordering::Relaxed),
+            self.max_us.load(Ordering::Relaxed),
+        );
+        let quantile = |q| {
+            self.latency
+                .quantile(q)
+                .map_or(0, |v| if lo <= hi { v.clamp(lo, hi) } else { v })
+        };
         EndpointSnapshot {
             requests: self.requests.get(),
             errors: self.errors.get(),
             total_micros: self.latency.sum(),
-            p50_us: self.latency.quantile(0.50).unwrap_or(0),
-            p99_us: self.latency.quantile(0.99).unwrap_or(0),
-            p999_us: self.latency.quantile(0.999).unwrap_or(0),
+            p50_us: quantile(0.50),
+            p99_us: quantile(0.99),
+            p999_us: quantile(0.999),
             bucket_bounds_us: LATENCY_BUCKETS_US.to_vec(),
             buckets: self.latency.buckets().to_vec(),
         }
@@ -206,11 +225,14 @@ pub struct EndpointSnapshot {
     pub errors: u64,
     /// Sum of handling times, microseconds.
     pub total_micros: u64,
-    /// Bucket-interpolated median latency, microseconds (0 when empty).
+    /// Bucket-interpolated median latency clamped into the observed
+    /// range, microseconds (0 when empty).
     pub p50_us: u64,
-    /// Bucket-interpolated 99th-percentile latency, microseconds.
+    /// Bucket-interpolated 99th-percentile latency clamped into the
+    /// observed range, microseconds.
     pub p99_us: u64,
-    /// Bucket-interpolated 99.9th-percentile latency, microseconds.
+    /// Bucket-interpolated 99.9th-percentile latency clamped into the
+    /// observed range, microseconds.
     pub p999_us: u64,
     /// Inclusive upper bounds of the latency buckets, microseconds
     /// (`u64::MAX` for the catch-all); same length as `buckets`, so the
@@ -360,6 +382,42 @@ mod tests {
         assert_eq!(s.p50_us, 50);
         assert!(s.p99_us >= s.p50_us);
         assert!(s.p999_us >= s.p99_us);
+    }
+
+    #[test]
+    fn a_single_sample_is_reported_at_every_quantile() {
+        let m = EndpointMetrics::default();
+        m.record(300, true);
+        let s = m.snapshot();
+        assert_eq!((s.p50_us, s.p99_us, s.p999_us), (300, 300, 300));
+    }
+
+    #[test]
+    fn quantiles_stay_inside_the_observed_range() {
+        // Interpolating inside the 100 µs – 1 ms bucket alone reads
+        // 550 / 991 / 999 µs for each of these sample sets.
+        for (n, micros) in [(100, 120), (100, 900), (7, 555)] {
+            let m = EndpointMetrics::default();
+            for _ in 0..n {
+                m.record(micros, true);
+            }
+            let s = m.snapshot();
+            assert_eq!(
+                (s.p50_us, s.p99_us, s.p999_us),
+                (micros, micros, micros),
+                "{n} x {micros} µs"
+            );
+        }
+        // Mixed samples: no quantile leaves [fastest, slowest].
+        let m = EndpointMetrics::default();
+        for micros in [120, 130, 180, 450, 2_500] {
+            m.record(micros, true);
+        }
+        let s = m.snapshot();
+        for q in [s.p50_us, s.p99_us, s.p999_us] {
+            assert!((120..=2_500).contains(&q), "{q}");
+        }
+        assert!(s.p50_us <= s.p99_us && s.p99_us <= s.p999_us);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::problem::StitchProblem;
 use std::collections::HashMap;
-use tms_device::{CapacityPrefix, ColumnSignature, Device};
+use tms_device::{ColumnSignature, Device};
 
 /// Per-module candidate anchor positions: the x columns whose signature
 /// matches, crossed with y rows at the module's vertical alignment.
@@ -89,6 +89,31 @@ impl Csr {
         csr
     }
 
+    /// The transpose over items `0..n`: row `j` lists every row holding
+    /// item `j`, in row order, once per occurrence. A counting sort.
+    fn transpose(&self, n: usize) -> Self {
+        // Item `j`'s count goes to `start[j + 2]`; after the prefix sum,
+        // `start[j + 1]` is row `j`'s first slot and serves as its cursor,
+        // ending at row `j + 1`'s first slot.
+        let mut start = vec![0u32; n + 2];
+        for &j in &self.items {
+            start[j as usize + 2] += 1;
+        }
+        for i in 2..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut items = vec![0u32; self.items.len()];
+        for i in 0..self.start.len() as u32 - 1 {
+            for &j in self.row(i) {
+                let at = &mut start[j as usize + 1];
+                items[*at as usize] = i;
+                *at += 1;
+            }
+        }
+        start.pop();
+        Csr { start, items }
+    }
+
     fn row(&self, i: u32) -> &[u32] {
         let i = i as usize;
         &self.items[self.start[i] as usize..self.start[i + 1] as usize]
@@ -103,6 +128,11 @@ impl Csr {
 pub(crate) struct Tables {
     /// Candidate anchors of each unique module.
     pub(crate) candidates: Vec<Candidates>,
+    /// Anchor class of each unique module: the first module with the same
+    /// signature and footprint width. Modules of one class share `xs` and
+    /// `y_step`, so a footprint of the class that finds no free anchor
+    /// tells every taller one of the class it would find none either.
+    pub(crate) class: Vec<u32>,
     /// Module of each instance.
     pub(crate) module: Vec<u32>,
     /// Footprint `(width, height)` of each instance.
@@ -117,14 +147,11 @@ pub(crate) struct Tables {
 
 impl Tables {
     pub(crate) fn new(device: &Device, problem: &StitchProblem) -> Self {
-        let mut incident: Vec<Vec<u32>> = vec![Vec::new(); problem.instances.len()];
-        for (ni, net) in problem.nets.iter().enumerate() {
-            for &e in &net.endpoints {
-                incident[e as usize].push(ni as u32);
-            }
-        }
+        let (candidates, class) = build_candidates(device, problem);
+        let ends = Csr::new(problem.nets.iter().map(|n| n.endpoints.as_slice()));
         Tables {
-            candidates: build_candidates(device, problem),
+            candidates,
+            class,
             module: problem.instances.iter().map(|&m| m as u32).collect(),
             footprint: (0..problem.instances.len() as u32)
                 .map(|i| {
@@ -132,9 +159,9 @@ impl Tables {
                     (b.width, b.height)
                 })
                 .collect(),
-            ends: Csr::new(problem.nets.iter().map(|n| n.endpoints.as_slice())),
+            incident: ends.transpose(problem.instances.len()),
+            ends,
             weight: problem.nets.iter().map(|n| n.weight).collect(),
-            incident: Csr::new(incident.iter().map(Vec::as_slice)),
         }
     }
 
@@ -146,6 +173,11 @@ impl Tables {
     /// Candidate anchors of instance `inst`'s module.
     pub(crate) fn cand_of(&self, inst: u32) -> &Candidates {
         &self.candidates[self.module[inst as usize] as usize]
+    }
+
+    /// Anchor class of instance `inst`'s module.
+    pub(crate) fn class_of(&self, inst: u32) -> u32 {
+        self.class[self.module[inst as usize] as usize]
     }
 
     /// Nets instance `inst` terminates.
@@ -199,26 +231,26 @@ impl Tables {
     }
 }
 
-/// Build the candidate table for every unique module of `problem`.
-fn build_candidates(device: &Device, problem: &StitchProblem) -> Vec<Candidates> {
+/// Build the candidate table and the anchor class of every unique
+/// module of `problem`. Modules share a few distinct signatures, so each
+/// class's anchors are searched once.
+fn build_candidates(device: &Device, problem: &StitchProblem) -> (Vec<Candidates>, Vec<u32>) {
     let rows = device.rows();
-    // One prefix build serves every module: the count-prefiltered anchor
-    // search skips origins whose column-kind counts already mismatch.
-    // Modules share a few distinct signatures, so each is searched once.
-    let prefix = CapacityPrefix::build(device);
-    let mut searched: HashMap<&ColumnSignature, Vec<u32>> = HashMap::new();
-    problem
-        .modules
-        .iter()
-        .map(|m| {
-            let xs = searched
-                .entry(&m.signature)
-                .or_insert_with(|| prefix.matching_anchors(device, &m.signature))
-                .clone();
-            let y_max = rows.saturating_sub(m.height);
-            Candidates::new(xs, m.signature.y_alignment(), y_max, rows)
-        })
-        .collect()
+    let mut first: HashMap<(&ColumnSignature, u32), u32> = HashMap::new();
+    let mut candidates: Vec<Candidates> = Vec::with_capacity(problem.modules.len());
+    let mut class = Vec::with_capacity(problem.modules.len());
+    for (i, m) in problem.modules.iter().enumerate() {
+        let c = *first.entry((&m.signature, m.width)).or_insert(i as u32);
+        let xs = if c == i as u32 {
+            device.matching_anchors(&m.signature)
+        } else {
+            candidates[c as usize].xs.clone()
+        };
+        let y_max = rows.saturating_sub(m.height);
+        candidates.push(Candidates::new(xs, m.signature.y_alignment(), y_max, rows));
+        class.push(c);
+    }
+    (candidates, class)
 }
 
 fn words_per_column(rows: u32) -> usize {
@@ -256,6 +288,8 @@ pub(crate) struct Grid {
     rows: u32,
     words: usize,
     bits: Vec<u64>,
+    /// One column's free-anchor map, reused by every [`Grid::first_free`].
+    free: Vec<u64>,
 }
 
 impl Grid {
@@ -265,6 +299,7 @@ impl Grid {
             rows: h,
             words,
             bits: vec![0; w as usize * words],
+            free: vec![0; words],
         }
     }
 
@@ -276,6 +311,12 @@ impl Grid {
     /// Whether the `bw`×`bh` footprint anchored at `(x, y)` covers only
     /// free cells, counting the cells of `own` — the mover's current
     /// anchor, a footprint of the same size — as free.
+    ///
+    /// Word-outer: each word's mask is computed once and tested against
+    /// the word in every footprint column, stepping the index a column at
+    /// a time. The mask with the own footprint's rows taken out is
+    /// computed only when the own footprint shares a column, since most
+    /// calls on a crowded fabric end at their first occupied word.
     pub(crate) fn is_free(
         &self,
         x: u32,
@@ -288,15 +329,24 @@ impl Grid {
         if y + bh > self.rows {
             return false;
         }
-        (x..x + bw).all(|c| {
-            let col = self.column(c);
-            let mine = own.filter(|&(ox, _)| (ox..ox + bw).contains(&c));
-            words_of(y, y + bh).all(|w| {
-                let mut mask = word_mask(w, y, y + bh);
-                if let Some((_, oy)) = mine {
-                    mask &= !word_mask(w, oy, oy + bh);
-                }
-                col[w] & mask == 0
+        // The footprint columns the own footprint also covers, and its row.
+        let (mine, oy) = match own {
+            Some((ox, oy)) => (ox.max(x)..(ox + bw).min(x + bw), oy),
+            None => (0..0, 0),
+        };
+        words_of(y, y + bh).all(|w| {
+            let mask = word_mask(w, y, y + bh);
+            let own_mask = if mine.is_empty() {
+                mask
+            } else {
+                mask & !word_mask(w, oy, oy + bh)
+            };
+            let mut at = x as usize * self.words + w;
+            (x..x + bw).all(|c| {
+                let m = if mine.contains(&c) { own_mask } else { mask };
+                let free = self.bits[at] & m == 0;
+                at += self.words;
+                free
             })
         })
     }
@@ -304,13 +354,14 @@ impl Grid {
     fn update(&mut self, x: u32, y: u32, bw: u32, bh: u32, set: bool) {
         for w in words_of(y, y + bh) {
             let mask = word_mask(w, y, y + bh);
-            for c in x..x + bw {
-                let at = c as usize * self.words + w;
+            let mut at = x as usize * self.words + w;
+            for _ in 0..bw {
                 if set {
                     self.bits[at] |= mask;
                 } else {
                     self.bits[at] &= !mask;
                 }
+                at += self.words;
             }
         }
     }
@@ -336,16 +387,30 @@ impl Grid {
     /// `y` has `bh` free rows from `y` on; ANDed with the alignment rows,
     /// each set bit is a free anchor.
     pub(crate) fn first_free(
-        &self,
+        &mut self,
         cand: &Candidates,
         start: u64,
         bw: u32,
         bh: u32,
     ) -> Option<(u32, u32)> {
+        let mut free = std::mem::take(&mut self.free);
+        let found = self.scan(cand, start, bw, bh, &mut free);
+        self.free = free;
+        found
+    }
+
+    /// [`Grid::first_free`] with `free` as the column's free-anchor map.
+    fn scan(
+        &self,
+        cand: &Candidates,
+        start: u64,
+        bw: u32,
+        bh: u32,
+        free: &mut [u64],
+    ) -> Option<(u32, u32)> {
         let n = cand.xs.len();
         let first = (start / cand.ys) as usize;
         let y0 = (start % cand.ys) as u32 * cand.y_step;
-        let mut free = vec![0u64; self.words];
         let columns = std::iter::once((first, y0, self.rows))
             .chain((first + 1..n).chain(0..first).map(|i| (i, 0, self.rows)))
             .chain(std::iter::once((first, 0, y0)));
@@ -354,7 +419,7 @@ impl Grid {
                 continue;
             }
             let x = cand.xs[i];
-            self.free_anchors(x, bw, bh, &cand.rows_mask, &mut free);
+            self.free_anchors(x, bw, bh, &cand.rows_mask, free);
             for w in words_of(lo, hi) {
                 let hits = free[w] & word_mask(w, lo, hi);
                 if hits != 0 {
@@ -387,6 +452,14 @@ impl Grid {
         for (o, &m) in out.iter_mut().zip(rows_mask) {
             *o &= m;
         }
+    }
+}
+
+#[cfg(test)]
+impl Grid {
+    /// Whether both grids mark the same cells occupied.
+    pub(crate) fn same_cells(&self, other: &Grid) -> bool {
+        (self.rows, &self.bits) == (other.rows, &other.bits)
     }
 }
 
@@ -485,7 +558,7 @@ mod tests {
     /// `placed[id]` is the anchor and shape of live instance `id`.
     fn check_queries(
         rng: &mut StdRng,
-        bitmap: &Grid,
+        bitmap: &mut Grid,
         oracle: &OwnerGrid,
         placed: &[Option<(u32, u32, u32, u32)>],
         w: u32,
@@ -594,7 +667,55 @@ mod tests {
                         }
                     }
                 }
-                check_queries(&mut rng, &bitmap, &oracle, &placed, w, rows);
+                check_queries(&mut rng, &mut bitmap, &oracle, &placed, w, rows);
+            }
+        }
+
+        /// The facts the annealer's insertion skip rule rests on. Once
+        /// `first_free` finds no anchor for a footprint over some columns
+        /// and row step, it finds none from any start, none for a taller
+        /// footprint over the same columns and step, and none after more
+        /// cells are filled. Random cells are filled until a scan fails,
+        /// on row counts below, at and past word multiples.
+        #[test]
+        fn a_failed_scan_stays_failed(
+            w in 1u32..24,
+            rows_pick in (0u32..4, 1u32..260),
+            seed in any::<u64>(),
+        ) {
+            let rows = match rows_pick {
+                (0, r) => 64 * (1 + r % 3),
+                (_, r) => r,
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (bw, bh) = shape(&mut rng, w, rows);
+            let xs: Vec<u32> = (0..=w - bw)
+                .filter(|_| rng.gen_range(0..3u32) > 0)
+                .collect();
+            let y_step = rng.gen_range(1..=6);
+            let cand = |h: u32| Candidates::new(xs.clone(), y_step, rows - h, rows);
+            let fails = |grid: &mut Grid, h: u32, start: u64| {
+                let c = cand(h);
+                grid.first_free(&c, start % c.count, bw, h).is_none()
+            };
+            prop_assume!(cand(bh).count > 0);
+            let fill = |grid: &mut Grid, rng: &mut StdRng| {
+                let (fw, fh) = shape(rng, w, rows);
+                grid.fill(rng.gen_range(0..=w - fw), rng.gen_range(0..=rows - fh), fw, fh);
+            };
+            let mut grid = Grid::new(w, rows);
+            while !fails(&mut grid, bh, rng.gen()) {
+                fill(&mut grid, &mut rng);
+            }
+            for start in 0..cand(bh).count {
+                prop_assert!(fails(&mut grid, bh, start), "start {}", start);
+            }
+            for h in bh..=rows {
+                prop_assert!(fails(&mut grid, h, rng.gen()), "height {} after {}", h, bh);
+            }
+            for _ in 0..8 {
+                fill(&mut grid, &mut rng);
+                prop_assert!(fails(&mut grid, bh, rng.gen()), "after a fill");
             }
         }
     }

@@ -2,8 +2,9 @@
 
 #![cfg(test)]
 
+use crate::fabric::Grid;
 use crate::problem::{MacroBlock, StitchProblem};
-use crate::sa::{stitch, try_insert, State, StitchConfig};
+use crate::sa::{anneal, stitch, try_insert, State, StitchConfig, StitchResult};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,6 +42,118 @@ fn arb_problem() -> impl Strategy<Value = StitchProblem> {
             }
             p
         })
+}
+
+/// Crowded stitching problems on the test fabric or the xc7z010: 40–200
+/// instances of up to six modules, where some modules share a signature
+/// and width at other heights and others share only a width, so every
+/// part of the insertion skip rule's key decides some scans.
+fn arb_crowded_problem() -> impl Strategy<Value = (Device, StitchProblem)> {
+    (any::<bool>(), 1usize..7, 40usize..201, any::<u64>()).prop_map(
+        |(small, n_mod, n_inst, seed)| {
+            let dev = if small {
+                Device::test_fabric()
+            } else {
+                Device::xc7z010()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut modules: Vec<MacroBlock> = Vec::new();
+            for i in 0..n_mod {
+                let h = rng.gen_range(2..dev.rows() / 2);
+                let (signature, width) = match modules.len() {
+                    // Another height of an earlier module's signature.
+                    n if n > 0 && rng.gen_range(0..3u32) == 0 => {
+                        let m = &modules[rng.gen_range(0..n)];
+                        (m.signature.clone(), m.width)
+                    }
+                    _ => {
+                        let w = rng.gen_range(1..6u32);
+                        (dev.signature(rng.gen_range(0..dev.width() - w), w), w)
+                    }
+                };
+                modules.push(MacroBlock {
+                    name: format!("m{i}"),
+                    signature,
+                    width,
+                    height: h,
+                    used_slices: width * h / 2,
+                    irregularity: 0.3,
+                });
+            }
+            let mut p = StitchProblem::new(modules);
+            let ids: Vec<u32> = (0..n_inst)
+                .map(|_| p.add_instance(rng.gen_range(0..n_mod)))
+                .collect();
+            for pair in ids.windows(2) {
+                p.add_net(pair, 1.0);
+            }
+            for _ in 0..n_inst / 4 {
+                let ends: Vec<u32> = (0..rng.gen_range(2..5u32))
+                    .map(|_| ids[rng.gen_range(0..n_inst)])
+                    .collect();
+                p.add_net(&ends, f64::from(rng.gen_range(1..9u32)) / 4.0);
+            }
+            (dev, p)
+        },
+    )
+}
+
+/// The insertion before the skip rule: every call scans.
+fn try_insert_scanning(state: &mut State, inst: u32, rng: &mut StdRng) -> bool {
+    if state.positions[inst as usize].is_some() {
+        return true;
+    }
+    let (bw, bh) = state.tables.footprint[inst as usize];
+    let cand = state.tables.cand_of(inst);
+    if cand.count == 0 {
+        return false;
+    }
+    let start = rng.gen_range(0..cand.count);
+    match state.grid.first_free(cand, start, bw, bh) {
+        Some(at) => {
+            let idx = cand.index_near(at);
+            state.price_move(inst, idx, at);
+            state.settle_move();
+            true
+        }
+        None => false,
+    }
+}
+
+/// Everything a stitch reports, with costs and temperatures as bits.
+fn outcome(r: &StitchResult) -> impl PartialEq + std::fmt::Debug {
+    (
+        (r.positions.clone(), r.unplaced.clone(), r.late_insertions),
+        [r.initial_cost, r.final_cost, r.final_temp].map(f64::to_bits),
+        [
+            r.illegal_moves,
+            r.accepted_moves,
+            r.rejected_moves,
+            r.total_moves,
+            r.convergence_move,
+            r.best_move,
+        ],
+        r.cost_trace
+            .iter()
+            .map(|&(mv, c)| (mv, c.to_bits()))
+            .collect::<Vec<_>>(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Skipping the insertion scans that must fail changes nothing: on
+    /// crowded problems, where many scans fail, a stitch equals, bit for
+    /// bit, the stitch whose every insertion scans.
+    #[test]
+    fn skipped_scans_change_no_stitch(case in arb_crowded_problem(), seed in 0u64..1000) {
+        let (dev, problem) = case;
+        let cfg = StitchConfig::fast(seed);
+        let skipping = stitch(&dev, &problem, &cfg);
+        let scanning = anneal(&dev, &problem, &cfg, try_insert_scanning);
+        prop_assert_eq!(outcome(&skipping), outcome(&scanning));
+    }
 }
 
 proptest! {
@@ -114,11 +227,12 @@ proptest! {
             "tracked {} vs recomputed {}", r.final_cost, expected);
     }
 
-    /// The annealer's caches stay exact: after random insertions, legal
-    /// moves and undos — on nets with up to four endpoints, repeated
-    /// endpoints included — every cached net cost equals a fresh
-    /// `net_cost` bit for bit, and every placed instance's cached
-    /// candidate index is the index of its anchor.
+    /// The annealer's caches stay exact: after random insertions and
+    /// legal moves, each priced and then settled or undone — on nets with
+    /// up to four endpoints, repeated endpoints included — every cached
+    /// net cost equals a fresh `net_cost` bit for bit, every placed
+    /// instance's cached candidate index is the index of its anchor, and
+    /// the grid holds exactly the placed footprints.
     #[test]
     fn cached_net_costs_stay_exact(problem in arb_problem(), seed in any::<u64>()) {
         let dev = Device::xc7z020();
@@ -143,9 +257,11 @@ proptest! {
                 let (x, y) = cand.nth(idx);
                 let (bw, bh) = state.tables.footprint[inst as usize];
                 if state.grid.is_free(x, y, bw, bh, old) {
-                    let delta = state.apply_move(inst, idx, (x, y));
+                    state.price_move(inst, idx, (x, y));
                     if rng.gen_range(0..2u32) == 0 {
-                        state.undo_move(inst, old, delta);
+                        state.undo_move();
+                    } else {
+                        state.settle_move();
                     }
                 }
             }
@@ -159,6 +275,14 @@ proptest! {
                 prop_assert_eq!(state.cand_idx[i], cand.index_near(at), "instance {}", i);
                 prop_assert_eq!(cand.nth(state.cand_idx[i]), at, "instance {}", i);
             }
+            let mut fresh = Grid::new(dev.width(), dev.rows());
+            for (i, pos) in state.positions.iter().enumerate() {
+                if let Some((x, y)) = *pos {
+                    let (bw, bh) = state.tables.footprint[i];
+                    fresh.fill(x, y, bw, bh);
+                }
+            }
+            prop_assert!(state.grid.same_cells(&fresh), "grid differs from the placed footprints");
         }
     }
 }

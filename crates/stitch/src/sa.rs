@@ -119,6 +119,12 @@ impl StitchResult {
 }
 
 /// The single-run annealer's placement over the flat problem tables.
+///
+/// A move is made in two steps. [`State::price_move`] updates the
+/// positions, the candidate index and the net costs and returns the cost
+/// delta; then [`State::settle_move`] writes the occupancy grid, or
+/// [`State::undo_move`] restores what pricing changed. Nothing reads the
+/// grid between the two, so a rejected move never touches it.
 pub(crate) struct State {
     pub(crate) tables: Tables,
     pub(crate) positions: Vec<Option<(u32, u32)>>,
@@ -130,11 +136,28 @@ pub(crate) struct State {
     /// Current half-perimeter wirelength of every net, always equal bit
     /// for bit to a fresh [`Tables::net_cost`] under `positions`.
     pub(crate) net_costs: Vec<f64>,
-    /// The costs of the last moved instance's incident nets before the
-    /// move, in incidence order, and its candidate index before the
-    /// move, for [`State::undo_move`].
+    /// The last priced move, for [`State::settle_move`] and
+    /// [`State::undo_move`].
+    priced: Priced,
+    /// The costs of the last priced instance's incident nets before the
+    /// move, in incidence order.
     saved: Vec<f64>,
-    saved_idx: u64,
+    /// Per anchor class, the smallest footprint height whose insertion
+    /// scan found no free anchor, and `frees` when it failed.
+    failed: Vec<Option<(u32, u64)>>,
+    /// Settled moves that freed cells. Filling cells cannot make a failed
+    /// scan succeed, so a failure holds until this count moves.
+    frees: u64,
+}
+
+/// An instance's anchor and candidate index before its priced move, and
+/// the move's cost delta.
+#[derive(Default)]
+struct Priced {
+    inst: u32,
+    from: Option<(u32, u32)>,
+    from_idx: u64,
+    delta: f64,
 }
 
 impl State {
@@ -149,30 +172,28 @@ impl State {
             cost: 0.0,
             // A net with fewer than two placed endpoints costs 0.
             net_costs: vec![0.0; problem.nets.len()],
+            priced: Priced::default(),
             saved: Vec::new(),
-            saved_idx: 0,
+            failed: vec![None; problem.modules.len()],
+            frees: 0,
         }
     }
 
-    /// Move `inst` to its candidate `idx` at `(x, y)` (must be legal),
-    /// returning the cost delta.
+    /// Price moving `inst` to its candidate `idx` at `(x, y)` (must be
+    /// legal): update its position, candidate index and net costs, and
+    /// return the cost delta. The grid is left as it was.
     ///
     /// The "before" cost sums the cached net costs in incidence order,
     /// the same terms and order a fresh recompute would sum, so the delta
     /// is bitwise the same.
-    pub(crate) fn apply_move(&mut self, inst: u32, idx: u64, (x, y): (u32, u32)) -> f64 {
-        let (bw, bh) = self.tables.footprint[inst as usize];
+    pub(crate) fn price_move(&mut self, inst: u32, idx: u64, (x, y): (u32, u32)) -> f64 {
         let nets = self.tables.incident(inst);
         self.saved.clear();
         self.saved
             .extend(nets.iter().map(|&n| self.net_costs[n as usize]));
         let before: f64 = self.saved.iter().copied().sum();
-        if let Some((ox, oy)) = self.positions[inst as usize] {
-            self.grid.clear(ox, oy, bw, bh);
-        }
-        self.grid.fill(x, y, bw, bh);
-        self.positions[inst as usize] = Some((x, y));
-        self.saved_idx = std::mem::replace(&mut self.cand_idx[inst as usize], idx);
+        let from = self.positions[inst as usize].replace((x, y));
+        let from_idx = std::mem::replace(&mut self.cand_idx[inst as usize], idx);
         let after: f64 = nets
             .iter()
             .map(|&n| {
@@ -181,22 +202,39 @@ impl State {
                 c
             })
             .sum();
-        self.cost += after - before;
-        after - before
+        let delta = after - before;
+        self.cost += delta;
+        self.priced = Priced {
+            inst,
+            from,
+            from_idx,
+            delta,
+        };
+        delta
     }
 
-    /// Revert the last [`State::apply_move`], which moved `inst` from
-    /// `old` and returned `delta`.
-    pub(crate) fn undo_move(&mut self, inst: u32, old: Option<(u32, u32)>, delta: f64) {
+    /// Write the last priced move into the grid.
+    pub(crate) fn settle_move(&mut self) {
+        let Priced { inst, from, .. } = self.priced;
         let (bw, bh) = self.tables.footprint[inst as usize];
-        if let Some((x, y)) = self.positions[inst as usize] {
-            self.grid.clear(x, y, bw, bh);
+        if let Some((ox, oy)) = from {
+            self.grid.clear(ox, oy, bw, bh);
+            self.frees += 1;
         }
-        if let Some((ox, oy)) = old {
-            self.grid.fill(ox, oy, bw, bh);
-        }
-        self.positions[inst as usize] = old;
-        self.cand_idx[inst as usize] = self.saved_idx;
+        let (x, y) = self.positions[inst as usize].expect("a priced instance is placed");
+        self.grid.fill(x, y, bw, bh);
+    }
+
+    /// Revert the last priced move.
+    pub(crate) fn undo_move(&mut self) {
+        let Priced {
+            inst,
+            from,
+            from_idx,
+            delta,
+        } = self.priced;
+        self.positions[inst as usize] = from;
+        self.cand_idx[inst as usize] = from_idx;
         for (&n, &c) in self.tables.incident(inst).iter().zip(&self.saved) {
             self.net_costs[n as usize] = c;
         }
@@ -229,6 +267,17 @@ impl Every {
 
 /// Run greedy legalisation followed by simulated annealing.
 pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -> StitchResult {
+    anneal(device, problem, config, try_insert)
+}
+
+/// [`stitch`] with `insert` placing an unplaced instance, in the greedy
+/// pass and in the unplaced-block retries.
+pub(crate) fn anneal(
+    device: &Device,
+    problem: &StitchProblem,
+    config: &StitchConfig,
+    insert: impl Fn(&mut State, u32, &mut StdRng) -> bool,
+) -> StitchResult {
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     let mut state = State::new(device, problem);
@@ -237,7 +286,7 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
     let mut order: Vec<u32> = (0..problem.instances.len() as u32).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(problem.block_of(i).area()));
     for &inst in &order {
-        try_insert(&mut state, inst, &mut rng);
+        insert(&mut state, inst, &mut rng);
     }
     state.cost = state.tables.total_cost(&state.positions);
     let initial_cost = state.cost;
@@ -297,7 +346,7 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
         let (cool_due, sample_due) = (cool.tick(), sample.tick());
         if retry.tick() {
             if let Some(unp) = state.positions.iter().position(|p| p.is_none()) {
-                if try_insert(&mut state, unp as u32, &mut rng) {
+                if insert(&mut state, unp as u32, &mut rng) {
                     late_insertions += 1;
                     best_cost = state.cost;
                     best_positions.copy_from_slice(&state.positions);
@@ -328,13 +377,14 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
             illegal_moves += 1;
             continue;
         }
-        let delta = state.apply_move(inst, idx, (x, y));
+        let delta = state.price_move(inst, idx, (x, y));
         let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
         if !accept {
             rejected_moves += 1;
-            state.undo_move(inst, Some(cur), delta);
+            state.undo_move();
         } else {
             accepted_moves += 1;
+            state.settle_move();
             if state.cost < best_cost - 1e-12 {
                 best_cost = state.cost;
                 best_positions.copy_from_slice(&state.positions);
@@ -397,6 +447,14 @@ pub fn stitch(device: &Device, problem: &StitchProblem, config: &StitchConfig) -
 }
 
 /// Try to insert an unplaced instance at a pseudo-random free candidate.
+///
+/// A scan that must fail is skipped: whether [`Grid::first_free`] finds
+/// an anchor does not depend on its start, modules of one anchor class
+/// share their columns and row step, a free anchor for a footprint is one
+/// for every shorter footprint of its class, and filling cells never
+/// frees an anchor. So once a class fails at height `h`, every footprint
+/// of the class at least `h` tall fails too, until a settled move frees
+/// cells. The start is still drawn, so the random stream is unchanged.
 pub(crate) fn try_insert(state: &mut State, inst: u32, rng: &mut StdRng) -> bool {
     if state.positions[inst as usize].is_some() {
         return true;
@@ -409,13 +467,21 @@ pub(crate) fn try_insert(state: &mut State, inst: u32, rng: &mut StdRng) -> bool
     // Scan all candidates from a random start so the greedy pass fills the
     // fabric evenly rather than stacking left.
     let start = rng.gen_range(0..cand.count);
+    let class = state.tables.class_of(inst) as usize;
+    if matches!(state.failed[class], Some((h, at)) if at == state.frees && bh >= h) {
+        return false;
+    }
     match state.grid.first_free(cand, start, bw, bh) {
         Some(at) => {
             let idx = cand.index_near(at);
-            state.apply_move(inst, idx, at);
+            state.price_move(inst, idx, at);
+            state.settle_move();
             true
         }
-        None => false,
+        None => {
+            state.failed[class] = Some((bh, state.frees));
+            false
+        }
     }
 }
 
@@ -440,8 +506,8 @@ fn estimate_t0(state: &mut State, rng: &mut StdRng) -> f64 {
         if !state.grid.is_free(x, y, bw, bh, Some(cur)) {
             continue;
         }
-        let delta = state.apply_move(inst, idx, (x, y));
-        state.undo_move(inst, Some(cur), delta);
+        let delta = state.price_move(inst, idx, (x, y));
+        state.undo_move();
         sum += delta.abs();
         n += 1;
     }

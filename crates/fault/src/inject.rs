@@ -9,14 +9,15 @@ use std::io;
 /// injector "should this operation fail now?" before doing real work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// A WAL append inside `tms-store::Store::put`.
+    /// A log append inside `tms-store::Store::put`.
     StoreAppend,
-    /// An fsync — the background flush thread's `Sync`, or the snapshot
-    /// temp-file fsync during compaction.
+    /// An fsync — `Store::flush`, or the temp-file fsync of the log
+    /// rewrite during compaction.
     StoreFsync,
     /// Opening/recovering a store directory.
     StoreOpen,
-    /// The atomic rename that publishes a snapshot generation.
+    /// The atomic rename that puts a compaction's rewritten log in place
+    /// of `wal.log`.
     StoreRename,
     /// A place-and-route tool run inside `implement_module` (transient:
     /// the real CAD failure the paper's flow is built around).

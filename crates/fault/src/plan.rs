@@ -8,8 +8,8 @@ use crate::inject::{FaultInjector, FaultPoint};
 const PPM: u64 = 1_000_000;
 
 /// Per-point injection state. All atomic: plans are shared (`Arc`) across
-/// the acceptor, worker threads and the flush thread, and tests mutate
-/// rates while the server is live.
+/// the acceptor and worker threads, and tests mutate rates while the
+/// server is live.
 #[derive(Debug, Default)]
 struct PointState {
     /// Probability of failing a hit, in parts per million (0 = off).

@@ -6,7 +6,7 @@
 
 use crate::metrics::EndpointSnapshot;
 use crate::sinks::ObsSnapshot;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Incrementally builds a Prometheus text-format page.
 #[derive(Debug, Default)]
@@ -387,13 +387,24 @@ pub fn parse_page(text: &str) -> Result<PromPage, String> {
 
 /// Parse a Prometheus text page into `full-sample-name → value`, where the
 /// key includes the label set exactly as printed (e.g.
-/// `tms_requests_total{endpoint="flow"}`). Comment and blank lines are
-/// skipped; a malformed sample line is an error. Used by the integration
-/// tests to cross-check the exposition against the `stats` JSON.
+/// `tms_requests_total{endpoint="flow"}`). Blank and `# HELP` lines are
+/// skipped. A malformed sample line is an error, and so is a page
+/// Prometheus would reject for declaring one family twice: a second
+/// `# TYPE` line for a name, or a repeated sample. Used by the
+/// integration tests to cross-check the exposition against the `stats`
+/// JSON.
 pub fn parse(text: &str) -> Result<BTreeMap<String, f64>, String> {
     let mut samples = BTreeMap::new();
+    let mut families = BTreeSet::new();
     for line in text.lines() {
         let line = line.trim();
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().unwrap_or_default();
+            if !families.insert(name.to_string()) {
+                return Err(format!("family {name} is declared twice"));
+            }
+            continue;
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -405,7 +416,10 @@ pub fn parse(text: &str) -> Result<BTreeMap<String, f64>, String> {
             .trim()
             .parse()
             .map_err(|e| format!("bad value in {line:?}: {e}"))?;
-        samples.insert(name.trim().to_string(), value);
+        let name = name.trim();
+        if samples.insert(name.to_string(), value).is_some() {
+            return Err(format!("sample {name} is repeated"));
+        }
     }
     Ok(samples)
 }
@@ -488,6 +502,16 @@ mod tests {
         assert!(parse("just_a_name_no_value").is_err());
         assert!(parse("name not_a_number").is_err());
         assert!(parse("# HELP x y\n# TYPE x counter\nx 1\n").is_ok());
+    }
+
+    #[test]
+    fn parse_rejects_a_family_declared_twice() {
+        let twice = "# TYPE x counter\nx 1\n# TYPE x counter\n";
+        assert!(parse(twice).unwrap_err().contains("declared twice"));
+        let repeated = "# TYPE x counter\nx 1\nx 2\n";
+        assert!(parse(repeated).unwrap_err().contains("repeated"));
+        let labelled = "# TYPE x counter\nx{a=\"1\"} 1\nx{a=\"2\"} 2\n";
+        assert_eq!(parse(labelled).unwrap().len(), 2, "distinct label sets");
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! crash-safe [`tms_store::Store`]: the process **warm-starts** from
 //! whatever an earlier run persisted in the same directory (a restarted
 //! server answers its first `flow` request entirely from the library —
-//! zero place-and-route tool runs), every insert is WAL-appended, and a
-//! graceful shutdown folds the log into a compact snapshot.
+//! zero place-and-route tool runs), every insert is appended to the
+//! store's log, and a graceful shutdown compacts the log to its live
+//! entries.
 //!
 //! The server is plain threads — a TCP acceptor plus a crossbeam-channel
 //! worker pool, no async runtime; the cache sits behind a

@@ -42,7 +42,7 @@
 //! read timeouts, so connections held open by clients terminate too.
 //! Only *after* the last worker exits — no in-flight insert can race it —
 //! the persistent store (if configured) is flushed and checkpointed, so a
-//! restart warm-starts from a compact snapshot. A client can trigger the
+//! restart warm-starts from a compacted log. A client can trigger the
 //! same path remotely with the `shutdown` endpoint: the handler fsyncs
 //! the store before acknowledging, then raises the flag for
 //! [`ServerHandle::serve_forever`] to finish the job.
@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 use tms_cnn::{cnvw1a1, CnvDesign};
 use tms_device::{Device, DeviceName};
 use tms_estimator::{CfEstimator, FeatureSet};
-use tms_fault::{FaultInjector, FaultPlan, FaultPoint, Retry};
+use tms_fault::{FaultInjector, FaultPlan, FaultPoint, NoopInjector, Retry};
 use tms_flow::{
     CacheLookup, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, ModuleFingerprint,
     RwFlowConfig, StoreAuditor, DEFAULT_CACHE_CAPACITY,
@@ -335,7 +335,7 @@ impl ServerHandle {
     /// Stop the server: refuse new connections, finish in-flight
     /// requests, join every thread, and — in store mode — flush and
     /// checkpoint the persistent library so the next process warm-starts
-    /// from a compact snapshot.
+    /// from a compacted log.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -365,7 +365,7 @@ impl ServerHandle {
             let _ = h.join();
         }
         // Only after every worker has exited (no more in-flight inserts):
-        // make the library durable and fold the WAL into a snapshot.
+        // make the library durable and compact its log.
         if !self.state.checkpointed.swap(true, Ordering::SeqCst) {
             if let Some(store) = self.state.store() {
                 let _ = store.flush();
@@ -404,14 +404,11 @@ pub fn serve(
     let cache = match &config.store {
         Some(store_config) => {
             let recorder: Arc<dyn Recorder> = Arc::clone(&sink) as Arc<dyn Recorder>;
-            let opened = match &config.fault {
-                Some(plan) => {
-                    let inj: Arc<dyn FaultInjector> = Arc::clone(plan) as Arc<dyn FaultInjector>;
-                    Store::open_faulty(store_config.clone(), recorder, inj)
-                }
-                None => Store::open_with(store_config.clone(), recorder),
+            let fault: Arc<dyn FaultInjector> = match &config.fault {
+                Some(plan) => Arc::clone(plan) as Arc<dyn FaultInjector>,
+                None => Arc::new(NoopInjector),
             };
-            match opened {
+            match Store::open_faulty(store_config.clone(), recorder, fault) {
                 Ok(store) => {
                     let store: MacroStore = store;
                     ImplementationCache::with_store(Arc::new(store))
@@ -1484,7 +1481,7 @@ fn integrity_prometheus(page: &mut PromText, r: &IntegrityReport) {
 
 /// The persistent store's gauge/counter family on the Prometheus page.
 fn store_prometheus(page: &mut PromText, s: &tms_store::StoreSnapshot) {
-    let gauges: [(&str, &str, f64); 5] = [
+    let gauges: [(&str, &str, f64); 4] = [
         ("tms_store_entries", "Live store entries", s.entries as f64),
         (
             "tms_store_bytes",
@@ -1497,13 +1494,8 @@ fn store_prometheus(page: &mut PromText, s: &tms_store::StoreSnapshot) {
             s.byte_budget as f64,
         ),
         (
-            "tms_store_generation",
-            "Snapshot compaction generation",
-            s.generation as f64,
-        ),
-        (
             "tms_store_wal_bytes",
-            "WAL bytes since the last compaction",
+            "Log bytes that count toward the next compaction",
             s.wal_bytes as f64,
         ),
     ];
@@ -1516,7 +1508,7 @@ fn store_prometheus(page: &mut PromText, s: &tms_store::StoreSnapshot) {
         ("tms_store_misses_total", "Store lookup misses", s.misses),
         (
             "tms_store_quarantined_total",
-            "Store entries or WAL regions quarantined",
+            "Store entries or log regions quarantined",
             s.quarantined,
         ),
         (
@@ -1531,17 +1523,17 @@ fn store_prometheus(page: &mut PromText, s: &tms_store::StoreSnapshot) {
         ),
         (
             "tms_store_recovered_total",
-            "Records recovered from disk at open",
+            "Log records applied at open",
             s.recovered,
         ),
         (
             "tms_store_appended_total",
-            "Put records appended to the WAL",
+            "Put records appended to the log",
             s.appended,
         ),
         (
             "tms_store_compactions_total",
-            "Snapshot compactions performed",
+            "Log compactions performed",
             s.compactions,
         ),
         (

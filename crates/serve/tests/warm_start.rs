@@ -48,7 +48,7 @@ fn restarted_server_serves_the_flow_from_the_library() {
     };
 
     // ── Server one: cold store, run a full flow + one preimpl, stop. ──
-    let (cold_preimpl, first_generation) = {
+    let cold_preimpl = {
         let handle = store_server(&dir);
         let mut client = Client::connect(handle.addr()).expect("connect");
 
@@ -66,17 +66,21 @@ fn restarted_server_serves_the_flow_from_the_library() {
         let store = stats.store.expect("server runs in store mode");
         assert_eq!(store.entries, 75, "74 flow modules + 1 preimpl");
         assert!(store.appended >= 75);
+        assert_eq!(store.compactions, 0, "nothing compacted while serving");
 
         // `stop` drains the workers, flushes and checkpoints the library.
         handle.stop();
-        (pre, store.generation)
+        pre
     };
 
-    // The checkpoint folded the WAL into a snapshot generation.
+    // The checkpoint rewrote the log to exactly the live entries.
     let report = tms_store::verify(&dir).expect("verify");
     assert!(report.clean(), "{report}");
-    assert!(report.generation.expect("snapshot exists") > first_generation);
-    assert_eq!(report.wal_records, 0, "checkpoint left an empty WAL");
+    assert_eq!(
+        report.wal_records, 75,
+        "checkpoint left one record per entry"
+    );
+    assert_eq!(report.wal_torn_bytes, 0);
 
     // ── Server two: same directory, fresh process state. ──
     let handle = store_server(&dir);
@@ -86,6 +90,7 @@ fn restarted_server_serves_the_flow_from_the_library() {
     let store = stats.store.expect("store mode");
     assert_eq!(store.entries, 75, "warm start loaded the whole library");
     assert_eq!(store.recovered, 75, "all 75 came from disk, not recompute");
+    assert_eq!(store.wal_bytes, 0, "a checkpointed library reopens at 0");
 
     // The headline: the restarted server's first flow request does ZERO
     // place-and-route work.
@@ -107,10 +112,12 @@ fn restarted_server_serves_the_flow_from_the_library() {
     assert_eq!(pre.pblock_h, cold_preimpl.pblock_h);
     assert_eq!(pre.used_slices, cold_preimpl.used_slices);
 
-    // The store metrics surfaced on the Prometheus page too.
+    // The store metrics surfaced on the Prometheus page too, and the page
+    // declares every family once.
     let page = client.metrics_text().expect("metrics");
-    assert!(page.contains("tms_store_entries 75"), "page:\n{page}");
-    assert!(page.contains("tms_store_recovered_total 75"));
+    let samples = tms_serve::prometheus::parse(&page).unwrap_or_else(|e| panic!("{e}\n{page}"));
+    assert_eq!(samples["tms_store_entries"], 75.0);
+    assert_eq!(samples["tms_store_recovered_total"], 75.0);
 
     handle.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -146,7 +153,7 @@ fn client_shutdown_checkpoints_before_the_server_exits() {
 
     let report = tms_store::verify(&dir).expect("verify");
     assert!(report.clean(), "{report}");
-    assert_eq!(report.wal_records, 0, "checkpoint folded the WAL");
-    assert_eq!(report.snapshot_records, 2, "meta record + 1 entry");
+    assert_eq!(report.wal_records, 1, "checkpoint left exactly the entry");
+    assert_eq!(report.wal_torn_bytes, 0);
     std::fs::remove_dir_all(&dir).ok();
 }

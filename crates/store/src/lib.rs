@@ -5,28 +5,34 @@
 //! flow only materializes if the library of implemented modules survives
 //! between runs. This crate makes that library durable:
 //!
-//! * **Write-ahead log** — every [`Store::put`] appends one
-//!   length+CRC32-framed record ([`wal`]) before anything else depends on
-//!   it; a crash mid-append leaves a torn tail that the next open
-//!   truncates, so every *committed* write survives bit-identically.
-//! * **Snapshot compaction** — [`Store::compact`] folds the log into a
-//!   `snapshot.<generation>.tms` segment written via temp-file + atomic
-//!   rename, then empties the WAL and deletes older generations. A crash
-//!   between any two steps leaves a recoverable snapshot/WAL pair
-//!   (replaying a pre-snapshot WAL is idempotent).
+//! * **One log** — the store keeps one file, `wal.log`. Every
+//!   [`Store::put`], [`Store::remove`] and eviction writes its own
+//!   length+CRC32-framed record ([`wal`]) to it before the in-memory map
+//!   changes, so a failed write leaves the map as it was. A crash
+//!   mid-append leaves a torn tail that the next open truncates, so every
+//!   *committed* write survives bit-identically.
+//! * **One scanner** — open and [`verify()`] read the log the same way: a
+//!   damaged frame with valid records after it is skipped and the scan
+//!   keeps reading, so a flipped bit costs exactly one record. Open cuts
+//!   the damage out and parks it under `quarantine/`; `verify` only
+//!   reports it, as corruption.
+//! * **Compaction by rename** — [`Store::compact`] writes every live
+//!   entry to a temp file, fsyncs it and renames it over `wal.log`; later
+//!   appends go to the new file. A crash at any point leaves either the
+//!   old log or the new one.
 //! * **LRU byte budget** — entries past [`StoreConfig::byte_budget`] are
 //!   evicted least-recently-used first; evictions are logged as `del`
 //!   records so a reopen does not resurrect them.
 //! * **Concurrent readers, single writer** — lookups share a read lock;
-//!   appends serialize on the write lock and hand their records to a
-//!   background flush thread over a *bounded* channel (backpressure
-//!   instead of unbounded buffering). [`Store::flush`] is the fsync
-//!   barrier; [`Store::checkpoint`] is flush + compact (what a graceful
-//!   shutdown runs).
-//! * **Telemetry** — opened with [`Store::open_with`], the store records
+//!   writers serialize on the write lock and write their frame under it.
+//!   The log file has its own mutex, so [`Store::flush`], the fsync
+//!   barrier, never runs under the map's write lock;
+//!   [`Store::checkpoint`] is flush + compact (what a graceful shutdown
+//!   runs).
+//! * **Telemetry** — opened with [`Store::open_faulty`], the store records
 //!   `store.append`/`store.compact`/`store.recover` spans (phase `store`)
-//!   and `store.hit`/`store.miss`/`store.evict`/`store.recovered` counters
-//!   to any [`tms_obs::Recorder`].
+//!   and `store.hit`/`store.miss`/`store.evict` counters to any
+//!   [`tms_obs::Recorder`].
 //!
 //! The store is generic over its key and value (anything that round-trips
 //! through the workspace's JSON data model); `tms-flow` instantiates it
@@ -56,8 +62,6 @@ pub mod verify;
 pub mod wal;
 
 pub use stats::{CompactReport, ScrubReport, StoreCounters, StoreSnapshot, VerifyReport};
-pub use store::{
-    Store, StoreConfig, StoreKey, StoreValue, QUARANTINE_DIR, SNAPSHOT_PREFIX, WAL_FILE,
-};
+pub use store::{Store, StoreConfig, StoreKey, StoreValue, QUARANTINE_DIR, WAL_FILE};
 pub use verify::verify;
-pub use wal::{atomic_write, atomic_write_faulty, crc32};
+pub use wal::crc32;

@@ -12,17 +12,16 @@ pub struct StoreCounters {
     pub misses: AtomicU64,
     /// Entries evicted by the byte budget.
     pub evicted: AtomicU64,
-    /// Records recovered from disk at open (snapshot entries + WAL
-    /// records applied).
+    /// Log records applied at open.
     pub recovered: AtomicU64,
-    /// `put` records appended to the WAL.
+    /// `put` records appended to the log.
     pub appended: AtomicU64,
-    /// Snapshot compactions performed.
+    /// Log compactions performed.
     pub compactions: AtomicU64,
     /// Append/decode failures (undecodable-but-checksummed records at
-    /// recovery, or WAL write errors surfaced to a `put`).
+    /// recovery, or log write and fsync errors surfaced to the caller).
     pub io_errors: AtomicU64,
-    /// Entries (or WAL regions) moved to the `quarantine/` directory:
+    /// Entries (or log regions) moved to the `quarantine/` directory:
     /// checksum-failing records cut out at recovery, plus entries an
     /// audit rejected during a scrub or a verified read.
     pub quarantined: AtomicU64,
@@ -30,7 +29,7 @@ pub struct StoreCounters {
     pub scrubbed: AtomicU64,
 }
 
-/// A point-in-time view of a store: sizes, generation, and counters.
+/// A point-in-time view of a store: sizes and counters.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct StoreSnapshot {
     /// Live entries.
@@ -39,9 +38,8 @@ pub struct StoreSnapshot {
     pub bytes: u64,
     /// LRU eviction bound in bytes.
     pub byte_budget: u64,
-    /// Snapshot generation (0 before the first compaction).
-    pub generation: u64,
-    /// Bytes in the WAL since the last compaction.
+    /// Log bytes that count toward the next compaction: appended since
+    /// the last one (at open, the log bytes that hold no live entry).
     pub wal_bytes: u64,
     /// Lookup hits.
     pub hits: u64,
@@ -49,15 +47,15 @@ pub struct StoreSnapshot {
     pub misses: u64,
     /// Entries evicted by the byte budget.
     pub evicted: u64,
-    /// Records recovered from disk when the store was opened.
+    /// Log records applied when the store was opened.
     pub recovered: u64,
-    /// `put` records appended to the WAL.
+    /// `put` records appended to the log.
     pub appended: u64,
-    /// Snapshot compactions performed.
+    /// Log compactions performed.
     pub compactions: u64,
     /// Append/decode failures.
     pub io_errors: u64,
-    /// Entries or WAL regions quarantined (corruption cut out and parked
+    /// Entries or log regions quarantined (corruption cut out and parked
     /// under `quarantine/` for post-mortems).
     pub quarantined: u64,
     /// Entries audited by the scrubber.
@@ -82,47 +80,38 @@ pub struct ScrubReport {
 /// What one compaction folded.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CompactReport {
-    /// The new snapshot generation.
-    pub generation: u64,
-    /// Live entries captured by the snapshot.
+    /// Live entries the rewritten log holds.
     pub entries: usize,
     /// Summed payload bytes of those entries.
     pub bytes: u64,
-    /// WAL bytes folded away (the log is empty afterwards).
+    /// Log bytes appended since the previous compaction, folded away.
     pub wal_bytes_folded: u64,
-    /// On-disk size of the new snapshot segment.
-    pub snapshot_bytes: u64,
+    /// On-disk size of the rewritten log.
+    pub log_bytes: u64,
 }
 
-/// What a read-only [`crate::verify()`] audit found.
+/// What a read-only [`crate::verify()`] audit of the log found.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct VerifyReport {
-    /// Generation of the newest snapshot segment, if any exists.
-    pub generation: Option<u64>,
-    /// CRC-verified records in that snapshot.
-    pub snapshot_records: u64,
-    /// Bytes of the snapshot that fail framing/CRC (must be 0 — snapshots
-    /// are written atomically).
-    pub snapshot_torn_bytes: u64,
-    /// CRC-verified records in the WAL.
+    /// CRC-verified records in the log.
     pub wal_records: u64,
-    /// Torn-tail bytes at the end of the WAL (benign: a crash mid-append;
+    /// Torn-tail bytes at the end of the log (benign: a crash mid-append;
     /// truncated on the next open).
     pub wal_torn_bytes: u64,
+    /// Bytes of damaged frames with valid records after them: in-place
+    /// corruption, which the next open cuts out and quarantines.
+    pub wal_corrupt_bytes: u64,
     /// Records that passed their checksum but do not parse as store
     /// records (version skew or corruption the CRC cannot see).
     pub decode_errors: u64,
-    /// Older snapshot generations still on disk (left by an interrupted
-    /// compaction; removed by the next one).
-    pub stale_snapshots: u64,
 }
 
 impl VerifyReport {
     /// Whether the on-disk state is fully intact: every record checksums
-    /// and parses, and no snapshot is torn. A torn WAL *tail* alone does
-    /// not fail verification — that is the crash case recovery handles.
+    /// and parses. A torn *tail* alone does not fail verification — that
+    /// is the crash case recovery handles.
     pub fn clean(&self) -> bool {
-        self.snapshot_torn_bytes == 0 && self.decode_errors == 0
+        self.wal_corrupt_bytes == 0 && self.decode_errors == 0
     }
 }
 
@@ -130,22 +119,10 @@ impl std::fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "snapshot: generation {} ({} records, {} torn bytes)",
-            self.generation
-                .map_or_else(|| "none".to_string(), |g| g.to_string()),
-            self.snapshot_records,
-            self.snapshot_torn_bytes
+            "wal:      {} records, {} corrupt bytes, {} torn-tail bytes",
+            self.wal_records, self.wal_corrupt_bytes, self.wal_torn_bytes
         )?;
-        writeln!(
-            f,
-            "wal:      {} records, {} torn-tail bytes",
-            self.wal_records, self.wal_torn_bytes
-        )?;
-        writeln!(
-            f,
-            "decode errors: {}   stale snapshots: {}",
-            self.decode_errors, self.stale_snapshots
-        )?;
+        writeln!(f, "decode errors: {}", self.decode_errors)?;
         write!(
             f,
             "verdict:  {}",

@@ -1,24 +1,23 @@
-//! The content-addressed macro artifact store: an in-memory map with an
-//! append-only WAL behind it and periodic snapshot compaction.
+//! The content-addressed macro artifact store: an in-memory map with one
+//! append-only log behind it, compacted by rewriting the log.
 //!
 //! Concurrency model — concurrent readers, single writer:
 //!
 //! * [`Store::get`] takes the read side of a `parking_lot::RwLock`, so any
 //!   number of server workers look up concurrently; recency stamps and
 //!   hit/miss counters are atomics.
-//! * [`Store::put`] takes the write side and, still under the lock, hands
-//!   the framed WAL record to a **background flush thread** over a bounded
-//!   channel. Keeping the send under the lock makes the channel order equal
-//!   to the in-memory apply order (replay correctness); the bounded channel
-//!   is the backpressure valve — when the flush thread falls behind,
-//!   writers block instead of buffering unboundedly.
-//! * [`Store::compact`] stops the world (write lock), writes a new
-//!   snapshot generation via temp-file + atomic rename, resets the WAL,
-//!   and deletes older generations.
+//! * [`Store::put`], [`Store::remove`] and eviction take the write side
+//!   and, still under it, write their own frame to the log before they
+//!   change the map: log order is apply order, and a failed write leaves
+//!   the map as it was. The log file sits behind its own mutex, always
+//!   taken after the map lock; [`Store::flush`] takes only that mutex, so
+//!   no fsync ever runs under the map's write lock.
+//! * [`Store::compact`] holds the read side (no writer can append), writes
+//!   every live entry to a temp file, fsyncs it and renames it over
+//!   `wal.log`; appends then go to the new file.
 
 use crate::stats::{CompactReport, ScrubReport, StoreCounters, StoreSnapshot};
 use crate::wal::{self, WalFile};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
@@ -27,17 +26,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use tms_fault::{check_io, FaultInjector, FaultPoint, NoopInjector};
 use tms_obs::{span, NoopRecorder, Phase, Recorder};
 
-/// File name of the write-ahead log inside the store directory.
+/// File name of the log inside the store directory.
 pub const WAL_FILE: &str = "wal.log";
-
-/// Prefix/suffix of snapshot segment files (`snapshot.<generation>.tms`).
-pub const SNAPSHOT_PREFIX: &str = "snapshot.";
-/// Suffix of snapshot segment files.
-pub const SNAPSHOT_SUFFIX: &str = ".tms";
 
 /// Subdirectory corrupt records and audit-rejected entries are parked in.
 /// Nothing in the quarantine is ever read back by the store — the files
@@ -48,47 +41,34 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding the WAL and snapshot segments.
+    /// Directory holding the log.
     pub dir: PathBuf,
     /// LRU eviction bound on the summed payload bytes of live entries.
     pub byte_budget: u64,
-    /// Auto-compact once the WAL exceeds this many bytes (0 = manual
-    /// compaction only).
+    /// Auto-compact once this many log bytes hold no live entry (0 =
+    /// manual compaction only).
     pub compact_wal_bytes: u64,
-    /// Capacity of the bounded append channel to the flush thread — the
-    /// backpressure window, in records.
-    pub flush_queue: usize,
 }
 
 impl StoreConfig {
     /// A config rooted at `dir` with the defaults: 256 MiB byte budget,
-    /// auto-compaction at 32 MiB of WAL, a 256-record flush queue.
+    /// auto-compaction at 32 MiB of appends.
     pub fn at(dir: impl Into<PathBuf>) -> StoreConfig {
         StoreConfig {
             dir: dir.into(),
             byte_budget: 256 << 20,
             compact_wal_bytes: 32 << 20,
-            flush_queue: 256,
         }
     }
 
     fn wal_path(&self) -> PathBuf {
         wal_path(&self.dir)
     }
-
-    fn snapshot_path(&self, generation: u64) -> PathBuf {
-        snapshot_path(&self.dir, generation)
-    }
 }
 
-/// Path of the WAL inside a store directory.
+/// Path of the log inside a store directory.
 pub(crate) fn wal_path(dir: &Path) -> PathBuf {
     dir.join(WAL_FILE)
-}
-
-/// Path of one snapshot generation inside a store directory.
-pub(crate) fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
-    dir.join(format!("{SNAPSHOT_PREFIX}{generation}{SNAPSHOT_SUFFIX}"))
 }
 
 /// Park `bytes` in the quarantine directory under a unique name.
@@ -122,35 +102,24 @@ struct Inner<K, V> {
     bytes: u64,
 }
 
-/// Messages to the background flush thread.
-enum WalMsg {
-    /// Append one framed record.
-    Append(Vec<u8>),
-    /// Flush buffers and fsync; ack with any accumulated write error.
-    Sync(Sender<io::Result<()>>),
-    /// Truncate the WAL to zero length (post-snapshot).
-    Reset(Sender<io::Result<()>>),
-}
-
 /// A crash-safe, content-addressed, LRU-bounded artifact store.
 ///
 /// See the [module docs](self) for the concurrency and durability model.
-/// Dropping the store stops the flush thread after a final flush+fsync.
+/// Dropping the store fsyncs the log.
 pub struct Store<K: StoreKey, V: StoreValue> {
     inner: RwLock<Inner<K, V>>,
+    /// The append handle of `wal.log`; always locked after `inner`.
+    log: Mutex<WalFile>,
     config: StoreConfig,
     obs: Arc<dyn Recorder>,
     fault: Arc<dyn FaultInjector>,
     clock: AtomicU64,
-    generation: AtomicU64,
     wal_bytes: AtomicU64,
     counters: StoreCounters,
     /// Sequence for unique quarantine file names within this process.
     qseq: AtomicU64,
     /// The most recent scrub pass, if any ran on this handle.
     last_scrub: Mutex<Option<ScrubReport>>,
-    tx: Sender<WalMsg>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Encode a `put` record payload: `["put", key, value]`.
@@ -169,23 +138,10 @@ fn encode_del<K: Serialize>(key: &K) -> io::Result<Vec<u8>> {
     serde_json::to_vec(&doc).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Encode the snapshot meta record: `["meta", {...}]`.
-fn encode_meta(generation: u64, entries: usize) -> io::Result<Vec<u8>> {
-    let doc = Value::Array(vec![
-        Value::Str("meta".to_string()),
-        Value::Object(vec![
-            ("generation".to_string(), Value::UInt(generation)),
-            ("entries".to_string(), Value::UInt(entries as u64)),
-        ]),
-    ]);
-    serde_json::to_vec(&doc).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// A decoded store record.
 enum Decoded<K, V> {
     Put(K, V),
     Del(K),
-    Meta,
 }
 
 fn decode<K: Deserialize, V: Deserialize>(payload: &[u8]) -> Result<Decoded<K, V>, String> {
@@ -202,53 +158,30 @@ fn decode<K: Deserialize, V: Deserialize>(payload: &[u8]) -> Result<Decoded<K, V
         Some(Value::Str(tag)) if tag == "del" && items.len() == 2 => Ok(Decoded::Del(
             K::from_value(&items[1]).map_err(|e| e.to_string())?,
         )),
-        Some(Value::Str(tag)) if tag == "meta" && items.len() == 2 => Ok(Decoded::Meta),
         _ => Err("unknown record tag".to_string()),
     }
-}
-
-/// Scan `dir` for snapshot segments, highest generation first.
-pub(crate) fn snapshot_generations(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut gens = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(rest) = name
-            .strip_prefix(SNAPSHOT_PREFIX)
-            .and_then(|r| r.strip_suffix(SNAPSHOT_SUFFIX))
-        {
-            if let Ok(gen) = rest.parse::<u64>() {
-                gens.push(gen);
-            }
-        }
-    }
-    gens.sort_unstable_by(|a, b| b.cmp(a));
-    Ok(gens)
 }
 
 impl<K: StoreKey, V: StoreValue> Store<K, V> {
     /// Open (or create) the store at `config.dir` with no telemetry.
     pub fn open(config: StoreConfig) -> io::Result<Store<K, V>> {
-        Store::open_with(config, Arc::new(NoopRecorder))
+        Store::open_faulty(config, Arc::new(NoopRecorder), Arc::new(NoopInjector))
     }
 
-    /// Open (or create) the store, recording spans and counters to `obs`.
+    /// Open (or create) the store, recording spans and counters to `obs`
+    /// and consulting `fault` at the store's failure sites: `store.open`
+    /// here, `store.append` on every [`put`](Store::put), `store.fsync` at
+    /// each [`flush`](Store::flush), and `store.fsync`/`store.rename`
+    /// inside the log rewrite of [`compact`](Store::compact). Injected
+    /// failures count into the `io_errors` statistic exactly like real
+    /// ones.
     ///
-    /// Recovery: the highest intact snapshot generation is loaded, then
-    /// the WAL is replayed on top of it; a torn WAL tail (crash mid-append)
-    /// is truncated so subsequent appends continue from the last committed
-    /// record. Entries carried by either file count into the `recovered`
+    /// Recovery replays the log (last-writer-wins per key). A torn tail
+    /// (crash mid-append) is truncated so later appends continue from the
+    /// last committed record; a damaged frame in the middle of the log is
+    /// cut out, parked in `quarantine/`, and every record after it still
+    /// replays. Every applied record counts into the `recovered`
     /// statistic.
-    pub fn open_with(config: StoreConfig, obs: Arc<dyn Recorder>) -> io::Result<Store<K, V>> {
-        Store::open_faulty(config, obs, Arc::new(NoopInjector))
-    }
-
-    /// [`Store::open_with`] plus a [`FaultInjector`] consulted at the
-    /// store's failure sites: `store.open` here, `store.append` on every
-    /// [`put`](Store::put), `store.fsync` at each flush-thread sync, and
-    /// `store.fsync`/`store.rename` inside the snapshot publication of
-    /// [`compact`](Store::compact). Injected failures count into the
-    /// `io_errors` statistic exactly like real ones.
     pub fn open_faulty(
         config: StoreConfig,
         obs: Arc<dyn Recorder>,
@@ -264,53 +197,8 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         };
         let mut clock = 0u64;
 
-        // Load the newest intact snapshot; fall back to older generations
-        // if (against the atomic-rename guarantee) one fails to scan.
-        let mut generation = 0u64;
-        for gen in snapshot_generations(&config.dir)? {
-            let scan = wal::scan_file(&config.snapshot_path(gen))?;
-            if scan.torn_bytes > 0 {
-                continue;
-            }
-            let mut ok = true;
-            let mut loaded: Vec<(K, V, u64)> = Vec::new();
-            for payload in &scan.records {
-                match decode::<K, V>(payload) {
-                    Ok(Decoded::Put(k, v)) => loaded.push((k, v, payload.len() as u64)),
-                    Ok(Decoded::Del(_)) | Ok(Decoded::Meta) => {}
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
-            for (k, v, bytes) in loaded {
-                clock += 1;
-                inner.bytes += bytes;
-                inner.entries.insert(
-                    k,
-                    Entry {
-                        value: v,
-                        bytes,
-                        last_used: AtomicU64::new(clock),
-                    },
-                );
-            }
-            generation = gen;
-            break;
-        }
-        let snapshot_entries = inner.entries.len() as u64;
-
-        // Replay the WAL on top. Recovery *resynchronizes*: a torn tail
-        // (crash mid-append) is truncated as before, while mid-stream
-        // checksum failures — in-place corruption — are cut out of the
-        // log, parked in `quarantine/`, and every committed record after
-        // them still replays.
-        let wal_outcome = wal::recover_file_resync(&config.wal_path())?;
-        for (i, region) in wal_outcome.corrupt_regions.iter().enumerate() {
+        let outcome = wal::recover_file(&config.wal_path())?;
+        for (i, region) in outcome.corrupt_regions.iter().enumerate() {
             quarantine_write(
                 &config.dir,
                 &format!("wal-{}", region.offset),
@@ -320,12 +208,12 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             counters.quarantined.fetch_add(1, Ordering::Relaxed);
             obs.count("store.quarantine", 1);
         }
-        let mut wal_applied = 0u64;
-        for payload in &wal_outcome.records {
+        let mut applied = 0u64;
+        for payload in &outcome.records {
             match decode::<K, V>(payload) {
                 Ok(Decoded::Put(k, v)) => {
                     clock += 1;
-                    wal_applied += 1;
+                    applied += 1;
                     let bytes = payload.len() as u64;
                     if let Some(old) = inner.entries.insert(
                         k,
@@ -340,12 +228,11 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
                     inner.bytes += bytes;
                 }
                 Ok(Decoded::Del(k)) => {
-                    wal_applied += 1;
+                    applied += 1;
                     if let Some(old) = inner.entries.remove(&k) {
                         inner.bytes -= old.bytes;
                     }
                 }
-                Ok(Decoded::Meta) => {}
                 // The record passed its CRC but does not decode: written
                 // by an incompatible version. Skip it rather than lose the
                 // rest of the log.
@@ -354,39 +241,31 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
                 }
             }
         }
-        counters
-            .recovered
-            .fetch_add(snapshot_entries + wal_applied, Ordering::Relaxed);
-        sp.field("snapshot_entries", snapshot_entries as f64);
-        sp.field("wal_records", wal_outcome.records.len() as f64);
-        sp.field("torn_bytes", wal_outcome.torn_bytes as f64);
-        sp.field("corrupt_regions", wal_outcome.corrupt_regions.len() as f64);
-        obs.count("store.recovered", snapshot_entries + wal_applied);
+        counters.recovered.fetch_add(applied, Ordering::Relaxed);
+        sp.field("entries", inner.entries.len() as f64);
+        sp.field("wal_records", outcome.records.len() as f64);
+        sp.field("torn_bytes", outcome.torn_bytes as f64);
+        sp.field("corrupt_regions", outcome.corrupt_regions.len() as f64);
 
-        // Post-recovery WAL length: when corruption was cut out the file
-        // was rewritten from the surviving frames, so the original
-        // `good_bytes` offset overcounts by the quarantined bytes.
-        let wal_len = wal_outcome.good_bytes - wal_outcome.corrupt_bytes();
-
-        // Start the flush thread on the cleaned log.
-        let wal_file = WalFile::open_append(&config.wal_path())?;
-        let (tx, rx) = bounded::<WalMsg>(config.flush_queue.max(1));
-        let flush_fault = Arc::clone(&fault);
-        let flusher = std::thread::spawn(move || flush_loop(wal_file, rx, flush_fault));
+        // Only log bytes that hold no live entry count toward the next
+        // compaction: a freshly compacted log reopens at 0. When damage
+        // was cut out the file was rewritten from the surviving frames,
+        // so `good_bytes` overcounts by the quarantined bytes.
+        let log_len = outcome.good_bytes - outcome.corrupt_bytes();
+        let live = inner.bytes + (wal::FRAME_HEADER * inner.entries.len()) as u64;
+        let log = WalFile::open_append(&config.wal_path())?;
 
         let store = Store {
             inner: RwLock::new(inner),
+            log: Mutex::new(log),
             config,
             obs: Arc::clone(&obs),
             fault,
             clock: AtomicU64::new(clock),
-            generation: AtomicU64::new(generation),
-            wal_bytes: AtomicU64::new(wal_len),
+            wal_bytes: AtomicU64::new(log_len.saturating_sub(live)),
             counters,
             qseq: AtomicU64::new(0),
             last_scrub: Mutex::new(None),
-            tx,
-            flusher: Mutex::new(Some(flusher)),
         };
         drop(sp);
 
@@ -419,15 +298,16 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         self.inner.read().entries.contains_key(key)
     }
 
-    /// Insert (or replace) an entry. The WAL record is handed to the flush
-    /// thread before the write lock is released, so log order matches
-    /// apply order; entries beyond the byte budget are evicted
-    /// least-recently-used first, each eviction logging a `del` record.
+    /// Insert (or replace) an entry. The `put` frame is written to the log
+    /// under the write lock before the map changes, so log order matches
+    /// apply order and a failed write leaves the map untouched; entries
+    /// beyond the byte budget are then evicted least-recently-used first,
+    /// each eviction logging a `del` record.
     pub fn put(&self, key: K, value: V) -> io::Result<()> {
         let mut sp = span(&*self.obs, Phase::Store, "append");
         if let Err(e) = check_io(&*self.fault, FaultPoint::StoreAppend) {
-            // Fail before touching the map: an injected append leaves the
-            // in-memory state exactly as it was, like a refused write.
+            // Fail before touching the log or the map, like a refused
+            // write.
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             self.obs.count("store.fault.append", 1);
             return Err(e);
@@ -439,19 +319,18 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let result = {
             let mut inner = self.inner.write();
-            if let Some(old) = inner.entries.insert(
-                key,
-                Entry {
+            self.append_locked(&framed).and_then(|()| {
+                let entry = Entry {
                     value,
                     bytes,
                     last_used: AtomicU64::new(now),
-                },
-            ) {
-                inner.bytes -= old.bytes;
-            }
-            inner.bytes += bytes;
-            self.append_locked(framed)
-                .and_then(|()| self.evict_locked(&mut inner))
+                };
+                if let Some(old) = inner.entries.insert(key, entry) {
+                    inner.bytes -= old.bytes;
+                }
+                inner.bytes += bytes;
+                self.evict_locked(&mut inner)
+            })
         };
         if let Err(e) = result {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
@@ -469,31 +348,32 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         Ok(())
     }
 
-    /// Remove an entry, logging a `del` record. Returns whether it existed.
+    /// Remove an entry, logging a `del` record first. Returns whether it
+    /// existed.
     pub fn remove(&self, key: &K) -> io::Result<bool> {
         let mut inner = self.inner.write();
-        let Some(old) = inner.entries.remove(key) else {
+        if !inner.entries.contains_key(key) {
             return Ok(false);
-        };
-        inner.bytes -= old.bytes;
-        let payload = encode_del(key)?;
-        self.append_locked(wal::frame(&payload))?;
+        }
+        self.append_locked(&wal::frame(&encode_del(key)?))?;
+        if let Some(old) = inner.entries.remove(key) {
+            inner.bytes -= old.bytes;
+        }
         Ok(true)
     }
 
-    /// Hand one framed record to the flush thread (caller holds the write
-    /// lock — this is what serializes the log against the map).
-    fn append_locked(&self, framed: Vec<u8>) -> io::Result<()> {
-        let len = framed.len() as u64;
-        self.tx
-            .send(WalMsg::Append(framed))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "WAL flush thread gone"))?;
-        self.wal_bytes.fetch_add(len, Ordering::Relaxed);
+    /// Write one framed record to the log. The caller holds the map's
+    /// write lock — this is what serializes the log against the map.
+    fn append_locked(&self, framed: &[u8]) -> io::Result<()> {
+        self.log.lock().append_faulty(framed, &*self.fault)?;
+        self.wal_bytes
+            .fetch_add(framed.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
     /// Evict least-recently-used entries until the byte budget holds,
-    /// logging a `del` per eviction. Caller holds the write lock.
+    /// logging a `del` per eviction before dropping the entry. Caller
+    /// holds the write lock.
     fn evict_locked(&self, inner: &mut Inner<K, V>) -> io::Result<()> {
         while inner.bytes > self.config.byte_budget && inner.entries.len() > 1 {
             let Some(lru) = inner
@@ -504,10 +384,10 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             else {
                 break;
             };
+            self.append_locked(&wal::frame(&encode_del(&lru)?))?;
             if let Some(old) = inner.entries.remove(&lru) {
                 inner.bytes -= old.bytes;
             }
-            self.append_locked(wal::frame(&encode_del(&lru)?))?;
             self.counters.evicted.fetch_add(1, Ordering::Relaxed);
             self.obs.count("store.evict", 1);
         }
@@ -520,16 +400,11 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         self.evict_locked(&mut inner)
     }
 
-    /// Block until every queued append is written and fsync'd; surfaces
-    /// any write error the flush thread hit since the last sync.
+    /// Fsync the log: on return every prior write is on stable storage.
+    /// Takes only the log's own mutex, never the map lock.
     pub fn flush(&self) -> io::Result<()> {
-        let (ack_tx, ack_rx) = unbounded();
-        self.tx
-            .send(WalMsg::Sync(ack_tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "WAL flush thread gone"))?;
-        let result = ack_rx
-            .recv()
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "WAL flush thread gone"))?;
+        let result =
+            check_io(&*self.fault, FaultPoint::StoreFsync).and_then(|()| self.log.lock().sync());
         if let Err(e) = result {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             self.obs.count("store.fault.fsync", 1);
@@ -538,69 +413,53 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         Ok(())
     }
 
-    /// Fold the WAL into a fresh snapshot generation: stop-the-world
-    /// (write lock), write `snapshot.<gen+1>.tms` with every live entry
-    /// via temp-file + atomic rename, truncate the WAL, delete older
-    /// generations. A crash at any point leaves a recoverable pair —
-    /// replaying a WAL that predates the new snapshot is idempotent.
+    /// Rewrite the log to hold exactly the live entries, in LRU order, so
+    /// a budget-shrunk reopen evicts the same entries this process would.
+    /// The new log is written to a temp file, fsync'd and renamed over
+    /// `wal.log`, and later appends go to it. A failure before the rename
+    /// leaves `wal.log` and the append handle as they were, so the caller
+    /// can retry (or just keep appending); a failed directory fsync after
+    /// it leaves the new log in place and in use.
     pub fn compact(&self) -> io::Result<CompactReport> {
         let mut sp = span(&*self.obs, Phase::Store, "compact");
-        let inner = self.inner.write();
+        // The read lock keeps every writer out; the log mutex comes after
+        // it, as everywhere.
+        let inner = self.inner.read();
+        let mut log = self.log.lock();
         let folded = self.wal_bytes.load(Ordering::Relaxed);
-        let gen = self.generation.load(Ordering::Relaxed) + 1;
 
-        // Serialize live entries in LRU order so a budget-shrunk reopen
-        // evicts the same entries this process would.
         let mut ordered: Vec<(&K, &Entry<V>)> = inner.entries.iter().collect();
         ordered.sort_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed));
-        let mut segment = wal::frame(&encode_meta(gen, ordered.len())?);
+        let mut rewritten = Vec::new();
         for (k, e) in &ordered {
-            segment.extend_from_slice(&wal::frame(&encode_put(k, &e.value)?));
+            rewritten.extend_from_slice(&wal::frame(&encode_put(k, &e.value)?));
         }
-        if let Err(e) =
-            wal::atomic_write_faulty(&self.config.snapshot_path(gen), &segment, &*self.fault)
-        {
-            // The failed generation never got renamed into place: the
-            // previous snapshot and the full WAL still describe the store,
-            // so the caller can retry (or just keep appending).
+        let path = self.config.wal_path();
+        // The handle follows the rename at once; the directory fsync
+        // after it makes the rename itself survive a power loss.
+        let replaced = WalFile::replace(&path, &rewritten, &*self.fault)
+            .map(|new_log| *log = new_log)
+            .and_then(|()| wal::sync_parent(&path));
+        if let Err(e) = replaced {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             self.obs.count("store.fault.compact", 1);
             return Err(e);
         }
-
-        // The snapshot now owns the state; drop the log.
-        let (ack_tx, ack_rx) = unbounded();
-        self.tx
-            .send(WalMsg::Reset(ack_tx))
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "WAL flush thread gone"))?;
-        ack_rx
-            .recv()
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "WAL flush thread gone"))??;
         self.wal_bytes.store(0, Ordering::Relaxed);
-        self.generation.store(gen, Ordering::Relaxed);
-
-        // Older generations are now garbage.
-        for old in snapshot_generations(&self.config.dir)? {
-            if old != gen {
-                let _ = std::fs::remove_file(self.config.snapshot_path(old));
-            }
-        }
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
         self.obs.count("store.compact", 1);
         let report = CompactReport {
-            generation: gen,
             entries: inner.entries.len(),
             bytes: inner.bytes,
             wal_bytes_folded: folded,
-            snapshot_bytes: segment.len() as u64,
+            log_bytes: rewritten.len() as u64,
         };
         sp.field("entries", report.entries as f64);
         sp.field("wal_bytes_folded", folded as f64);
         Ok(report)
     }
 
-    /// Flush and fsync, then fold everything into a fresh snapshot — the
-    /// graceful-shutdown checkpoint.
+    /// Flush, then compact — the graceful-shutdown checkpoint.
     pub fn checkpoint(&self) -> io::Result<CompactReport> {
         self.flush()?;
         self.compact()
@@ -729,12 +588,9 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         self.inner.read().bytes
     }
 
-    /// Current snapshot generation (0 before the first compaction).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    /// Bytes appended to the WAL since the last compaction.
+    /// Log bytes that count toward the next compaction: the bytes
+    /// appended since the last one (at open, the log bytes that hold no
+    /// live entry).
     pub fn wal_bytes(&self) -> u64 {
         self.wal_bytes.load(Ordering::Relaxed)
     }
@@ -751,7 +607,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             entries: inner.entries.len(),
             bytes: inner.bytes,
             byte_budget: self.config.byte_budget,
-            generation: self.generation.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
             hits: self.counters.hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
@@ -768,49 +623,8 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
 
 impl<K: StoreKey, V: StoreValue> Drop for Store<K, V> {
     fn drop(&mut self) {
-        // Final flush+fsync, then stop the thread by disconnecting.
-        let (ack_tx, ack_rx) = unbounded();
-        if self.tx.send(WalMsg::Sync(ack_tx)).is_ok() {
-            let _ = ack_rx.recv();
-        }
-        let (dead_tx, _dead_rx) = bounded(1);
-        self.tx = dead_tx; // disconnect the flush thread's receiver
-        if let Some(h) = self.flusher.lock().take() {
-            let _ = h.join();
-        }
+        let _ = self.log.get_mut().sync();
     }
-}
-
-/// The background flush loop: appends as they arrive, fsync on `Sync`,
-/// truncate on `Reset`, exit when every sender is gone. Append errors are
-/// remembered and surfaced at the next `Sync` ack.
-fn flush_loop(mut wal: WalFile, rx: Receiver<WalMsg>, fault: Arc<dyn FaultInjector>) {
-    let mut pending_err: Option<io::Error> = None;
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WalMsg::Append(framed) => {
-                // `append_faulty` is the silent-corruption consult: when
-                // `store.corrupt_record` fires, the record reaches disk
-                // with a flipped bit and this append still "succeeds" —
-                // detection is the recovery scan's job.
-                if let Err(e) = wal.append_faulty(&framed, &*fault) {
-                    pending_err.get_or_insert(e);
-                }
-            }
-            WalMsg::Sync(ack) => {
-                let result = match pending_err.take() {
-                    Some(e) => Err(e),
-                    None => check_io(&*fault, FaultPoint::StoreFsync).and_then(|()| wal.sync()),
-                };
-                let _ = ack.send(result);
-            }
-            WalMsg::Reset(ack) => {
-                pending_err = None;
-                let _ = ack.send(wal.reset());
-            }
-        }
-    }
-    let _ = wal.sync();
 }
 
 #[cfg(test)]
@@ -865,30 +679,75 @@ mod tests {
     }
 
     #[test]
-    fn compaction_folds_the_wal_and_drops_old_generations() {
+    fn compaction_folds_the_wal_and_leaves_one_file() {
         let dir = tmp_dir("compact");
         let store = open(&dir);
         for i in 0..10 {
             store.put(format!("k{i}"), "x".repeat(50)).unwrap();
         }
+        store.put("k0".into(), "y".repeat(50)).unwrap();
         assert!(store.wal_bytes() > 0);
         let r1 = store.compact().unwrap();
-        assert_eq!(r1.generation, 1);
         assert_eq!(r1.entries, 10);
         assert_eq!(store.wal_bytes(), 0);
+        // The rewritten log holds exactly the live entries.
+        let log = wal::scan_file(&wal_path(&dir)).unwrap();
+        assert_eq!(log.records.len(), 10, "the replaced k0 was folded away");
+        assert_eq!(
+            r1.log_bytes,
+            std::fs::metadata(wal_path(&dir)).unwrap().len()
+        );
         store.put("extra".into(), "y".into()).unwrap();
         let r2 = store.compact().unwrap();
-        assert_eq!(r2.generation, 2);
         assert_eq!(r2.entries, 11);
-        // Only the newest generation remains on disk.
-        let gens = snapshot_generations(&dir).unwrap();
-        assert_eq!(gens, vec![2]);
+        assert_eq!(store.stats().compactions, 2);
+        // One file, no temp debris.
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, [WAL_FILE]);
         drop(store);
 
         let store = open(&dir);
         assert_eq!(store.len(), 11);
-        assert_eq!(store.generation(), 2);
+        assert_eq!(store.wal_bytes(), 0, "a compacted log reopens at 0");
         assert_eq!(store.get(&"extra".to_string()), Some("y".to_string()));
+        assert_eq!(store.get(&"k0".to_string()), Some("y".repeat(50)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_counts_only_log_bytes_without_a_live_entry() {
+        let dir = tmp_dir("dead_bytes");
+        let replaced = {
+            let store = open(&dir);
+            store.put("a".into(), "1".into()).unwrap();
+            let first = store.wal_bytes();
+            store.put("b".into(), "2".into()).unwrap();
+            store.put("a".into(), "3".into()).unwrap();
+            first
+        };
+        // Only the frame of a's first value holds no live entry.
+        let store = open(&dir);
+        assert_eq!(store.wal_bytes(), replaced);
+        assert_eq!(store.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn old_snapshot_files_are_neither_read_nor_deleted() {
+        let dir = tmp_dir("old_snapshot");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A segment of the earlier two-file layout, with one valid frame.
+        let old = dir.join("snapshot.1.tms");
+        let segment = wal::frame(&encode_put(&"old".to_string(), &"1".to_string()).unwrap());
+        std::fs::write(&old, &segment).unwrap();
+        let store = open(&dir);
+        assert_eq!(store.get(&"old".to_string()), None, "a cache miss");
+        store.put("new".into(), "2".into()).unwrap();
+        store.checkpoint().unwrap();
+        assert_eq!(std::fs::read(&old).unwrap(), segment, "left in place");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -953,33 +812,7 @@ mod tests {
         }
         let stats = store.stats();
         assert!(stats.compactions >= 1, "WAL growth must compact");
-        assert!(store.generation() >= 1);
         assert_eq!(store.len(), 40, "compaction loses nothing");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn interrupted_compaction_is_recoverable() {
-        // Simulate the crash window *between* snapshot rename and WAL
-        // reset: both the new snapshot and the full WAL exist. Replay
-        // must be idempotent.
-        let dir = tmp_dir("interrupted");
-        let wal_copy;
-        {
-            let store = open(&dir);
-            store.put("a".into(), "1".into()).unwrap();
-            store.put("b".into(), "2".into()).unwrap();
-            store.put("a".into(), "3".into()).unwrap();
-            store.flush().unwrap();
-            wal_copy = std::fs::read(wal_path(&dir)).unwrap();
-            store.compact().unwrap();
-        }
-        // Resurrect the pre-compaction WAL next to the new snapshot.
-        std::fs::write(wal_path(&dir), &wal_copy).unwrap();
-        let store = open(&dir);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(&"a".to_string()), Some("3".to_string()));
-        assert_eq!(store.get(&"b".to_string()), Some("2".to_string()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1029,7 +862,8 @@ mod tests {
         let dir = tmp_dir("obs");
         let sink = Arc::new(AggregatingSink::new());
         let store: Store<String, String> =
-            Store::open_with(StoreConfig::at(&dir), sink.clone()).unwrap();
+            Store::open_faulty(StoreConfig::at(&dir), sink.clone(), Arc::new(NoopInjector))
+                .unwrap();
         store.put("k".into(), "v".into()).unwrap();
         assert!(store.get(&"k".to_string()).is_some());
         assert!(store.get(&"missing".to_string()).is_none());
@@ -1194,13 +1028,61 @@ mod tests {
         for i in 0..5 {
             store.put(format!("k{i}"), "v".into()).unwrap();
         }
+        store.remove(&"k0".to_string()).unwrap();
         store.checkpoint().unwrap();
         let report = crate::verify(&dir).unwrap();
         assert!(report.clean());
-        assert_eq!(report.generation, Some(1));
-        assert_eq!(report.snapshot_records, 6, "meta + 5 puts");
-        assert_eq!(report.wal_records, 0);
+        assert_eq!(
+            report.wal_records, 4,
+            "the checkpoint left the 4 live entries"
+        );
         assert_eq!(report.wal_torn_bytes, 0);
+        assert_eq!(report.wal_corrupt_bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_counts_a_damaged_middle_record_as_corruption() {
+        let dir = tmp_dir("verify_flip");
+        {
+            let store = open(&dir);
+            for i in 0..10 {
+                store.put(format!("k{i}"), format!("v{i}")).unwrap();
+            }
+            store.flush().unwrap();
+        }
+        let path = wal_path(&dir);
+        let clean = std::fs::read(&path).unwrap();
+        // The ten frames have the same length, so the middle byte lies in
+        // one whole frame with records on both sides of it.
+        let frame_len = wal::read_records(&clean).records[4].len() + wal::FRAME_HEADER;
+        let mid = clean.len() / 2;
+
+        // One flipped bit in the middle of the log: not clean, and the
+        // damaged frame's bytes are counted as corruption.
+        let mut flipped = clean.clone();
+        flipped[mid] ^= 0x10;
+        std::fs::write(&path, &flipped).unwrap();
+        let report = crate::verify(&dir).unwrap();
+        assert!(!report.clean(), "{report}");
+        assert_eq!(report.wal_records, 9);
+        assert_eq!(report.wal_corrupt_bytes, frame_len as u64);
+        assert_eq!(report.wal_torn_bytes, 0);
+        assert!(report.to_string().contains("CORRUPT"), "{report}");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            flipped,
+            "verify is read-only"
+        );
+
+        // A trailing tear alone stays clean (recoverable).
+        std::fs::write(&path, &clean[..clean.len() - 3]).unwrap();
+        let report = crate::verify(&dir).unwrap();
+        assert!(report.clean(), "{report}");
+        assert_eq!(report.wal_records, 9);
+        assert_eq!(report.wal_corrupt_bytes, 0);
+        assert!(report.wal_torn_bytes > 0);
+        assert!(report.to_string().contains("RECOVERABLE"), "{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,14 +1,14 @@
 //! Read-only integrity audit of a store directory (`tms store verify`).
 
 use crate::stats::VerifyReport;
-use crate::store::{snapshot_generations, snapshot_path, wal_path};
+use crate::store::wal_path;
 use crate::wal;
 use serde::Value;
 use std::io;
 use std::path::Path;
 
-/// Whether a checksummed payload parses as a store record (`put`/`del`/
-/// `meta` with the right arity). Checked without knowing the key/value
+/// Whether a checksummed payload parses as a store record (`put` or `del`
+/// with the right arity). Checked without knowing the key/value
 /// types, so `verify` works on any store directory.
 fn well_formed(payload: &[u8]) -> bool {
     let Ok(text) = std::str::from_utf8(payload) else {
@@ -20,40 +20,25 @@ fn well_formed(payload: &[u8]) -> bool {
     match items.first() {
         Some(Value::Str(tag)) if tag == "put" => items.len() == 3,
         Some(Value::Str(tag)) if tag == "del" => items.len() == 2,
-        Some(Value::Str(tag)) if tag == "meta" => items.len() == 2,
         _ => false,
     }
 }
 
-/// Audit the WAL and snapshot segments under `dir` without modifying
-/// anything: re-verify every record checksum, parse every payload, and
-/// report torn bytes. Unlike opening the store, a torn WAL tail is *not*
-/// truncated — this is safe to run against a live directory.
+/// Audit the log under `dir` without modifying anything: re-verify every
+/// record checksum with the same resynchronizing scan the store opens
+/// with, parse every payload, and report damaged and torn bytes. Unlike
+/// opening the store, nothing is truncated or cut out — this is safe to
+/// run against a live directory.
 pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    let generations = snapshot_generations(dir)?;
-    let mut report = VerifyReport {
-        generation: generations.first().copied(),
-        snapshot_records: 0,
-        snapshot_torn_bytes: 0,
-        wal_records: 0,
-        wal_torn_bytes: 0,
-        decode_errors: 0,
-        stale_snapshots: generations.len().saturating_sub(1) as u64,
-    };
-    if let Some(gen) = report.generation {
-        let scan = wal::scan_file(&snapshot_path(dir, gen))?;
-        report.snapshot_records = scan.records.len() as u64;
-        report.snapshot_torn_bytes = scan.torn_bytes;
-        report.decode_errors += scan.records.iter().filter(|r| !well_formed(r)).count() as u64;
-    }
-    match wal::scan_file(&wal_path(dir)) {
-        Ok(scan) => {
-            report.wal_records = scan.records.len() as u64;
-            report.wal_torn_bytes = scan.torn_bytes;
-            report.decode_errors += scan.records.iter().filter(|r| !well_formed(r)).count() as u64;
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+    let scan = match wal::scan_file(&wal_path(dir)) {
+        Ok(scan) => scan,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => wal::ReadOutcome::default(),
         Err(e) => return Err(e),
-    }
-    Ok(report)
+    };
+    Ok(VerifyReport {
+        wal_records: scan.records.len() as u64,
+        wal_torn_bytes: scan.torn_bytes,
+        wal_corrupt_bytes: scan.corrupt_bytes(),
+        decode_errors: scan.records.iter().filter(|r| !well_formed(r)).count() as u64,
+    })
 }

@@ -1,6 +1,6 @@
-//! Record framing of the write-ahead log and of snapshot segments.
+//! Record framing of the store's log.
 //!
-//! Both files are a plain sequence of frames:
+//! `wal.log` is a plain sequence of frames:
 //!
 //! ```text
 //! ┌────────────┬────────────┬─────────────────┐
@@ -11,10 +11,11 @@
 //! `crc32` is the IEEE checksum of the payload alone, so every record is
 //! independently verifiable. A crash mid-append leaves a *torn tail*: a
 //! frame whose header or body is incomplete, or whose checksum does not
-//! match. [`read_records`] stops at the first such frame and reports the
-//! byte offset of the last good record, which [`recover_file_resync`]
-//! truncates the file back to — every fully committed record before the tear
-//! survives bit-identically, everything after it is discarded.
+//! match. [`read_records`] classifies it as such and reports the byte
+//! offset of the last good record, which [`recover_file`] truncates the
+//! file back to — every fully committed record before the tear survives
+//! bit-identically. A damaged frame with valid records after it is
+//! in-place corruption, not a tear: the scan skips it and keeps reading.
 
 use std::fs::OpenOptions;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -68,49 +69,11 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The outcome of scanning a framed file.
+/// The outcome of scanning a framed buffer: the good records, where they
+/// end, and the mid-stream byte regions the scan had to skip to reach
+/// later records.
 #[derive(Debug, Default)]
 pub struct ReadOutcome {
-    /// Every payload that passed its checksum, in file order.
-    pub records: Vec<Vec<u8>>,
-    /// Byte offset one past the last good record — the truncation point.
-    pub good_bytes: u64,
-    /// Bytes after `good_bytes` (a torn tail or trailing corruption).
-    pub torn_bytes: u64,
-}
-
-/// Scan a byte buffer of frames, stopping at the first incomplete or
-/// checksum-failing record.
-pub fn read_records(bytes: &[u8]) -> ReadOutcome {
-    let mut out = ReadOutcome::default();
-    let mut off = 0usize;
-    while bytes.len() - off >= FRAME_HEADER {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-        if len > MAX_RECORD {
-            break;
-        }
-        let body_start = off + FRAME_HEADER;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
-            break;
-        }
-        let payload = &bytes[body_start..body_end];
-        if crc32(payload) != crc {
-            break;
-        }
-        out.records.push(payload.to_vec());
-        off = body_end;
-    }
-    out.good_bytes = off as u64;
-    out.torn_bytes = (bytes.len() - off) as u64;
-    out
-}
-
-/// The outcome of a *resynchronizing* scan: like [`ReadOutcome`], plus the
-/// mid-stream byte regions the scan had to skip to reach later records.
-#[derive(Debug, Default)]
-pub struct ResyncOutcome {
     /// Every payload that passed its checksum, in file order.
     pub records: Vec<Vec<u8>>,
     /// Byte offset one past the last good record.
@@ -135,7 +98,7 @@ pub struct CorruptRegion {
     pub bytes: Vec<u8>,
 }
 
-impl ResyncOutcome {
+impl ReadOutcome {
     /// Total bytes inside mid-stream corrupt regions.
     pub fn corrupt_bytes(&self) -> u64 {
         self.corrupt_regions
@@ -165,20 +128,19 @@ fn frame_at(bytes: &[u8], off: usize) -> Option<usize> {
     (crc32(&bytes[body_start..body_end]) == crc).then_some(body_end)
 }
 
-/// Scan a framed buffer like [`read_records`], but instead of stopping at
-/// the first bad frame, *resynchronize*: scan forward byte by byte for the
-/// next offset where a checksum-valid frame begins and continue reading
-/// from there. A single flipped bit inside one record therefore costs
-/// exactly that record — every subsequent committed record survives —
-/// where the plain scan would discard the whole rest of the log.
+/// Scan a framed buffer. At a bad frame the scan *resynchronizes*: it
+/// looks forward byte by byte for the next offset where a checksum-valid
+/// frame begins and continues reading from there. A single flipped bit
+/// inside one record therefore costs exactly that record — every
+/// subsequent committed record survives.
 ///
 /// Corruption at the very end of the file (nothing valid after it) is
 /// still classified as a torn tail, so crash-recovery semantics are
 /// unchanged; only *mid-stream* damage lands in `corrupt_regions`. A
 /// false resync would need a 32-bit checksum collision at a random
 /// offset (probability 2⁻³² per candidate byte).
-pub fn read_records_resync(bytes: &[u8]) -> ResyncOutcome {
-    let mut out = ResyncOutcome::default();
+pub fn read_records(bytes: &[u8]) -> ReadOutcome {
+    let mut out = ReadOutcome::default();
     let mut off = 0usize;
     while bytes.len() - off >= FRAME_HEADER {
         if let Some(body_end) = frame_at(bytes, off) {
@@ -204,25 +166,19 @@ pub fn read_records_resync(bytes: &[u8]) -> ResyncOutcome {
     out
 }
 
-/// Read a framed file without modifying it (for `verify`-style audits).
-pub fn scan_file(path: &Path) -> io::Result<ReadOutcome> {
-    let bytes = std::fs::read(path)?;
-    Ok(read_records(&bytes))
-}
-
 /// Read a framed file and repair it in place, so the next append
 /// continues from the last committed record: mid-stream corrupt records
 /// are cut out (the file is atomically rewritten from the surviving good
 /// frames) and returned in `corrupt_regions` for the caller to
 /// quarantine, and a plain torn tail is truncated. Missing files read as
 /// empty.
-pub fn recover_file_resync(path: &Path) -> io::Result<ResyncOutcome> {
+pub fn recover_file(path: &Path) -> io::Result<ReadOutcome> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ResyncOutcome::default()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ReadOutcome::default()),
         Err(e) => return Err(e),
     };
-    let outcome = read_records_resync(&bytes);
+    let outcome = read_records(&bytes);
     if !outcome.corrupt_regions.is_empty() {
         // Rewrite the log from the surviving records so the damage
         // cannot be re-read (or re-replayed) on the next open.
@@ -230,7 +186,8 @@ pub fn recover_file_resync(path: &Path) -> io::Result<ResyncOutcome> {
         for r in &outcome.records {
             clean.extend_from_slice(&frame(r));
         }
-        atomic_write(path, &clean)?;
+        WalFile::replace(path, &clean, tms_fault::noop())?;
+        sync_parent(path)?;
     } else if outcome.torn_bytes > 0 {
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(outcome.good_bytes)?;
@@ -239,60 +196,21 @@ pub fn recover_file_resync(path: &Path) -> io::Result<ResyncOutcome> {
     Ok(outcome)
 }
 
-/// Resynchronizing scan of a framed file without modifying it.
-pub fn scan_file_resync(path: &Path) -> io::Result<ResyncOutcome> {
+/// Scan a framed file without modifying it (for `verify`-style audits).
+pub fn scan_file(path: &Path) -> io::Result<ReadOutcome> {
     let bytes = std::fs::read(path)?;
-    Ok(read_records_resync(&bytes))
+    Ok(read_records(&bytes))
 }
 
-/// Write `bytes` to `path` atomically: a sibling temp file is written and
-/// fsync'd first, then renamed over the destination, so a crash at any
-/// point leaves either the old file or the new one — never a torn mix.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_faulty(path, bytes, tms_fault::noop())
-}
-
-/// [`atomic_write`] with fault-injection hooks: the injector is consulted
-/// at the temp-file fsync ([`FaultPoint::StoreFsync`]) and at the
-/// publishing rename ([`FaultPoint::StoreRename`]). An injected failure
-/// removes the temp file and returns the canonical injected error — the
-/// destination is left exactly as it was, mirroring what a real crash at
-/// that step guarantees.
-pub fn atomic_write_faulty(path: &Path, bytes: &[u8], fault: &dyn FaultInjector) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    if let Err(e) = check_io(fault, FaultPoint::StoreFsync) {
-        drop(file);
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    file.sync_all()?;
-    drop(file);
-    if let Err(e) = check_io(fault, FaultPoint::StoreRename) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-/// Append-side handle used by the flush thread: buffered writes with an
-/// explicit durability point.
+/// Append-side handle of the log: every frame goes straight to the file,
+/// with an explicit durability point.
 pub struct WalFile {
     file: std::fs::File,
 }
 
 impl WalFile {
-    /// Open (creating if needed) the WAL for appending; the caller must
-    /// have run [`recover_file_resync`] first so the tail is clean.
+    /// Open (creating if needed) the log for appending; the caller must
+    /// have run [`recover_file`] first so the tail is clean.
     pub fn open_append(path: &Path) -> io::Result<WalFile> {
         let mut file = OpenOptions::new()
             .create(true)
@@ -304,12 +222,30 @@ impl WalFile {
         Ok(WalFile { file })
     }
 
-    /// Append one pre-framed record.
-    pub fn append(&mut self, framed: &[u8]) -> io::Result<()> {
-        self.file.write_all(framed)
+    /// Replace the file at `path` by `bytes` atomically and return the
+    /// append handle of the new file. A sibling temp file is written and
+    /// fsync'd first, then renamed over `path`, so a crash at any point
+    /// leaves either the old file or the new one — never a torn mix.
+    ///
+    /// The injector is consulted at the temp-file fsync
+    /// ([`FaultPoint::StoreFsync`]) and at the rename
+    /// ([`FaultPoint::StoreRename`]). Any failure removes the temp file and
+    /// leaves `path`, and every handle open on it, exactly as they were —
+    /// what a real crash at that step guarantees.
+    pub fn replace(path: &Path, bytes: &[u8], fault: &dyn FaultInjector) -> io::Result<WalFile> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".tmp.{}", std::process::id()));
+        let tmp = std::path::PathBuf::from(tmp);
+        match publish(&tmp, path, bytes, fault) {
+            Ok(file) => Ok(WalFile { file }),
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                Err(e)
+            }
+        }
     }
 
-    /// [`append`](WalFile::append) with a silent-corruption consult: when
+    /// Append one framed record, with a silent-corruption consult: when
     /// [`FaultPoint::StoreCorruptRecord`] fires, the record reaches disk
     /// with one deterministically chosen bit flipped — exactly the damage
     /// pattern the resynchronizing recovery and the read-side checksums
@@ -329,14 +265,33 @@ impl WalFile {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()
     }
+}
 
-    /// Drop every record: truncate to zero length (used after a snapshot
-    /// has captured the state the log was protecting).
-    pub fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_all()
-    }
+/// Fsync the directory holding `path`, so a rename into it survives a
+/// power loss.
+pub(crate) fn sync_parent(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
+}
+
+/// The steps of [`WalFile::replace`]: write and fsync `tmp`, then rename
+/// it over `path`. The returned handle stays valid across the rename.
+fn publish(
+    tmp: &Path,
+    path: &Path,
+    bytes: &[u8],
+    fault: &dyn FaultInjector,
+) -> io::Result<std::fs::File> {
+    let mut file = std::fs::File::create(tmp)?;
+    file.write_all(bytes)?;
+    check_io(fault, FaultPoint::StoreFsync)?;
+    file.sync_all()?;
+    check_io(fault, FaultPoint::StoreRename)?;
+    std::fs::rename(tmp, path)?;
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -432,11 +387,8 @@ mod tests {
         let (mut buf, spans) = framed_fixture(&FIXTURE);
         buf[spans[2].start + FRAME_HEADER + 3] ^= 0x10; // payload of record 2
 
-        // The plain scan throws away everything from the flip onward…
-        assert_eq!(read_records(&buf).records.len(), 2);
-
-        // …the resynchronizing scan loses exactly the damaged record.
-        let out = read_records_resync(&buf);
+        // The scan loses exactly the damaged record.
+        let out = read_records(&buf);
         let got: Vec<&[u8]> = out.records.iter().map(|r| r.as_slice()).collect();
         assert_eq!(got, [FIXTURE[0], FIXTURE[1], FIXTURE[3], FIXTURE[4]]);
         assert_eq!(out.torn_bytes, 0);
@@ -449,7 +401,7 @@ mod tests {
     fn flip_in_length_field_still_resyncs() {
         let (mut buf, spans) = framed_fixture(&FIXTURE);
         buf[spans[1].start] ^= 0x04; // length field of record 1
-        let out = read_records_resync(&buf);
+        let out = read_records(&buf);
         let got: Vec<&[u8]> = out.records.iter().map(|r| r.as_slice()).collect();
         assert_eq!(got, [FIXTURE[0], FIXTURE[2], FIXTURE[3], FIXTURE[4]]);
         assert_eq!(out.corrupt_regions.len(), 1);
@@ -460,22 +412,11 @@ mod tests {
         let (mut buf, spans) = framed_fixture(&FIXTURE);
         let last = spans.last().unwrap().clone();
         buf[last.start + FRAME_HEADER + 1] ^= 0x01;
-        let out = read_records_resync(&buf);
+        let out = read_records(&buf);
         assert_eq!(out.records.len(), FIXTURE.len() - 1);
         assert!(out.corrupt_regions.is_empty(), "no mid-stream damage");
         assert_eq!(out.good_bytes, last.start as u64);
         assert_eq!(out.torn_bytes, last.len() as u64);
-    }
-
-    #[test]
-    fn clean_buffer_resyncs_to_the_plain_scan() {
-        let (buf, _) = framed_fixture(&FIXTURE);
-        let plain = read_records(&buf);
-        let resync = read_records_resync(&buf);
-        assert_eq!(plain.records, resync.records);
-        assert_eq!(plain.good_bytes, resync.good_bytes);
-        assert_eq!(resync.torn_bytes, 0);
-        assert!(resync.corrupt_regions.is_empty());
     }
 
     proptest::proptest! {
@@ -494,7 +435,7 @@ mod tests {
                 .filter(|&(i, _)| i != hit)
                 .map(|(_, p)| *p)
                 .collect();
-            let out = read_records_resync(&buf);
+            let out = read_records(&buf);
             let got: Vec<&[u8]> = out.records.iter().map(|r| r.as_slice()).collect();
             proptest::prop_assert_eq!(got, expect);
             // The lost frame is fully accounted for: either quarantined
@@ -507,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_file_resync_rewrites_a_clean_log() {
+    fn recover_file_rewrites_a_clean_log() {
         let dir = std::env::temp_dir().join(format!("tms_wal_rs_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
@@ -515,15 +456,16 @@ mod tests {
         buf[spans[1].start + FRAME_HEADER] ^= 0x80;
         std::fs::write(&path, &buf).unwrap();
 
-        let out = recover_file_resync(&path).unwrap();
+        let out = recover_file(&path).unwrap();
         assert_eq!(out.records.len(), FIXTURE.len() - 1);
         assert_eq!(out.corrupt_regions.len(), 1);
 
-        // The rewritten file is pristine: a plain scan reads all four
-        // survivors with no torn bytes.
+        // The rewritten file is pristine: a rescan reads all four
+        // survivors with no torn or corrupt bytes.
         let rescan = scan_file(&path).unwrap();
         assert_eq!(rescan.records, out.records);
         assert_eq!(rescan.torn_bytes, 0);
+        assert!(rescan.corrupt_regions.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -543,7 +485,7 @@ mod tests {
             wal.sync().unwrap();
         }
         assert_eq!(plan.injected(FaultPoint::StoreCorruptRecord), 1);
-        let out = scan_file_resync(&path).unwrap();
+        let out = scan_file(&path).unwrap();
         let got: Vec<&[u8]> = out.records.iter().map(|r| r.as_slice()).collect();
         assert_eq!(got, [&b"one"[..], b"three"], "flip detected, rest kept");
         assert_eq!(out.corrupt_regions.len(), 1);
@@ -551,14 +493,21 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_replaces_whole_files() {
+    fn replace_swaps_whole_files_and_appends_to_the_new_one() {
         let dir = std::env::temp_dir().join(format!("tms_wal_aw_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("target.bin");
-        atomic_write(&path, b"generation-1").unwrap();
+        let noop = tms_fault::noop();
+        WalFile::replace(&path, b"generation-1", noop).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"generation-1");
-        atomic_write(&path, b"generation-2").unwrap();
+        let mut old = WalFile::open_append(&path).unwrap();
+        let mut new = WalFile::replace(&path, b"generation-2", noop).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"generation-2");
+        // The returned handle appends to the file now at `path`; the
+        // handle opened before the rename no longer reaches it.
+        new.append_faulty(b"+new", noop).unwrap();
+        old.append_faulty(b"+old", noop).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"generation-2+new");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

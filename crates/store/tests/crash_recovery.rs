@@ -5,7 +5,8 @@
 //! Strategy: build a store, record the WAL bytes after each `put`'s
 //! flush, then for every candidate tear point copy the directory, chop
 //! the WAL there, reopen, and compare against what had been committed at
-//! that point.
+//! that point. The bit-flip cases also run on a checkpointed library,
+//! whose log the compaction rewrote.
 
 use proptest::prelude::*;
 use tms_store::wal::read_records;
@@ -41,6 +42,44 @@ fn build_store(dir: &std::path::Path, n: usize) -> Vec<u64> {
     }
     drop(store);
     commit_points
+}
+
+/// A checkpointed library of `n` entries: each module is put first with a
+/// stale value and then replaced, and the checkpoint rewrites the log to
+/// the `n` live entries, `module_i` in frame `i`. Returns the end offset
+/// of every frame of the rewritten log.
+fn build_checkpointed_store(dir: &std::path::Path, n: usize) -> Vec<u64> {
+    std::fs::remove_dir_all(dir).ok();
+    let store: TestStore = Store::open(StoreConfig::at(dir)).expect("open");
+    for i in 0..n {
+        store
+            .put(format!("module_{i}"), value_for(i + 50))
+            .expect("put");
+        store.put(format!("module_{i}"), value_for(i)).expect("put");
+    }
+    store.checkpoint().expect("checkpoint");
+    drop(store);
+    let frame_ends = frame_ends(&std::fs::read(dir.join(WAL_FILE)).expect("read wal"));
+    assert_eq!(
+        frame_ends.len(),
+        n,
+        "the checkpoint folded the stale values"
+    );
+    frame_ends
+}
+
+/// The end offset of every frame in `log`, walked by the length fields
+/// alone (no checksum is consulted).
+fn frame_ends(log: &[u8]) -> Vec<u64> {
+    let mut ends = Vec::new();
+    let mut off = 0usize;
+    while off < log.len() {
+        let len = u32::from_le_bytes(log[off..off + 4].try_into().expect("header"));
+        off += 8 + len as usize;
+        ends.push(off as u64);
+    }
+    assert_eq!(off, log.len(), "the log is whole frames");
+    ends
 }
 
 /// Truncate a copy of the WAL to `cut` bytes and reopen: the store must
@@ -125,24 +164,30 @@ fn tears_anywhere_keep_exactly_the_prefix() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
-/// A tear after a compaction must not touch snapshot entries: only the
-/// post-snapshot WAL suffix is at risk.
+/// A tear after a compaction must not touch the entries the compaction
+/// wrote: only the appends after it are at risk.
 #[test]
-fn snapshot_entries_survive_any_wal_tear() {
+fn compacted_entries_survive_any_later_tear() {
     let dir = unique_dir("snapcut");
     let scratch = unique_dir("snapcut_cut");
     std::fs::remove_dir_all(&dir).ok();
-    {
+    let compacted_len = {
         let store: TestStore = Store::open(StoreConfig::at(&dir)).expect("open");
         for i in 0..5 {
             store.put(format!("snap_{i}"), value_for(i)).expect("put");
         }
         store.compact().expect("compact");
+        let compacted_len = std::fs::metadata(dir.join(WAL_FILE)).expect("meta").len();
         store.put("walled".to_string(), value_for(99)).expect("put");
         store.flush().expect("flush");
-    }
+        compacted_len
+    };
     let wal_len = std::fs::metadata(dir.join(WAL_FILE)).expect("meta").len();
-    for cut in 0..=wal_len {
+    assert!(
+        wal_len > compacted_len,
+        "the put appended to the rewritten log"
+    );
+    for cut in compacted_len..=wal_len {
         std::fs::remove_dir_all(&scratch).ok();
         std::fs::create_dir_all(&scratch).expect("scratch");
         for entry in std::fs::read_dir(&dir).expect("read dir") {
@@ -160,13 +205,13 @@ fn snapshot_entries_survive_any_wal_tear() {
             assert_eq!(
                 reopened.get(&format!("snap_{i}")).as_deref(),
                 Some(value_for(i).as_slice()),
-                "cut at {cut}: snapshot entry {i} is not WAL-dependent"
+                "cut at {cut}: compacted entry {i} does not depend on later appends"
             );
         }
         let walled = reopened.get(&"walled".to_string());
         assert!(
             walled.is_none() || walled.as_deref() == Some(value_for(99).as_slice()),
-            "cut at {cut}: the WAL entry is all-or-nothing"
+            "cut at {cut}: the appended entry is all-or-nothing"
         );
         if cut == wal_len {
             assert_eq!(walled.as_deref(), Some(value_for(99).as_slice()));
@@ -191,6 +236,8 @@ fn recovered_wal_is_a_checksummed_frame_prefix() {
     let torn = read_records(&bytes[..cut]);
     assert_eq!(torn.records.len(), 2);
     assert_eq!(torn.records, full.records[..2].to_vec());
+    assert!(torn.corrupt_regions.is_empty(), "a tear is not corruption");
+    assert_eq!(torn.torn_bytes, bytes.len() as u64 - 3 - commit_points[1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -215,7 +262,8 @@ proptest! {
 /// record the flipped byte lies in, every *other* entry survives
 /// bit-identical, and mid-stream damage (records exist after the flip)
 /// is quarantined rather than silently truncating the rest of the log.
-fn check_flip(dir: &std::path::Path, scratch: &std::path::Path, commit_points: &[u64], bit: u64) {
+/// `frame_ends[i]` is where the frame of `module_i` ends.
+fn check_flip(dir: &std::path::Path, scratch: &std::path::Path, frame_ends: &[u64], bit: u64) {
     std::fs::remove_dir_all(scratch).ok();
     std::fs::create_dir_all(scratch).expect("scratch dir");
     for entry in std::fs::read_dir(dir).expect("read dir") {
@@ -229,11 +277,11 @@ fn check_flip(dir: &std::path::Path, scratch: &std::path::Path, commit_points: &
     std::fs::write(&wal, &bytes).expect("write wal");
 
     // Which record's frame does the flipped byte lie in?
-    let hit = commit_points
+    let hit = frame_ends
         .iter()
         .position(|&end| bit / 8 < end)
         .expect("bit is inside the log");
-    let n = commit_points.len();
+    let n = frame_ends.len();
 
     let reopened: TestStore = Store::open(StoreConfig::at(scratch)).expect("reopen");
     assert_eq!(
@@ -279,19 +327,32 @@ fn check_flip(dir: &std::path::Path, scratch: &std::path::Path, commit_points: &
     );
 }
 
+/// The library a bit-flip case runs on: written by appends alone, or
+/// rewritten by a checkpoint. Returns the frame ends of its log.
+fn build_library(dir: &std::path::Path, n: usize, checkpointed: bool) -> Vec<u64> {
+    if checkpointed {
+        build_checkpointed_store(dir, n)
+    } else {
+        build_store(dir, n)
+    }
+}
+
 /// Exhaustive sweep of a small log: flip *every* bit of a record in the
-/// middle of the WAL; every later record must survive each time.
+/// middle of the WAL; every later record must survive each time. The
+/// sweep runs on an appended and on a checkpointed library.
 #[test]
 fn every_bit_flip_in_a_middle_record_keeps_later_records() {
     const N: usize = 3;
     let dir = unique_dir("flip_mid");
     let scratch = unique_dir("flip_mid_cut");
-    let commit_points = build_store(&dir, N);
-    // Record 1 spans commit_points[0]..commit_points[1]. Stride by 3 to
-    // keep the sweep fast while still hitting header, CRC and payload.
-    for byte in (commit_points[0]..commit_points[1]).step_by(3) {
-        for bit_in_byte in [0u64, 5] {
-            check_flip(&dir, &scratch, &commit_points, byte * 8 + bit_in_byte);
+    for checkpointed in [false, true] {
+        let frame_ends = build_library(&dir, N, checkpointed);
+        // Record 1 spans frame_ends[0]..frame_ends[1]. Stride by 3 to
+        // keep the sweep fast while still hitting header, CRC and payload.
+        for byte in (frame_ends[0]..frame_ends[1]).step_by(3) {
+            for bit_in_byte in [0u64, 5] {
+                check_flip(&dir, &scratch, &frame_ends, byte * 8 + bit_in_byte);
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -302,15 +363,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Randomized variant of the bit-flip suite: arbitrary store size,
-    /// arbitrary flip position anywhere in the log.
+    /// arbitrary flip position anywhere in the log, on an appended and on
+    /// a checkpointed library.
     #[test]
     fn random_bit_flips_lose_at_most_the_hit_record(n in 2usize..6, bit_frac in 0.0f64..1.0) {
         let dir = unique_dir("flipprop");
         let scratch = unique_dir("flipprop_cut");
-        let commit_points = build_store(&dir, n);
-        let full_bits = *commit_points.last().unwrap() * 8;
-        let bit = ((full_bits as f64 * bit_frac) as u64).min(full_bits - 1);
-        check_flip(&dir, &scratch, &commit_points, bit);
+        for checkpointed in [false, true] {
+            let frame_ends = build_library(&dir, n, checkpointed);
+            let full_bits = *frame_ends.last().unwrap() * 8;
+            let bit = ((full_bits as f64 * bit_frac) as u64).min(full_bits - 1);
+            check_flip(&dir, &scratch, &frame_ends, bit);
+        }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&scratch).ok();
     }
@@ -318,9 +382,9 @@ proptest! {
 
 /// Injected-failure variants of the crash suite: the compaction's
 /// `fsync` and `rename` are made to fail deterministically via the
-/// store's [`tms_fault::FaultInjector`] hook, and the previous
-/// generation (snapshot + WAL) must stay fully readable — exactly the
-/// guarantee the tear tests establish for power loss.
+/// store's [`tms_fault::FaultInjector`] hook, and the log must stay fully
+/// readable and appendable — exactly the guarantee the tear tests
+/// establish for power loss.
 mod injected_compaction_failures {
     use super::*;
     use std::sync::Arc;
@@ -344,12 +408,29 @@ mod injected_compaction_failures {
         }
     }
 
-    /// Five entries — three folded into generation 1, two in the WAL —
-    /// then a compaction whose `point` is injected to fail. The failed
-    /// compaction must leave generation 1 plus the WAL describing all
-    /// five entries, and a retry after the fault clears must succeed.
-    fn failed_compaction_keeps_previous_generation(tag: &str, point: FaultPoint) {
+    /// Reopen a copy of `dir` and check it holds `module_0..n`
+    /// bit-identically.
+    fn assert_copy_holds(dir: &std::path::Path, scratch: &std::path::Path, n: usize) {
+        copy_dir(dir, scratch);
+        let reopened: TestStore = Store::open(StoreConfig::at(scratch)).expect("reopen");
+        assert_eq!(reopened.len(), n);
+        for i in 0..n {
+            assert_eq!(
+                reopened.get(&format!("module_{i}")).as_deref(),
+                Some(value_for(i).as_slice()),
+                "entry {i} must survive"
+            );
+        }
+    }
+
+    /// Five entries — three folded by a clean checkpoint, two appended
+    /// after it — then a compaction whose `point` is injected to fail.
+    /// The failed compaction must leave `wal.log` byte for byte as it was
+    /// and the append handle on it; a retry after the fault clears must
+    /// succeed, and appends then go to the rewritten log.
+    fn failed_compaction_keeps_the_log(tag: &str, point: FaultPoint) {
         let dir = unique_dir(tag);
+        let scratch = unique_dir(&format!("{tag}_copy"));
         std::fs::remove_dir_all(&dir).ok();
         let plan = Arc::new(FaultPlan::seeded(17));
         let store = open_with_plan(&dir, &plan);
@@ -357,11 +438,12 @@ mod injected_compaction_failures {
             store.put(format!("module_{i}"), value_for(i)).expect("put");
         }
         store.checkpoint().expect("clean checkpoint");
-        assert_eq!(store.generation(), 1);
+        assert_eq!(store.stats().compactions, 1);
         for i in 3..5 {
             store.put(format!("module_{i}"), value_for(i)).expect("put");
         }
         store.flush().expect("flush");
+        let log_before = std::fs::read(dir.join(WAL_FILE)).expect("read wal");
 
         plan.fail_next(point, 1);
         let err = store
@@ -370,9 +452,14 @@ mod injected_compaction_failures {
         assert!(err.to_string().contains("injected fault"), "{err}");
         assert_eq!(plan.injected(point), 1);
         assert_eq!(
-            store.generation(),
+            store.stats().compactions,
             1,
-            "the failed generation was never published"
+            "the failed rewrite was never published"
+        );
+        assert_eq!(
+            std::fs::read(dir.join(WAL_FILE)).expect("read wal"),
+            log_before,
+            "wal.log is untouched"
         );
         assert_eq!(store.len(), 5, "in-memory state untouched");
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
@@ -382,46 +469,44 @@ mod injected_compaction_failures {
             .collect();
         assert!(leftovers.is_empty(), "no temp debris: {leftovers:?}");
 
-        // An independent open of the on-disk state right now — previous
-        // snapshot plus WAL — recovers every entry bit-identically.
-        let scratch = unique_dir(&format!("{tag}_copy"));
-        copy_dir(&dir, &scratch);
-        let reopened: TestStore = Store::open(StoreConfig::at(&scratch)).expect("reopen");
-        assert_eq!(reopened.len(), 5);
-        assert_eq!(reopened.generation(), 1);
-        for i in 0..5 {
-            assert_eq!(
-                reopened.get(&format!("module_{i}")).as_deref(),
-                Some(value_for(i).as_slice()),
-                "entry {i} must survive the failed compaction"
-            );
-        }
+        // The append handle still writes to wal.log: an independent open
+        // of the on-disk state recovers every entry bit-identically.
+        store
+            .put("module_5".to_string(), value_for(5))
+            .expect("put");
+        store.flush().expect("flush");
+        assert_copy_holds(&dir, &scratch, 6);
 
-        // The fault was transient: once it clears, the retry publishes.
+        // The fault was transient: once it clears, the retry publishes,
+        // and later appends land in the rewritten log.
         plan.clear();
         let report = store
             .compact()
             .expect("retry succeeds after the fault clears");
-        assert_eq!(report.generation, 2);
-        assert_eq!(store.len(), 5);
+        assert_eq!(report.entries, 6);
+        assert_eq!(store.stats().compactions, 2);
+        store
+            .put("module_6".to_string(), value_for(6))
+            .expect("put");
+        store.flush().expect("flush");
+        assert_copy_holds(&dir, &scratch, 7);
 
         drop(store);
-        drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&scratch).ok();
     }
 
     #[test]
     fn injected_fsync_failure_during_compaction() {
-        failed_compaction_keeps_previous_generation("compact_fsync", FaultPoint::StoreFsync);
+        failed_compaction_keeps_the_log("compact_fsync", FaultPoint::StoreFsync);
     }
 
     #[test]
     fn injected_rename_failure_during_compaction() {
-        failed_compaction_keeps_previous_generation("compact_rename", FaultPoint::StoreRename);
+        failed_compaction_keeps_the_log("compact_rename", FaultPoint::StoreRename);
     }
 
-    /// Rate-driven fsync faults on the flush thread: `flush` surfaces
+    /// Rate-driven fsync faults at `flush`: `flush` surfaces
     /// the injected error, and once the plan clears the same store
     /// fsyncs and persists everything.
     #[test]

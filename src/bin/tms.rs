@@ -66,9 +66,10 @@
 //!
 //! store options (all subcommands take --dir <path>):
 //!   inspect              print the library statistics as JSON
-//!   compact              fold the WAL into a fresh snapshot generation
-//!   verify               read-only integrity audit (checksums, torn
-//!                        tails, stale generations); exits 1 if corrupt
+//!   compact              rewrite the log to hold only the live entries
+//!   verify               read-only integrity audit (checksums, damaged
+//!                        records, torn tails); exits 1 if a record is
+//!                        damaged or undecodable, 0 for a torn tail alone
 //!
 //! client options (endpoint: estimate | preimpl | flow | stats | metrics
 //!                 | shutdown):
@@ -460,8 +461,9 @@ fn cmd_store(args: &[String], flags: &HashMap<String, String>) {
     let path = std::path::Path::new(dir);
     match args.first().map(String::as_str) {
         Some("inspect") => {
-            // Opening replays the WAL (and truncates any torn tail), so
-            // the numbers reflect what a server would actually load.
+            // Opening replays the log (truncating any torn tail and
+            // quarantining damaged records), so the numbers reflect what
+            // a server would actually load.
             let opened: std::io::Result<MacroStore> = Store::open(StoreConfig::at(path));
             match opened {
                 Ok(store) => println!("{}", to_pretty(&store.stats())),

@@ -5,9 +5,11 @@
 //! module provides that reuse as a first-class API: an
 //! [`ImplementationCache`] keyed by a structural fingerprint of each
 //! module's netlist, and [`run_rw_flow_cached`] which pre-implements only
-//! cache misses and re-stitches everything.
+//! cache misses and stitches only an input the cache has not stitched
+//! before.
 
 use crate::integrity::{audit_module, verify_sealed, SealedModule};
+use crate::memo::Memo;
 use crate::rwflow::{
     implement_with, stitch_diagram, BlockDiagram, CfPolicy, ImplementedModule, RwFlowConfig,
     RwFlowResult,
@@ -24,6 +26,9 @@ use tms_netlist::{Netlist, NetlistStats};
 use tms_obs::{span, Phase, Recorder};
 use tms_pack::{observe_pack_reuse, pack_memories, MemPackConfig, PackKey, PackedMemories};
 use tms_pblock::PBlockGenerator;
+use tms_stitch::{
+    observe_stitch_reuse, stitch_observed, StitchConfig, StitchKey, StitchProblem, StitchResult,
+};
 use tms_store::{Store, StoreSnapshot};
 use tms_timing::TimingModel;
 use tms_verify::Auditor;
@@ -128,6 +133,14 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4_096;
 /// as the verified-digest set is.
 const PACK_MEMO_CAPACITY: usize = 64;
 
+/// Bound on stored stitch results, the bound of `tms-serve`'s request
+/// memos: one entry per (design, device, CF policy, schedule) a service
+/// keeps answering. A cnvW1A1 result holds about 2.5 KB.
+const STITCH_MEMO_CAPACITY: usize = 256;
+
+/// Stored single-run stitch results by the key of their whole input.
+pub(crate) type StitchMemo = Memo<StitchKey, StitchResult>;
+
 /// Cache of pre-implemented modules, across compiles of evolving designs.
 ///
 /// One read path, [`get_verified`](ImplementationCache::get_verified), and
@@ -139,16 +152,26 @@ const PACK_MEMO_CAPACITY: usize = 64;
 /// least-recently-used implementation.
 ///
 /// A warm [`run_rw_flow_cached`] pays only for the modules that changed
-/// and the stitch. Besides the implementations, the cache therefore keeps
-/// a **weight-packing memo**: the packed weights modules and report for
-/// each [`PackKey`] seen. The key is exactly what the packing phase reads,
-/// so a hit is the result the search would return, bit for bit. The memo
-/// is bounded and cleared wholesale when full, lives and dies with this
-/// cache, and is never persisted. The other input a warm flow used to
-/// re-derive, the statistics behind each fingerprint, needs no entry here:
-/// every [`Netlist`] keeps its own after the first
-/// [`stats`](Netlist::stats) call, and the memo's packed netlists carry
-/// theirs.
+/// and, when its stitch input is new, the stitch. Besides the
+/// implementations, the cache therefore keeps two memos, each a [`Memo`]:
+/// bounded, cleared wholesale when full, living and dying with this cache,
+/// and never persisted.
+///
+/// * The **weight-packing memo** (64 entries) holds the packed weights
+///   modules and report for each [`PackKey`] seen. The key is exactly what
+///   the packing phase reads, so a hit is the result the solver would
+///   return, bit for bit.
+/// * The **stitch memo** (256 entries) holds each single-run stitch result
+///   by the [`StitchKey`] of its whole input: device, schedule and problem.
+///   The anneal is a pure function of that input, so a hit is the result a
+///   new anneal would return, up to a collision of the 64-bit key, which
+///   the cache trusts as it trusts fingerprint and [`SealedModule`]
+///   digests. A flow stitched with the portfolio is not memoised.
+///
+/// The other input a warm flow used to re-derive, the statistics behind
+/// each fingerprint, needs no entry here: every [`Netlist`] keeps its own
+/// after the first [`stats`](Netlist::stats) call, and the memo's packed
+/// netlists carry theirs.
 ///
 /// Persistence has one path: [`ImplementationCache::with_store`] backs the
 /// cache with a [`MacroStore`], where every insert is WAL-appended
@@ -203,9 +226,14 @@ pub struct ImplementationCache {
     /// then does not count. Fault-armed caches bypass the memo entirely.
     verified: Mutex<HashSet<u64>>,
     /// Weight-packing results by the exact inputs that produced them,
-    /// bounded by [`PACK_MEMO_CAPACITY`]. Behind a mutex so packing is
-    /// part of the `&self` read side; never held while packing.
-    pack_memo: Mutex<HashMap<PackKey, Arc<PackedMemories>>>,
+    /// bounded by [`PACK_MEMO_CAPACITY`]. Read and filled on the `&self`
+    /// read side; its lock is never held while packing.
+    pack_memo: Memo<PackKey, PackedMemories>,
+    /// Single-run stitch results by the key of their whole input, bounded
+    /// by [`STITCH_MEMO_CAPACITY`]. Every lookup carries an `Arc` of it to
+    /// the stitch, which runs with no cache guard; its lock is never held
+    /// while stitching.
+    stitch_memo: Arc<StitchMemo>,
 }
 
 impl Default for ImplementationCache {
@@ -238,7 +266,8 @@ impl ImplementationCache {
             quarantined: AtomicU64::new(0),
             insert_rejected: AtomicU64::new(0),
             verified: Mutex::new(HashSet::new()),
-            pack_memo: Mutex::new(HashMap::new()),
+            pack_memo: Memo::new(PACK_MEMO_CAPACITY),
+            stitch_memo: Arc::new(Memo::new(STITCH_MEMO_CAPACITY)),
         }
     }
 
@@ -396,7 +425,8 @@ impl ImplementationCache {
     /// `cache.hit`; misses and quarantined records count `cache.miss` (and
     /// `cache.quarantined`) and join the modules still to implement. Takes
     /// `&self`, so it runs under a reader lock. The lookup keeps the
-    /// cache's fault plan and retry policy for the steps that follow.
+    /// cache's fault plan, retry policy and stitch memo for the steps that
+    /// follow.
     pub fn lookup(
         &self,
         keys: Vec<ModuleFingerprint>,
@@ -440,6 +470,7 @@ impl ImplementationCache {
             packed: None,
             fault: Arc::clone(&self.fault),
             retry: self.retry,
+            stitch_memo: Some(Arc::clone(&self.stitch_memo)),
         }
     }
 
@@ -634,24 +665,13 @@ impl ImplementationCache {
         obs: &dyn Recorder,
     ) -> Option<Arc<PackedMemories>> {
         let key = PackKey::of(design, device, cfg)?;
-        let hit = self
-            .pack_memo
-            .lock()
-            .ok()
-            .and_then(|memo| memo.get(&key).cloned());
-        if let Some(hit) = hit {
+        if let Some(hit) = self.pack_memo.get(&key) {
             let _sp = span(obs, Phase::MemPack, "memo");
             observe_pack_reuse(&hit.report, obs);
             return Some(hit);
         }
-        let packed = Arc::new(pack_memories(design, device, cfg, obs)?);
-        if let Ok(mut memo) = self.pack_memo.lock() {
-            if memo.len() >= PACK_MEMO_CAPACITY {
-                memo.clear();
-            }
-            memo.insert(key, Arc::clone(&packed));
-        }
-        Some(packed)
+        let packed = pack_memories(design, device, cfg, obs)?;
+        Some(self.pack_memo.insert(key, packed))
     }
 
     /// Reads that ran the full digest + legality check, whatever its
@@ -743,8 +763,10 @@ pub enum VerifiedLookup {
 /// [`implement`](CacheLookup::implement) ran, their fresh outcomes. Made by
 /// [`ImplementationCache::lookup`] or
 /// [`lookup_design`](ImplementationCache::lookup_design); filled into the
-/// cache by [`ImplementationCache::fill`]. Implementing and stitching touch
-/// no cache, so a service runs them with no lock held.
+/// cache by [`ImplementationCache::fill`]. Implementing and stitching take
+/// no cache guard — the stitch reads and fills the stitch memo under the
+/// memo's own lock, held only for that — so a service runs them with no
+/// cache lock held.
 pub struct CacheLookup {
     keys: Vec<ModuleFingerprint>,
     /// Verified hits, in design order.
@@ -758,6 +780,8 @@ pub struct CacheLookup {
     /// The cache's fault plan and retry policy.
     fault: Arc<dyn FaultInjector>,
     retry: Retry,
+    /// The cache's stitch memo; `None` for the uncached flow.
+    stitch_memo: Option<Arc<StitchMemo>>,
 }
 
 /// Marker prefix of errors produced by injected faults: the transient
@@ -773,9 +797,9 @@ fn is_transient(e: &str) -> bool {
 impl CacheLookup {
     /// The cached flow with nothing cached, which is what
     /// [`run_rw_flow`](crate::run_rw_flow) runs: the weights packed
-    /// through [`pack_memories`] (no memo), every module missing, and no
-    /// fault plan. It has no keys, so it is never
-    /// [`fill`](ImplementationCache::fill)ed.
+    /// through [`pack_memories`] and the stitch annealed, neither through a
+    /// memo, every module missing, and no fault plan. It has no keys, so it
+    /// is never [`fill`](ImplementationCache::fill)ed.
     pub(crate) fn uncached(
         design: &CnvDesign,
         device: &Device,
@@ -789,6 +813,7 @@ impl CacheLookup {
             packed: pack_memories(design, device, &cfg.mem_pack, cfg.obs).map(Arc::new),
             fault: Arc::new(NoopInjector),
             retry: Retry::none(),
+            stitch_memo: None,
         }
     }
 
@@ -897,9 +922,11 @@ impl CacheLookup {
     /// Step 4 of a cached flow: absorb `flow.route` faults and stitch over
     /// `diagram`, the design or any other [`BlockDiagram`] of it. Packing
     /// leaves names, instances and nets alone, so the input design serves
-    /// a packed flow too.
+    /// a packed flow too. Once the problem is built, the cache's stitch
+    /// memo answers an input it has stitched before; a new one is annealed
+    /// and stored.
     pub fn stitch(
-        self,
+        mut self,
         diagram: &impl BlockDiagram,
         device: &Device,
         cfg: &RwFlowConfig<'_>,
@@ -914,7 +941,9 @@ impl CacheLookup {
             .sum();
         self.absorb_route_faults(cfg);
         let pack = self.packed.as_ref().map(|p| p.report.clone());
-        let mut result = stitch_diagram(diagram, device, cfg, self.into_outcomes());
+        let memo = self.stitch_memo.take();
+        let mut result =
+            stitch_diagram(diagram, device, cfg, self.into_outcomes(), memo.as_deref());
         result.pack = pack;
         CachedFlowResult {
             result,
@@ -923,6 +952,30 @@ impl CacheLookup {
             tool_runs_spent,
         }
     }
+}
+
+/// The single-run stitch of `problem` through `memo`: the stored result
+/// for an input stitched before, under a `stitch` span named `memo` with
+/// [`observe_stitch_reuse`]'s telemetry, or a new [`stitch_observed`]
+/// anneal, stored for next time. The memo's lock is held only to read and
+/// to insert; two concurrent misses on one input both anneal and store
+/// the same result.
+pub(crate) fn stitch_memoised(
+    memo: &StitchMemo,
+    device: &Device,
+    problem: &StitchProblem,
+    config: &StitchConfig,
+    obs: &dyn Recorder,
+) -> StitchResult {
+    let key = StitchKey::of(device, problem, config);
+    if let Some(hit) = memo.get(&key) {
+        let _sp = span(obs, Phase::Stitch, "memo");
+        observe_stitch_reuse(&hit, obs);
+        return StitchResult::clone(&hit);
+    }
+    let result = stitch_observed(device, problem, config, obs);
+    memo.insert(key, result.clone());
+    result
 }
 
 /// Result of a cached flow run.
@@ -944,16 +997,21 @@ pub struct CachedFlowResult {
 /// [`lookup_design`](ImplementationCache::lookup_design),
 /// [`implement`](CacheLookup::implement) the misses,
 /// [`fill`](ImplementationCache::fill) the cache, and
-/// [`stitch`](CacheLookup::stitch). Only the lookup reads the cache and
-/// only the fill writes it.
+/// [`stitch`](CacheLookup::stitch). Only the lookup reads the cached
+/// implementations and only the fill writes them; the stitch reads and
+/// fills only the stitch memo.
 ///
 /// Cache hits skip pre-implementation entirely — their recorded macros are
 /// spliced straight into the stitch input, so a warm cache saves the
 /// place-and-route wall-clock, not just the accounting. Only the
 /// `Constant` and `Minimal` CF policies are cache-coherent across runs
 /// (the guided policy's predictions may change as the estimator is
-/// retrained); the stitching is always re-run, since block positions
-/// depend on the whole design.
+/// retrained). Block positions depend on the whole design, so the stitch
+/// is skipped only when the cache's stitch memo holds a result for the
+/// whole stitch input — device, schedule and problem — which a repeat of
+/// an unchanged design on a warm cache does; an edit that changes any
+/// macro re-anneals. A flow that stitches with the portfolio always
+/// re-runs it.
 ///
 /// Use one CF policy per cache: [`ModuleFingerprint`] does not key the
 /// policy. For cnvW1A1 seed 7 on the xc7z020 with the fast stitch, a
@@ -1201,11 +1259,26 @@ mod tests {
         assert_eq!(warm.result.implemented.len(), cold.result.implemented.len());
         // The cold run spends its time in 74 minimal-CF searches; the warm
         // run records no place/synth/pack spans at all — every module came
-        // out of the cache — so only the re-run stitch remains.
+        // out of the cache — and its one stitch span is the stitch memo's:
+        // it counts a memo hit and not one annealing move, and books the
+        // cold run's cost.
         assert_eq!(cold_sink.phase_spans(Phase::Place), 74);
         assert_eq!(warm_sink.phase_spans(Phase::Place), 0);
         assert_eq!(warm_sink.phase_spans(Phase::Synth), 0);
         assert_eq!(warm_sink.phase_spans(Phase::Stitch), 1);
+        assert_eq!(warm_sink.counter("stitch.memo.hit"), 1);
+        assert_eq!(warm_sink.counter("stitch.moves"), 0);
+        assert_eq!(cold_sink.counter("stitch.memo.hit"), 0);
+        assert!(cold_sink.counter("stitch.moves") > 0);
+        let cost = |sink: &AggregatingSink| {
+            sink.observation("stitch.cost")
+                .map(|(n, sum)| (n, sum.to_bits()))
+        };
+        assert_eq!(cost(&warm_sink), cost(&cold_sink));
+        assert_eq!(
+            cost(&warm_sink),
+            Some((1, cold.result.stitch.final_cost.to_bits()))
+        );
         assert_eq!(cold_sink.counter("cache.miss"), 74);
         assert_eq!(warm_sink.counter("cache.hit"), 74);
         let spans = |sink: &AggregatingSink| -> u64 {
@@ -1637,7 +1710,7 @@ mod tests {
         instances.modules[w].instances += 1;
         assert!(!hits(&instances, &dev, &base), "instance count");
         // Packing off, or nothing to pack, never touches the memo.
-        let memo_len = || cache.pack_memo.lock().unwrap().len();
+        let memo_len = || cache.pack_memo.len();
         let entries = memo_len();
         assert!(cache
             .pack(&design, &dev, &MemPackConfig::off(), tms_obs::noop())
@@ -1680,7 +1753,7 @@ mod tests {
         let dev = Device::xc7z020();
         let naive = |seed| MemPackConfig::new(tms_pack::MemPackPolicy::Naive, seed);
         let cache = ImplementationCache::new();
-        let memo_len = || cache.pack_memo.lock().unwrap().len();
+        let memo_len = || cache.pack_memo.len();
         for seed in 0..PACK_MEMO_CAPACITY as u64 {
             cache.pack(&design, &dev, &naive(seed), tms_obs::noop());
         }

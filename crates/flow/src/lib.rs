@@ -35,6 +35,7 @@ pub mod amd;
 pub mod cache;
 pub mod experiments;
 pub mod integrity;
+mod memo;
 pub mod render;
 pub mod rwflow;
 
@@ -44,6 +45,7 @@ pub use cache::{
     ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
 pub use integrity::{audit_module, module_digest, verify_sealed, SealedModule, StoreAuditor};
+pub use memo::Memo;
 pub use render::{coverage_line, render_cost_trace, render_stitched};
 pub use rwflow::{
     implement_module, run_rw_flow, stitch_implemented, BlockDiagram, CfPolicy, ImplementedModule,

@@ -1,6 +1,6 @@
 //! The RapidWright-style pre-implement-and-stitch flow.
 
-use crate::cache::{modules_of, CacheLookup};
+use crate::cache::{modules_of, stitch_memoised, CacheLookup, StitchMemo};
 use tms_cnn::CnvDesign;
 use tms_device::Device;
 use tms_obs::{noop, span, Phase, Recorder};
@@ -264,23 +264,26 @@ impl BlockDiagram for CnvDesign {
 /// them from hits and fresh implementations). Tool-run accounting sums the
 /// `attempts` recorded in each implementation — for spliced cache hits
 /// that is what the implementation *originally* cost, not what this call
-/// spent; see `run_rw_flow_cached` for the spent-vs-total split.
+/// spent; see `run_rw_flow_cached` for the spent-vs-total split. It has no
+/// cache, so it anneals every time.
 pub fn stitch_implemented(
     design: &CnvDesign,
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     per_module: Vec<(usize, Result<ImplementedModule, String>)>,
 ) -> RwFlowResult {
-    stitch_diagram(design, device, cfg, per_module)
+    stitch_diagram(design, device, cfg, per_module, None)
 }
 
 /// [`stitch_implemented`] over any [`BlockDiagram`]: the one place a
-/// stitch problem is built from per-module outcomes.
+/// stitch problem is built from per-module outcomes. With a `memo`, a
+/// single-run stitch goes through it; a portfolio stitch never does.
 pub(crate) fn stitch_diagram(
     diagram: &impl BlockDiagram,
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     per_module: Vec<(usize, Result<ImplementedModule, String>)>,
+    memo: Option<&StitchMemo>,
 ) -> RwFlowResult {
     let mut implemented = Vec::new();
     let mut failed = Vec::new();
@@ -327,9 +330,10 @@ pub(crate) fn stitch_diagram(
     cfg.obs
         .count("flow.modules.implemented", implemented.len() as u64);
     cfg.obs.count("flow.modules.failed", failed.len() as u64);
-    let stitch_result = match &cfg.portfolio {
-        Some(pcfg) => stitch_portfolio_observed(device, &problem, pcfg, cfg.obs).0,
-        None => stitch_observed(device, &problem, &cfg.stitch, cfg.obs),
+    let stitch_result = match (&cfg.portfolio, memo) {
+        (Some(pcfg), _) => stitch_portfolio_observed(device, &problem, pcfg, cfg.obs).0,
+        (None, Some(memo)) => stitch_memoised(memo, device, &problem, &cfg.stitch, cfg.obs),
+        (None, None) => stitch_observed(device, &problem, &cfg.stitch, cfg.obs),
     };
     RwFlowResult {
         implemented,

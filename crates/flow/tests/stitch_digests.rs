@@ -12,31 +12,70 @@
 //! at least one row. The small part leaves many blocks unplaced and the
 //! large one none, so both the crowded and the roomy paths are pinned.
 //!
+//! Every row is also replayed through the implementation cache's stitch
+//! memo: run as a cached flow with the row's schedule, twice, on one fresh
+//! cache per design, device and policy. The first run anneals and stores
+//! the result, the second is served from the memo without a move; both
+//! must reproduce the row's digest.
+//!
 //! On a mismatch the test prints the whole actual table in source form.
 
 use tms_cnn::{cnvw1a1, zoo, CnvDesign};
 use tms_device::Device;
-use tms_flow::{run_rw_flow, CfPolicy, MemPackConfig, RwFlowConfig};
+use tms_flow::{
+    run_rw_flow, run_rw_flow_cached, CfPolicy, ImplementationCache, MemPackConfig, RwFlowConfig,
+};
+use tms_obs::AggregatingSink;
 use tms_pblock::CfSearch;
 use tms_place::PlacementModel;
 use tms_stitch::{stitch, StitchConfig, StitchProblem, StitchResult};
 
 const SEED: u64 = 3;
 
-/// The flow-built stitch problem of `design` on `device` under `policy`
-/// (deterministic placement model, fast in-flow stitch).
-fn problem_of(design: &CnvDesign, device: &Device, policy: CfPolicy<'_>) -> StitchProblem {
-    let cfg = RwFlowConfig {
+/// The flow configuration of the table: deterministic placement model,
+/// `stitch` as the in-flow schedule.
+fn flow_cfg(policy: CfPolicy<'_>, stitch: StitchConfig) -> RwFlowConfig<'_> {
+    RwFlowConfig {
         policy,
         use_shape_report: true,
         model: PlacementModel::deterministic(),
-        stitch: StitchConfig::fast(SEED),
+        stitch,
         portfolio: None,
         mem_pack: MemPackConfig::off(),
         seed: SEED,
         obs: tms_obs::noop(),
-    };
-    run_rw_flow(design, device, &cfg).problem
+    }
+}
+
+/// The flow-built stitch problem of `design` on `device` under `policy`
+/// (fast in-flow stitch).
+fn problem_of(design: &CnvDesign, device: &Device, policy: CfPolicy<'_>) -> StitchProblem {
+    run_rw_flow(design, device, &flow_cfg(policy, StitchConfig::fast(SEED))).problem
+}
+
+/// The row's policy: minimal CF (wide search) or a constant 1.5.
+fn policy(name: &str) -> CfPolicy<'static> {
+    match name {
+        "minimal" => CfPolicy::Minimal(CfSearch::wide()),
+        _ => CfPolicy::Constant(1.5),
+    }
+}
+
+/// One cached flow's stitch: its digest, and the `stitch.memo.hit` and
+/// `stitch.moves` it counted.
+fn cached_stitch(
+    design: &CnvDesign,
+    device: &Device,
+    cfg: RwFlowConfig<'_>,
+    cache: &mut ImplementationCache,
+) -> (u64, u64, u64) {
+    let sink = AggregatingSink::new();
+    let r = run_rw_flow_cached(design, device, &cfg.with_recorder(&sink), cache);
+    (
+        digest(&r.result.stitch),
+        sink.counter("stitch.memo.hit"),
+        sink.counter("stitch.moves"),
+    )
 }
 
 /// FNV-1a over a byte stream.
@@ -189,18 +228,28 @@ fn stitch_digests_are_pinned() {
         ),
     ];
     let mut actual: Vec<(String, u64)> = Vec::new();
+    let mut replay_errors: Vec<String> = Vec::new();
     for (name, design) in &designs {
         for device in [Device::xc7z010(), Device::xc7z020(), Device::xc7z045()] {
-            let policies = [
-                ("minimal", CfPolicy::Minimal(CfSearch::wide())),
-                ("cf1.5", CfPolicy::Constant(1.5)),
-            ];
-            for (policy_name, policy) in policies {
-                let problem = problem_of(design, &device, policy);
+            for policy_name in ["minimal", "cf1.5"] {
+                let problem = problem_of(design, &device, policy(policy_name));
+                let mut cache = ImplementationCache::new();
                 for (schedule, cfg) in &schedules {
                     let r = stitch(&device, &problem, cfg);
                     let label = format!("{name}/{} {policy_name} {schedule}", device.name());
-                    actual.push((label, digest(&r)));
+                    let direct = digest(&r);
+                    let mut replay = || {
+                        let cfg = flow_cfg(policy(policy_name), *cfg);
+                        cached_stitch(design, &device, cfg, &mut cache)
+                    };
+                    let (miss, hit) = (replay(), replay());
+                    if miss != (direct, 0, r.total_moves) || hit != (direct, 1, 0) {
+                        replay_errors.push(format!(
+                            "{label}: direct 0x{direct:016x}; (digest, memo hits, moves) \
+                             miss {miss:x?}, hit {hit:x?}"
+                        ));
+                    }
+                    actual.push((label, direct));
                 }
             }
         }
@@ -217,4 +266,9 @@ fn stitch_digests_are_pinned() {
             .collect();
         panic!("stitch results moved; actual table:\n{table}");
     }
+    assert!(
+        replay_errors.is_empty(),
+        "the memo replay differs from the direct stitch:\n{}",
+        replay_errors.join("\n")
+    );
 }

@@ -17,7 +17,8 @@
 //! * `flow` — full cnvW1A1-style design → stitched-placement report via
 //!   the cached flow (warm runs implement only cache misses; a repeated
 //!   design whose modules are all cached is answered from memoised keys,
-//!   without regenerating it);
+//!   without regenerating it, and its stitch from the cache's stitch memo,
+//!   without annealing again: the reply is the same either way);
 //! * `stats` — per-endpoint request counts, latency histograms, cache
 //!   hit/miss rates, persistent-store statistics, and the pipeline-phase
 //!   telemetry of [`tms_obs`];

@@ -11,57 +11,19 @@
 //! Both are safe because their inputs are deterministic: `cnvw1a1(seed)`
 //! and `synth_module(spec)` rebuild the same netlists, hence the same
 //! fingerprints, every time. Neither holds a netlist: a whole cnvW1A1
-//! design costs ≈ 2 MiB of memory, its [`DesignKeys`] ≈ 10 KiB.
+//! design costs ≈ 2 MiB of memory, its [`DesignKeys`] ≈ 10 KiB. Both are a
+//! [`tms_flow::Memo`], the type of the cache's own packing and stitch
+//! memos.
 
-use parking_lot::RwLock;
 use rayon::prelude::*;
-use std::collections::HashMap;
-use std::hash::Hash;
-use std::sync::Arc;
 use tms_cnn::CnvDesign;
 use tms_device::Device;
 use tms_flow::{BlockDiagram, ModuleFingerprint};
 
 /// Entry bound of each request memo. Reaching it clears the memo
-/// wholesale, as the cache's packing memo does: a long-lived server
-/// seeing ever-new designs re-derives keys rather than growing.
+/// wholesale, as the cache's packing and stitch memos do: a long-lived
+/// server seeing ever-new designs re-derives keys rather than growing.
 pub const MEMO_CAPACITY: usize = 256;
-
-/// A concurrent map of at most [`MEMO_CAPACITY`] entries, cleared
-/// wholesale when full. Lookups share a read lock and return the shared
-/// value, so a hit copies nothing.
-pub(crate) struct Memo<K, V> {
-    map: RwLock<HashMap<K, Arc<V>>>,
-}
-
-impl<K: Eq + Hash, V> Memo<K, V> {
-    pub(crate) fn new() -> Self {
-        Memo {
-            map: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// The remembered value for `key`.
-    pub(crate) fn get(&self, key: &K) -> Option<Arc<V>> {
-        self.map.read().get(key).cloned()
-    }
-
-    /// Remember `value` under `key`, clearing the memo first if it is full.
-    pub(crate) fn insert(&self, key: K, value: V) -> Arc<V> {
-        let value = Arc::new(value);
-        let mut map = self.map.write();
-        if map.len() >= MEMO_CAPACITY && !map.contains_key(&key) {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&value));
-        value
-    }
-
-    /// Entries currently remembered.
-    pub(crate) fn len(&self) -> usize {
-        self.map.read().len()
-    }
-}
 
 /// A design as the cached flow sees it, without a netlist: the key of
 /// every unique module and the block diagram the stitch reads.
@@ -143,24 +105,6 @@ mod tests {
             .iter()
             .map(|m| ModuleFingerprint::of(&m.netlist, device))
             .collect()
-    }
-
-    #[test]
-    fn memo_never_exceeds_its_cap() {
-        let memo: Memo<u64, u64> = Memo::new();
-        for k in 0..3 * MEMO_CAPACITY as u64 {
-            memo.insert(k, k * 2);
-            assert!(memo.len() <= MEMO_CAPACITY);
-        }
-        // Wholesale clearing: the entries before the last clear are gone,
-        // the ones after it are all there.
-        let last = 3 * MEMO_CAPACITY as u64 - 1;
-        assert_eq!(memo.get(&last).as_deref(), Some(&(last * 2)));
-        assert!(memo.get(&0).is_none());
-        // Re-inserting a present key at the cap clears nothing.
-        let len = memo.len();
-        memo.insert(last, 1);
-        assert_eq!(memo.len(), len);
     }
 
     #[test]

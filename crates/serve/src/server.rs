@@ -21,7 +21,8 @@
 //!   was implemented), and — for a `flow` — a stitch with no lock held. No
 //!   lock spans an implementation or a stitch. Request memos map a
 //!   repeated `flow` design or `preimpl` spec to its cache keys, so a
-//!   repeat regenerates nothing (see `memo.rs`).
+//!   repeat regenerates nothing (see `memo.rs`), and the cache's stitch
+//!   memo answers a repeated stitch input without annealing.
 //!
 //! Robustness posture (see also [`crate::protocol::RobustnessReport`]):
 //! request lines are read through a **bounded byte reader** — an
@@ -41,13 +42,13 @@
 //! drain and exit) and joins every thread; workers poll the flag between
 //! read timeouts, so connections held open by clients terminate too.
 //! Only *after* the last worker exits — no in-flight insert can race it —
-//! the persistent store (if configured) is flushed and checkpointed, so a
-//! restart warm-starts from a compacted log. A client can trigger the
-//! same path remotely with the `shutdown` endpoint: the handler fsyncs
-//! the store before acknowledging, then raises the flag for
-//! [`ServerHandle::serve_forever`] to finish the job.
+//! the persistent store (if configured) is checkpointed (its log flushed
+//! once, then compacted), so a restart warm-starts from a compacted log.
+//! A client can trigger the same path remotely with the `shutdown`
+//! endpoint: the handler fsyncs the store before acknowledging, then
+//! raises the flag for [`ServerHandle::serve_forever`] to finish the job.
 
-use crate::memo::{DesignKeys, Memo, MEMO_CAPACITY};
+use crate::memo::{DesignKeys, MEMO_CAPACITY};
 use crate::metrics::Metrics;
 use crate::protocol::{
     CacheStats, EstimateRequest, EstimateResponse, FlowRequest, FlowResponse, IntegrityReport,
@@ -67,7 +68,7 @@ use tms_device::{Device, DeviceName};
 use tms_estimator::{CfEstimator, FeatureSet};
 use tms_fault::{FaultInjector, FaultPlan, FaultPoint, NoopInjector, Retry};
 use tms_flow::{
-    CacheLookup, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, ModuleFingerprint,
+    CacheLookup, CfPolicy, ImplementationCache, MacroStore, MemPackPolicy, Memo, ModuleFingerprint,
     RwFlowConfig, StoreAuditor, DEFAULT_CACHE_CAPACITY,
 };
 use tms_netlist::Netlist;
@@ -368,7 +369,7 @@ impl ServerHandle {
         // make the library durable and compact its log.
         if !self.state.checkpointed.swap(true, Ordering::SeqCst) {
             if let Some(store) = self.state.store() {
-                let _ = store.flush();
+                // The checkpoint flushes the log before it compacts.
                 let _ = store.checkpoint();
             }
         }
@@ -451,8 +452,8 @@ pub fn serve(
             config.slow_threshold.as_micros() as u64,
         ),
         slo: config.slos.iter().map(|&s| SloTracker::new(s)).collect(),
-        designs: Memo::new(),
-        specs: Memo::new(),
+        designs: Memo::new(MEMO_CAPACITY),
+        specs: Memo::new(MEMO_CAPACITY),
     });
 
     let (tx, rx) = crossbeam::channel::bounded::<Pending>(config.queue_limit.max(1));

@@ -1,9 +1,9 @@
 //! The request memos end to end: a repeated `flow` is answered from the
-//! design memo (lookups under the read lock, a stitch with no lock held)
-//! with the same reply and the same telemetry as a first request that
-//! generates the design, corrupt records still heal by recomputing
-//! exactly the victim, packed requests bypass the memo, and a repeated
-//! `preimpl` skips synthesis.
+//! design memo (lookups under the read lock) and the cache's stitch memo
+//! (no anneal, no lock held) with the same reply and the same telemetry as
+//! a restarted server's repeat, corrupt records still heal by recomputing
+//! exactly the victim, packed requests bypass the design memo, and a
+//! repeated `preimpl` skips synthesis.
 
 use std::sync::Arc;
 use tms_cnn::ModuleRole;
@@ -12,6 +12,16 @@ use tms_fault::{FaultPlan, FaultPoint};
 use tms_ml::Dataset;
 use tms_obs::{ObsSnapshot, Phase};
 use tms_serve::{serve, Client, FlowResponse, ModuleSpec, ServeConfig, StatsReport, MEMO_CAPACITY};
+
+/// The counters a stitch books for the moves it ran; a stitch memo hit
+/// books none of them.
+const STITCH_WORK: [&str; 5] = [
+    "stitch.moves",
+    "stitch.accepted",
+    "stitch.rejected",
+    "stitch.illegal",
+    "stitch.late_insertions",
+];
 
 /// The same tiny deterministic estimator as the other suites: these tests
 /// care about memoisation, not model quality.
@@ -117,14 +127,21 @@ impl Added {
             .map_or(0, |&(_, n)| n)
     }
 
-    /// Equal to `other` apart from the memo's own counters, with
+    /// Equal to `other` apart from the design memo's own counters, with
     /// observation sums equal up to the rounding of the running totals
     /// they were taken from.
     fn assert_same_work(&self, other: &Added, what: &str) {
+        self.assert_same_work_but(other, &[], what);
+    }
+
+    /// [`Added::assert_same_work`] with the counters in `aside` also set
+    /// aside.
+    fn assert_same_work_but(&self, other: &Added, aside: &[&str], what: &str) {
         let work = |a: &Added| -> Vec<(String, u64)> {
             a.counters
                 .iter()
                 .filter(|(k, _)| !k.starts_with("serve.design_memo."))
+                .filter(|(k, _)| !aside.contains(&k.as_str()))
                 .cloned()
                 .collect()
         };
@@ -173,7 +190,8 @@ fn memo_served_replies_equal_a_restarted_servers() {
     std::fs::remove_dir_all(&dir).ok();
 
     // Server one compiles each design cold, then serves it again from the
-    // memo: every module a verified hit, no design regenerated.
+    // memos: every module a verified hit, no design regenerated, and the
+    // stitch answered by the cache's stitch memo.
     let mut memo_served = Vec::new();
     {
         let handle = start(two_workers().with_store_dir(&dir));
@@ -191,12 +209,16 @@ fn memo_served_replies_equal_a_restarted_servers() {
             assert_eq!(work.counter("serve.design_memo.miss"), 0);
             assert_eq!((warm.fresh, warm.reused), (0, 74));
             assert_eq!(warm.tool_runs_spent, 0);
-            // Nothing implemented, nothing persisted: one cache lookup
-            // span and the stitch.
+            // Nothing implemented, nothing persisted, nothing annealed: one
+            // cache lookup span and the stitch memo's span.
             assert_eq!(work.spans(Phase::Place), 0, "{seed}/{device}");
             assert_eq!(work.spans(Phase::Synth), 0);
             assert_eq!(work.spans(Phase::Cache), 1);
             assert_eq!(work.spans(Phase::Stitch), 1);
+            assert_eq!(work.counter("stitch.memo.hit"), 1);
+            for counter in STITCH_WORK {
+                assert_eq!(work.counter(counter), 0, "{seed}/{device}: {counter}");
+            }
             assert_eq!(work.counter("cache.hit"), 74);
             assert_eq!(appended, 0, "an all-hit flow appends nothing");
             assert_eq!(stats.memo.design_entries, DESIGNS.len());
@@ -206,18 +228,33 @@ fn memo_served_replies_equal_a_restarted_servers() {
         handle.stop();
     }
 
-    // Server two opens the same library with an empty memo: each first
-    // request generates and fingerprints the design before the same
-    // lookup under the read lock, and must answer and record exactly the
-    // same.
+    // Server two opens the same library with empty memos and gets each
+    // design twice. The first request generates and fingerprints the
+    // design before the same lookup under the read lock, and anneals; the
+    // second is served by both memos, like server one's warm request, and
+    // must answer and record exactly the same. The first answers the same
+    // too, and records the same but for the stitch: the anneal's work
+    // counters where the repeat counts a stitch memo hit.
     let handle = start(two_workers().with_store_dir(&dir));
     let mut client = Client::connect(handle.addr()).expect("connect");
     for ((seed, device), (warm, warm_work)) in DESIGNS.into_iter().zip(&memo_served) {
+        let what = format!("{seed}/{device}");
         let (full, work, appended, _) = traced_flow(&mut client, seed, device);
-        assert_eq!(work.counter("serve.design_memo.miss"), 1, "{seed}/{device}");
+        assert_eq!(work.counter("serve.design_memo.miss"), 1, "{what}");
         assert_eq!(appended, 0);
-        assert_eq!(sans_micros(&full), sans_micros(warm), "{seed}/{device}");
-        warm_work.assert_same_work(&work, &format!("{seed}/{device}"));
+        assert_eq!(sans_micros(&full), sans_micros(warm), "{what}");
+        let (repeat, repeat_work, appended, _) = traced_flow(&mut client, seed, device);
+        assert_eq!(repeat_work.counter("serve.design_memo.hit"), 1, "{what}");
+        assert_eq!(appended, 0);
+        assert_eq!(sans_micros(&repeat), sans_micros(warm), "{what}");
+        warm_work.assert_same_work(&repeat_work, &what);
+
+        assert_eq!(work.counter("stitch.memo.hit"), 0, "{what}");
+        assert!(work.counter("stitch.moves") > 0, "{what}");
+        assert_eq!(work.spans(Phase::Stitch), 1);
+        let mut aside = STITCH_WORK.to_vec();
+        aside.push("stitch.memo.hit");
+        work.assert_same_work_but(&repeat_work, &aside, &what);
     }
     handle.stop();
     std::fs::remove_dir_all(&dir).ok();
@@ -314,6 +351,7 @@ fn memo_counters_and_gauges_round_trip_through_prometheus() {
         ("serve.spec_memo.hit", 1),
         ("serve.design_memo.miss", 1),
         ("serve.design_memo.hit", 2),
+        ("stitch.memo.hit", 2),
     ] {
         assert_eq!(stats.pipeline.counter(counter), want, "{counter}");
         let name = format!("tms_{}_total", tms_serve::prometheus::sanitize(counter));

@@ -646,3 +646,31 @@ fn metrics_page_carries_burn_rates_build_info_and_slowlog_gauges() {
     assert!(stats.estimate.p999_us >= stats.estimate.p50_us);
     handle.stop();
 }
+
+#[test]
+fn graceful_stop_fsyncs_the_log_once_before_compacting() {
+    use std::sync::Arc;
+    use tms_fault::{FaultPlan, FaultPoint};
+    let dir = std::env::temp_dir().join(format!(
+        "tms_service_stop_fsyncs_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    // A zero-rate plan injects nothing; it only counts every consult.
+    let plan = Arc::new(FaultPlan::seeded(1));
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    }
+    .with_store_dir(&dir)
+    .with_fault(Arc::clone(&plan));
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let before = plan.hits(FaultPoint::StoreFsync);
+    handle.stop();
+    // The log's flush, then the compaction's temp file: the checkpoint
+    // flushes the log itself, so the stop adds no flush of its own.
+    assert_eq!(plan.hits(FaultPoint::StoreFsync) - before, 2);
+    assert_eq!(plan.injected_total(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}

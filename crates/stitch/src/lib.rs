@@ -47,6 +47,6 @@ pub mod search;
 pub use portfolio::{
     canonical_portfolio, stitch_portfolio, stitch_portfolio_observed, StitchPortfolioReport,
 };
-pub use problem::{InterNet, MacroBlock, StitchProblem};
-pub use sa::{stitch, stitch_observed, StitchConfig, StitchResult};
+pub use problem::{InterNet, MacroBlock, StitchKey, StitchProblem};
+pub use sa::{observe_stitch_reuse, stitch, stitch_observed, StitchConfig, StitchResult};
 pub use search::{StitchSearch, StitchSolution};

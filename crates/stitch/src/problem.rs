@@ -1,6 +1,8 @@
-//! The stitching problem: macros, instances, inter-block nets.
+//! The stitching problem: macros, instances, inter-block nets, and the
+//! key of a whole stitch input.
 
-use tms_device::ColumnSignature;
+use crate::sa::StitchConfig;
+use tms_device::{ColumnSignature, Device};
 
 /// One unique pre-implemented module, ready for replication.
 #[derive(Debug, Clone)]
@@ -88,6 +90,121 @@ impl StitchProblem {
     }
 }
 
+/// A 64-bit digest of a single-run stitch's whole input: the device, by
+/// name; every [`StitchConfig`] field; and every field of the
+/// [`StitchProblem`] — each macro's name, signature, size, used slices
+/// and irregularity, the instance table, and every net's endpoints and
+/// weight. [`stitch`](crate::stitch) is a pure function of that input, so
+/// two stitches with equal keys return the same result, bit for bit, up
+/// to a collision of the digest. A caller that stores results by this key
+/// trusts 64 bits the way a content digest is trusted.
+///
+/// The config, macros and nets are destructured, so a field added later
+/// does not compile until it is keyed. Floats are keyed by their bits.
+/// Each 64-bit word is mixed in one step: xor, a multiply by an odd
+/// constant, and a fold of the high half into the low half. The fold
+/// matters: with xor-multiply alone a word's high bits reach only the
+/// digest's high bits, so two floats that differ in their exponent only
+/// (net weights 8.0 and 16.0, swapped between two nets) could cancel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StitchKey(u64);
+
+impl StitchKey {
+    /// The key of `stitch(device, problem, config)`.
+    pub fn of(device: &Device, problem: &StitchProblem, config: &StitchConfig) -> StitchKey {
+        let StitchConfig {
+            seed,
+            max_moves,
+            moves_per_temp,
+            cooling,
+            retry_unplaced_every,
+            sample_every,
+            range_limited,
+        } = *config;
+        let StitchProblem {
+            modules,
+            instances,
+            nets,
+        } = problem;
+        let mut h = Mix::new();
+        h.words([
+            device.name() as u64,
+            seed,
+            max_moves,
+            u64::from(moves_per_temp),
+            cooling.to_bits(),
+            retry_unplaced_every,
+            sample_every,
+            u64::from(range_limited),
+            modules.len() as u64,
+        ]);
+        for MacroBlock {
+            name,
+            signature,
+            width,
+            height,
+            used_slices,
+            irregularity,
+        } in modules
+        {
+            h.bytes(name.bytes());
+            h.bytes(signature.0.iter().map(|&kind| kind as u8));
+            h.words([
+                u64::from(*width),
+                u64::from(*height),
+                u64::from(*used_slices),
+                irregularity.to_bits(),
+            ]);
+        }
+        h.word(instances.len() as u64);
+        h.words(instances.iter().map(|&m| m as u64));
+        h.word(nets.len() as u64);
+        for InterNet { endpoints, weight } in nets {
+            h.word(endpoints.len() as u64);
+            h.words(endpoints.iter().map(|&e| u64::from(e)));
+            h.word(weight.to_bits());
+        }
+        StitchKey(h.0)
+    }
+}
+
+/// The word-by-word mixer behind [`StitchKey`].
+struct Mix(u64);
+
+impl Mix {
+    fn new() -> Mix {
+        Mix(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u64) {
+        let h = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn words(&mut self, vs: impl IntoIterator<Item = u64>) {
+        for v in vs {
+            self.word(v);
+        }
+    }
+
+    /// A byte string: its length, then its bytes eight to a word.
+    fn bytes(&mut self, bytes: impl ExactSizeIterator<Item = u8>) {
+        self.word(bytes.len() as u64);
+        let (mut word, mut filled) = (0u64, 0);
+        for b in bytes {
+            word |= u64::from(b) << (8 * filled);
+            filled += 1;
+            if filled == 8 {
+                self.word(word);
+                (word, filled) = (0, 0);
+            }
+        }
+        if filled > 0 {
+            self.word(word);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,5 +244,73 @@ mod tests {
     #[test]
     fn area_formula() {
         assert_eq!(block(4, 7).area(), 28);
+    }
+
+    /// A named one-field change to an input.
+    type Edit<T> = (&'static str, fn(&mut T));
+
+    #[test]
+    fn stitch_key_changes_with_every_input() {
+        let dev = Device::xc7z020();
+        let mut base = StitchProblem::new(vec![block(2, 4), block(3, 5)]);
+        let a = base.add_instance(0);
+        let b = base.add_instance(1);
+        let c = base.add_instance(1);
+        base.add_net(&[a, b], 8.0);
+        base.add_net(&[b, c], 16.0);
+        let cfg = StitchConfig::fast(1);
+        let key = StitchKey::of(&dev, &base, &cfg);
+        assert_eq!(
+            key,
+            StitchKey::of(&dev, &base.clone(), &cfg),
+            "equal inputs"
+        );
+
+        let config_edits: [Edit<StitchConfig>; 7] = [
+            ("seed", |c| c.seed += 1),
+            ("max_moves", |c| c.max_moves += 1),
+            ("moves_per_temp", |c| c.moves_per_temp += 1),
+            ("cooling", |c| {
+                c.cooling = f64::from_bits(c.cooling.to_bits() + 1)
+            }),
+            ("retry_unplaced_every", |c| c.retry_unplaced_every += 1),
+            ("sample_every", |c| c.sample_every += 1),
+            ("range_limited", |c| c.range_limited = !c.range_limited),
+        ];
+        let problem_edits: [Edit<StitchProblem>; 10] = [
+            ("macro name", |p| p.modules[1].name.push('x')),
+            ("macro signature", |p| {
+                p.modules[1].signature.0[2] = ColumnKind::ClbM;
+            }),
+            ("macro width", |p| p.modules[1].width += 1),
+            ("macro height", |p| p.modules[1].height += 1),
+            ("macro used slices", |p| p.modules[1].used_slices += 1),
+            ("macro irregularity", |p| p.modules[1].irregularity = 0.2),
+            ("instance module", |p| p.instances[2] = 0),
+            ("net endpoint", |p| p.nets[1].endpoints[1] = 0),
+            ("net weight", |p| p.nets[0].weight = 8.5),
+            // Weights that differ in their exponent bits only, swapped.
+            ("swapped net weights", |p| {
+                (p.nets[0].weight, p.nets[1].weight) = (16.0, 8.0);
+            }),
+        ];
+        let mut keys = vec![("base", key)];
+        keys.push(("device", StitchKey::of(&Device::xc7z045(), &base, &cfg)));
+        for (what, edit) in config_edits {
+            let mut edited = cfg;
+            edit(&mut edited);
+            assert_ne!(edited, cfg, "{what}");
+            keys.push((what, StitchKey::of(&dev, &base, &edited)));
+        }
+        for (what, edit) in problem_edits {
+            let mut edited = base.clone();
+            edit(&mut edited);
+            keys.push((what, StitchKey::of(&dev, &edited, &cfg)));
+        }
+        for (i, (what, k)) in keys.iter().enumerate() {
+            for (other, earlier) in &keys[..i] {
+                assert_ne!(k, earlier, "{what} keys like {other}");
+            }
+        }
     }
 }

@@ -536,16 +536,31 @@ pub fn stitch_observed(
     sp.field("placed", r.placed_count as f64);
     sp.field("unplaced", r.unplaced_count as f64);
     sp.field("final_cost", r.final_cost);
-    obs.count("stitch.placed", r.placed_count as u64);
-    obs.count("stitch.unplaced", r.unplaced_count as u64);
     obs.count("stitch.moves", r.total_moves);
     obs.count("stitch.accepted", r.accepted_moves);
     obs.count("stitch.rejected", r.rejected_moves);
     obs.count("stitch.illegal", r.illegal_moves);
     obs.count("stitch.late_insertions", r.late_insertions);
+    observe_outcome(&r, obs);
+    r
+}
+
+/// Record, through `obs`, a stored stitch result served instead of a new
+/// anneal: `stitch.memo.hit` and what describes the placement
+/// ([`stitch_observed`]'s `stitch.placed`, `stitch.unplaced`,
+/// `stitch.cost` and `stitch.final_temp`), but none of the work counters,
+/// since no move ran.
+pub fn observe_stitch_reuse(r: &StitchResult, obs: &dyn tms_obs::Recorder) {
+    obs.count("stitch.memo.hit", 1);
+    observe_outcome(r, obs);
+}
+
+/// Record what describes a stitch's placement through `obs`.
+fn observe_outcome(r: &StitchResult, obs: &dyn tms_obs::Recorder) {
+    obs.count("stitch.placed", r.placed_count as u64);
+    obs.count("stitch.unplaced", r.unplaced_count as u64);
     obs.observe("stitch.cost", r.final_cost);
     obs.observe("stitch.final_temp", r.final_temp);
-    r
 }
 
 #[cfg(test)]

@@ -95,7 +95,8 @@ fn cached_recompile_reuses_and_restitches() {
     assert_eq!(second.fresh, 0);
     assert_eq!(second.reused, first.fresh);
     assert_eq!(second.tool_runs_spent, 0);
-    // The re-stitched design still routes.
+    // The second flow's stitch, answered by the cache's stitch memo,
+    // still routes.
     let report = route_stitched(
         &dev,
         &second.result.problem,

@@ -15,10 +15,10 @@ use crate::rwflow::{
     RwFlowResult,
 };
 use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tms_cnn::CnvDesign;
 use tms_device::{Device, DeviceName};
 use tms_fault::{FaultInjector, FaultPoint, NoopInjector, Retry};
@@ -130,8 +130,13 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4_096;
 /// Bound on stored weight-packing results. One entry serves every compile
 /// of a (design shape, device, packing config) triple, so a few dozen
 /// cover any working set; past the bound the memo is dropped wholesale,
-/// as the verified-digest set is.
+/// as every [`Memo`] is.
 const PACK_MEMO_CAPACITY: usize = 64;
+
+/// Bound on remembered verified digests: a long-lived service accumulating
+/// many libraries drops them wholesale and re-verifies, rather than growing
+/// without limit.
+const VERIFIED_MEMO_CAPACITY: usize = 65_536;
 
 /// Bound on stored stitch results, the bound of `tms-serve`'s request
 /// memos: one entry per (design, device, CF policy, schedule) a service
@@ -151,11 +156,22 @@ pub(crate) type StitchMemo = Memo<StitchKey, StitchResult>;
 /// side). The entry count is bounded; inserting past capacity evicts the
 /// least-recently-used implementation.
 ///
+/// The cache is the one place a read is counted: [`hits`], [`misses`] and
+/// [`verify_failures`] (a failed read is quarantined, so it is also the
+/// quarantine count). A [`MacroStore`] behind it counts only what it
+/// writes, and [`lookup`] books each flow's own reads as fields of its
+/// `lookup` span, not as recorder counters.
+///
+/// [`hits`]: ImplementationCache::hits
+/// [`misses`]: ImplementationCache::misses
+/// [`verify_failures`]: ImplementationCache::verify_failures
+/// [`lookup`]: ImplementationCache::lookup
+///
 /// A warm [`run_rw_flow_cached`] pays only for the modules that changed
 /// and, when its stitch input is new, the stitch. Besides the
-/// implementations, the cache therefore keeps two memos, each a [`Memo`]:
-/// bounded, cleared wholesale when full, living and dying with this cache,
-/// and never persisted.
+/// implementations, the cache therefore keeps two memos, each a [`Memo`]
+/// like its set of verified digests: bounded, cleared wholesale when full,
+/// living and dying with this cache, and never persisted.
 ///
 /// * The **weight-packing memo** (64 entries) holds the packed weights
 ///   modules and report for each [`PackKey`] seen. The key is exactly what
@@ -201,8 +217,6 @@ pub struct ImplementationCache {
     /// first success. Services watch this to decide when the store is
     /// persistently broken and the cache should degrade to memory-only.
     store_fail_streak: AtomicU32,
-    /// Total store puts that failed even after retrying.
-    store_put_failures: AtomicU64,
     /// Fault injector consulted on verified reads (the
     /// `cache.corrupt_macro` silent-corruption point) and by the cached
     /// flow (`flow.place`, `flow.route`).
@@ -210,11 +224,10 @@ pub struct ImplementationCache {
     /// Reads that ran the full digest + legality check.
     full_verifications: AtomicU64,
     /// Verified reads that failed (digest mismatch, audit violation, or
-    /// injected corruption that broke the encoding).
+    /// injected corruption that broke the encoding). Each quarantines its
+    /// entry: store mode evicts it durably, memory mode treats it as a
+    /// miss until the recompute overwrites it.
     verify_failures: AtomicU64,
-    /// Entries quarantined by verified reads (store mode evicts them
-    /// durably; memory mode treats them as misses until overwritten).
-    quarantined: AtomicU64,
     /// Inserts rejected by the pre-insert audit.
     insert_rejected: AtomicU64,
     /// Content digests that already passed a full verification in this
@@ -224,7 +237,9 @@ pub struct ImplementationCache {
     /// later hits skip the digest recompute and legality audit, which
     /// [`full_verifications`](ImplementationCache::full_verifications)
     /// then does not count. Fault-armed caches bypass the memo entirely.
-    verified: Mutex<HashSet<u64>>,
+    /// Bounded by [`VERIFIED_MEMO_CAPACITY`]; a warm read takes its read
+    /// lock only.
+    verified: Memo<u64, ()>,
     /// Weight-packing results by the exact inputs that produced them,
     /// bounded by [`PACK_MEMO_CAPACITY`]. Read and filled on the `&self`
     /// read side; its lock is never held while packing.
@@ -259,13 +274,11 @@ impl ImplementationCache {
             misses: AtomicU64::new(0),
             retry: Retry::default(),
             store_fail_streak: AtomicU32::new(0),
-            store_put_failures: AtomicU64::new(0),
             fault: Arc::new(NoopInjector),
             full_verifications: AtomicU64::new(0),
             verify_failures: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
             insert_rejected: AtomicU64::new(0),
-            verified: Mutex::new(HashSet::new()),
+            verified: Memo::new(VERIFIED_MEMO_CAPACITY),
             pack_memo: Memo::new(PACK_MEMO_CAPACITY),
             stitch_memo: Arc::new(Memo::new(STITCH_MEMO_CAPACITY)),
         }
@@ -421,10 +434,12 @@ impl ImplementationCache {
     }
 
     /// Step 1 of a cached flow: look up its modules — `keys` in design
-    /// order — with verified reads, under one `cache` span. Hits count
-    /// `cache.hit`; misses and quarantined records count `cache.miss` (and
-    /// `cache.quarantined`) and join the modules still to implement. Takes
-    /// `&self`, so it runs under a reader lock. The lookup keeps the
+    /// order — with verified reads, under one `cache` span named `lookup`.
+    /// Misses and quarantined records join the modules still to implement.
+    /// The cache's own counters count every read; the span's `hits`,
+    /// `misses` and `quarantined` fields are this lookup's share, so a
+    /// request's trace shows its reads without a recorder call per module.
+    /// Takes `&self`, so it runs under a reader lock. The lookup keeps the
     /// cache's fault plan, retry policy and stitch memo for the steps that
     /// follow.
     pub fn lookup(
@@ -440,23 +455,15 @@ impl ImplementationCache {
         let mut sp = span(obs, Phase::Cache, "lookup");
         for (idx, key) in keys.iter().enumerate() {
             match self.get_verified(key, &auditor) {
-                VerifiedLookup::Hit(hit) => {
-                    obs.count("cache.hit", 1);
-                    hits.push((idx, hit));
-                }
+                VerifiedLookup::Hit(hit) => hits.push((idx, hit)),
                 VerifiedLookup::Corrupt(_) => {
                     // Detected corruption heals by recompute: the module
                     // joins the miss set and its fresh result overwrites
                     // the quarantined record.
-                    obs.count("cache.quarantined", 1);
-                    obs.count("cache.miss", 1);
                     quarantined += 1;
                     missing.push(idx);
                 }
-                VerifiedLookup::Miss => {
-                    obs.count("cache.miss", 1);
-                    missing.push(idx);
-                }
+                VerifiedLookup::Miss => missing.push(idx),
             }
         }
         sp.field("hits", hits.len() as f64);
@@ -501,9 +508,11 @@ impl ImplementationCache {
     /// Step 3 of a cached flow: insert what
     /// [`CacheLookup::implement`] produced under the keys the lookup
     /// computed. The implementations still flow into the stitch when a put
-    /// fails; each failure counts `cache.store_error`, and the return value
-    /// is how many of this call's puts failed.
-    pub fn fill(&mut self, lookup: &CacheLookup, obs: &dyn Recorder) -> u64 {
+    /// fails; the return value is how many of this call's store puts failed
+    /// after retrying, for the caller to book (an insert the audit rejects
+    /// counts in [`insert_rejected`](ImplementationCache::insert_rejected)
+    /// instead).
+    pub fn fill(&mut self, lookup: &CacheLookup) -> u64 {
         // One device and one auditor per device name, not per insert.
         let mut devices: Vec<Device> = Vec::new();
         for (idx, _) in lookup.fresh.iter().filter(|(_, outcome)| outcome.is_ok()) {
@@ -521,8 +530,10 @@ impl ImplementationCache {
                 .iter()
                 .find(|a| a.device().name() == key.device())
                 .expect("an auditor per device name");
-            if self.insert_audited(key, m.clone(), auditor).is_err() {
-                obs.count("cache.store_error", 1);
+            let Ok(sealed) = self.seal_audited(m.clone(), auditor) else {
+                continue;
+            };
+            if self.put_sealed(key, sealed).is_err() {
                 failed += 1;
             }
         }
@@ -531,27 +542,19 @@ impl ImplementationCache {
 
     /// Whether `digest` already passed a full verification this process.
     fn is_verified(&self, digest: u64) -> bool {
-        self.verified.lock().is_ok_and(|set| set.contains(&digest))
+        self.verified.get(&digest).is_some()
     }
 
     /// Memoize a digest whose record just passed the full check (or was
-    /// sealed by the pre-insert audit). The set is bounded: long-lived
-    /// services accumulating many libraries drop the memo wholesale and
-    /// re-verify, rather than growing without limit.
+    /// sealed by the pre-insert audit).
     fn mark_verified(&self, digest: u64) {
-        if let Ok(mut set) = self.verified.lock() {
-            if set.len() >= 65_536 {
-                set.clear();
-            }
-            set.insert(digest);
-        }
+        self.verified.insert(digest, ());
     }
 
     /// Bookkeeping for a verified read that failed: count it, evict the
     /// offender where `&self` allows, and report the reason.
     fn quarantine_read(&self, key: &ModuleFingerprint, reason: String) -> VerifiedLookup {
         self.verify_failures.fetch_add(1, Ordering::Relaxed);
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.store {
             // Durable eviction; a quarantine I/O error must not break the
@@ -574,25 +577,25 @@ impl ImplementationCache {
     /// content digest before storage.
     ///
     /// Store puts are retried under the cache's [`Retry`] policy; a put
-    /// that fails every attempt increments both the consecutive-failure
-    /// streak and the total failure counter and returns the final error.
+    /// that fails every attempt increments the consecutive-failure streak
+    /// and returns the final error.
     pub fn try_insert(
         &mut self,
         key: ModuleFingerprint,
         module: ImplementedModule,
     ) -> io::Result<()> {
         let device = Device::from_name(key.device());
-        self.insert_audited(key, module, &Auditor::new(&device))
+        let sealed = self.seal_audited(module, &Auditor::new(&device))?;
+        self.put_sealed(key, sealed)
     }
 
-    /// [`try_insert`](ImplementationCache::try_insert) with the auditor of
-    /// the fingerprint's device already built.
-    fn insert_audited(
-        &mut self,
-        key: ModuleFingerprint,
+    /// The first half of an insert: audit `module` against the device of
+    /// `auditor` and seal it, or reject it.
+    fn seal_audited(
+        &self,
         module: ImplementedModule,
         auditor: &Auditor<'_>,
-    ) -> io::Result<()> {
+    ) -> io::Result<SealedModule> {
         let violations = audit_module(auditor, &module);
         if let Some(first) = violations.first() {
             self.insert_rejected.fetch_add(1, Ordering::Relaxed);
@@ -610,6 +613,12 @@ impl ImplementationCache {
         // memoizes it so the first verified read is already on the fast
         // path.
         self.mark_verified(sealed.digest);
+        Ok(sealed)
+    }
+
+    /// The second half of an insert: put an audited, sealed module into
+    /// the store under the retry policy, or into the in-memory map.
+    fn put_sealed(&mut self, key: ModuleFingerprint, sealed: SealedModule) -> io::Result<()> {
         if let Some(store) = &self.store {
             let out = self.retry.run(
                 |_e: &io::Error| true,
@@ -622,7 +631,6 @@ impl ImplementationCache {
                 }
                 Err(failed) => {
                     self.store_fail_streak.fetch_add(1, Ordering::Relaxed);
-                    self.store_put_failures.fetch_add(1, Ordering::Relaxed);
                     Err(failed.last)
                 }
             };
@@ -689,9 +697,11 @@ impl ImplementationCache {
         self.verify_failures.load(Ordering::Relaxed)
     }
 
-    /// Entries quarantined by verified reads.
+    /// Entries quarantined by verified reads: every failed verified read
+    /// quarantines its entry, so this reads the one count
+    /// [`verify_failures`](ImplementationCache::verify_failures) keeps.
     pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
+        self.verify_failures()
     }
 
     /// Inserts rejected by the pre-insert audit.
@@ -703,11 +713,6 @@ impl ImplementationCache {
     /// store is healthy or absent).
     pub fn store_fail_streak(&self) -> u32 {
         self.store_fail_streak.load(Ordering::Relaxed)
-    }
-
-    /// Total store puts that failed even after retrying.
-    pub fn store_put_failures(&self) -> u64 {
-        self.store_put_failures.load(Ordering::Relaxed)
     }
 
     /// Demote a store-backed cache to memory-only: the store's live
@@ -1041,7 +1046,7 @@ pub fn run_rw_flow_cached(
     );
     let mut lookup = cache.lookup_design(design, device, cfg);
     lookup.implement(modules_of(design), device, cfg);
-    cache.fill(&lookup, cfg.obs);
+    cache.fill(&lookup);
     lookup.stitch(design, device, cfg)
 }
 
@@ -1247,6 +1252,7 @@ mod tests {
         let mut cache = ImplementationCache::new();
         let cold_sink = AggregatingSink::new();
         let cold = run_rw_flow_cached(&design, &dev, &cfg(5).with_recorder(&cold_sink), &mut cache);
+        let cold_reads = (cache.hits(), cache.misses());
         let warm_sink = AggregatingSink::new();
         let warm = run_rw_flow_cached(&design, &dev, &cfg(5).with_recorder(&warm_sink), &mut cache);
         assert_eq!(warm.fresh, 0);
@@ -1279,8 +1285,8 @@ mod tests {
             cost(&warm_sink),
             Some((1, cold.result.stitch.final_cost.to_bits()))
         );
-        assert_eq!(cold_sink.counter("cache.miss"), 74);
-        assert_eq!(warm_sink.counter("cache.hit"), 74);
+        assert_eq!(cold_reads, (0, 74));
+        assert_eq!((cache.hits(), cache.misses()), (74, 74));
         let spans = |sink: &AggregatingSink| -> u64 {
             Phase::ALL.iter().map(|&p| sink.phase_spans(p)).sum()
         };
@@ -1339,7 +1345,7 @@ mod tests {
         cache: &mut ImplementationCache,
     ) -> CachedFlowResult {
         lookup.implement(modules_of(design), device, cfg);
-        cache.fill(&lookup, cfg.obs);
+        cache.fill(&lookup);
         lookup.stitch(design, device, cfg)
     }
 
@@ -1411,26 +1417,92 @@ mod tests {
         let design = cnvw1a1(5);
         let dev = Device::xc7z045();
         let fill = |cache: &mut ImplementationCache| {
-            let sink = tms_obs::AggregatingSink::new();
-            let cfg = cfg(5).with_recorder(&sink);
+            let cfg = cfg(5);
             let mut lookup = cache.lookup_design(&design, &dev, &cfg);
             lookup.implement(modules_of(&design), &dev, &cfg);
-            let failed = cache.fill(&lookup, &sink);
-            assert_eq!(sink.counter("cache.store_error"), failed);
+            let failed = cache.fill(&lookup);
             (lookup.stitch(&design, &dev, &cfg).fresh, failed)
         };
         // Every put fails: the flow still implements all 74 modules, and
         // the fill reports each of its own failures.
         assert_eq!(fill(&mut cache), (74, 74));
-        assert_eq!(cache.store_put_failures(), 74);
+        assert_eq!(cache.store_fail_streak(), 74);
         assert!(cache.is_empty());
-        // Healthy again: the cache's running total stays 74, yet this
-        // fill's own count is 0; an all-hit flow fills nothing.
+        // Healthy again: the first put ends the streak, and this fill's
+        // own count is 0; an all-hit flow fills nothing.
         plan.clear();
         assert_eq!(fill(&mut cache), (74, 0));
         assert_eq!(fill(&mut cache), (0, 0));
-        assert_eq!(cache.store_put_failures(), 74);
+        assert_eq!(cache.store_fail_streak(), 0);
         assert_eq!(cache.len(), 74);
+        drop(cache);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A recorder that aggregates like an [`tms_obs::AggregatingSink`] and
+    /// counts every call it gets.
+    #[derive(Default)]
+    struct CallCounter {
+        calls: AtomicU64,
+        sink: tms_obs::AggregatingSink,
+    }
+
+    impl Recorder for CallCounter {
+        fn record_span(&self, span: &tms_obs::SpanRecord) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.sink.record_span(span);
+        }
+
+        fn count(&self, key: &str, delta: u64) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.sink.count(key, delta);
+        }
+
+        fn observe(&self, key: &str, value: f64) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.sink.observe(key, value);
+        }
+    }
+
+    #[test]
+    fn a_warm_store_backed_flow_books_no_read_counter() {
+        use tms_store::StoreConfig;
+        let dir = std::env::temp_dir().join(format!(
+            "tms_flow_warm_reads_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        // The store and the flow record through one recorder.
+        let rec = Arc::new(CallCounter::default());
+        let obs = Arc::clone(&rec) as Arc<dyn Recorder>;
+        let store = Store::open_faulty(StoreConfig::at(&dir), obs, Arc::new(NoopInjector))
+            .expect("open store");
+        let mut cache = ImplementationCache::with_store(Arc::new(store));
+        let design = cnvw1a1(5);
+        let dev = Device::xc7z020();
+        let cfg = cfg(5).with_recorder(&*rec);
+        let cold = run_rw_flow_cached(&design, &dev, &cfg, &mut cache);
+        let calls = rec.calls.load(Ordering::Relaxed);
+        let warm = run_rw_flow_cached(&design, &dev, &cfg, &mut cache);
+        assert_eq!((cold.fresh, warm.reused), (74, 74));
+        // The cache counts every read once; the recorder books none of
+        // them, cold or warm, and a warm flow makes fewer calls than it
+        // has modules.
+        assert_eq!((cache.hits(), cache.misses()), (74, 74));
+        let reads: Vec<_> = rec
+            .sink
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(key, _)| key.starts_with("cache.") || key.starts_with("store."))
+            .collect();
+        assert!(reads.is_empty(), "{reads:?}");
+        let warm_calls = rec.calls.load(Ordering::Relaxed) - calls;
+        assert!(
+            warm_calls < 74,
+            "a warm flow made {warm_calls} recorder calls"
+        );
         drop(cache);
         std::fs::remove_dir_all(&dir).ok();
     }

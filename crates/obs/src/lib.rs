@@ -65,6 +65,4 @@ pub use sinks::{
     read_trace, replay, AggregatingSink, JsonlSink, ObsSnapshot, ObservationSnapshot, PhaseSnapshot,
 };
 pub use slo::{BurnRateSample, SloSpec, SloTracker, BURN_WINDOWS};
-pub use slowlog::{
-    PhaseBudget, RequestCtx, RequestOutcome, RequestRecorder, Slowlog, SlowlogEntry, TraceIdGen,
-};
+pub use slowlog::{RequestCtx, RequestOutcome, RequestRecorder, Slowlog, SlowlogEntry, TraceIdGen};

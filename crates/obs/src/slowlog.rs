@@ -4,19 +4,19 @@
 //! *why one request was slow*. This module closes that gap:
 //!
 //! * [`RequestCtx`] — a per-request trace context: a non-zero trace id
-//!   plus a [`PhaseBudget`] (per-phase latency budgets derived from the
-//!   request deadline);
+//!   plus the latency budget of each phase (derived from the request
+//!   deadline);
 //! * [`RequestRecorder`] — a [`Recorder`] the serving layer threads
 //!   through the flow (via `RwFlowConfig.obs`), so every span, counter
 //!   and observation the pipeline records while working on a request is
 //!   tagged with the owning request's trace id, forwarded to the shared
 //!   process-wide sink, *and* buffered as the request's own span tree;
 //! * [`Slowlog`] — a tail-sampling ring buffer that retains the full
-//!   span tree only for requests worth explaining: slower than a
-//!   configurable threshold, errored, shed, degraded, or past their
-//!   deadline. The keep/drop decision and the fast path for healthy
-//!   requests touch only atomics; the ring lock is taken only when a
-//!   tree is actually retained.
+//!   span tree only for requests worth explaining: slower than its
+//!   threshold, errored, shed, degraded, or past their deadline. The
+//!   keep/drop decision and the fast path for healthy requests touch only
+//!   atomics; the ring lock is taken only when a tree is actually
+//!   retained.
 
 use crate::phase::Phase;
 use crate::record::{Recorder, SpanRecord, TraceEvent};
@@ -59,48 +59,6 @@ impl RequestOutcome {
     }
 }
 
-/// Per-phase latency budgets in microseconds; `0` means unbudgeted. A
-/// request exceeding a phase's budget has that phase flagged in its
-/// [`SlowlogEntry::over_budget_phases`], pointing straight at the stage
-/// that spent the deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseBudget {
-    budget_us: [u64; Phase::ALL.len()],
-}
-
-impl Default for PhaseBudget {
-    fn default() -> PhaseBudget {
-        PhaseBudget::unlimited()
-    }
-}
-
-impl PhaseBudget {
-    /// No budget on any phase.
-    pub fn unlimited() -> PhaseBudget {
-        PhaseBudget {
-            budget_us: [0; Phase::ALL.len()],
-        }
-    }
-
-    /// Give every phase the same budget — the natural derivation from a
-    /// request deadline: no single phase may eat the whole deadline.
-    pub fn uniform(budget_us: u64) -> PhaseBudget {
-        PhaseBudget {
-            budget_us: [budget_us; Phase::ALL.len()],
-        }
-    }
-
-    /// Set one phase's budget (µs, `0` = unbudgeted).
-    pub fn set(&mut self, phase: Phase, budget_us: u64) {
-        self.budget_us[phase.index()] = budget_us;
-    }
-
-    /// One phase's budget (µs, `0` = unbudgeted).
-    pub fn get(&self, phase: Phase) -> u64 {
-        self.budget_us[phase.index()]
-    }
-}
-
 /// A request's trace context: minted in the serve acceptor, carried
 /// through the worker pool, and stamped onto every [`TraceEvent`] the
 /// pipeline emits while working on the request.
@@ -111,20 +69,15 @@ pub struct RequestCtx {
     pub trace_id: u64,
     /// The endpoint serving the request (`estimate`, `flow`, ...).
     pub endpoint: &'static str,
-    /// Per-phase latency budgets.
-    pub budget: PhaseBudget,
+    /// The latency budget of every phase, microseconds (`0` =
+    /// unbudgeted): no single phase may eat the whole deadline. A phase
+    /// whose spans sum past it is flagged in
+    /// [`SlowlogEntry::over_budget_phases`], pointing straight at the
+    /// stage that spent the deadline.
+    pub phase_budget_us: u64,
 }
 
 impl RequestCtx {
-    /// A context with an unlimited budget.
-    pub fn new(trace_id: u64, endpoint: &'static str) -> RequestCtx {
-        RequestCtx {
-            trace_id,
-            endpoint,
-            budget: PhaseBudget::unlimited(),
-        }
-    }
-
     /// A context whose every phase is budgeted at `budget_us`.
     pub fn with_uniform_budget(
         trace_id: u64,
@@ -134,7 +87,7 @@ impl RequestCtx {
         RequestCtx {
             trace_id,
             endpoint,
-            budget: PhaseBudget::uniform(budget_us),
+            phase_budget_us: budget_us,
         }
     }
 }
@@ -216,13 +169,11 @@ impl<'a> RequestRecorder<'a> {
     /// span tree, wall latency, outcome, and any phases that blew their
     /// budget.
     pub fn finish(self, latency_us: u64, outcome: RequestOutcome) -> SlowlogEntry {
+        let budget = self.ctx.phase_budget_us;
         let over_budget_phases = Phase::ALL
             .iter()
             .copied()
-            .filter(|&p| {
-                let budget = self.ctx.budget.get(p);
-                budget > 0 && self.phase_us(p) > budget
-            })
+            .filter(|&p| budget > 0 && self.phase_us(p) > budget)
             .collect();
         SlowlogEntry {
             trace_id: self.ctx.trace_id,
@@ -307,12 +258,12 @@ impl SlowlogEntry {
 /// The tail-sampling slowlog: a bounded ring of [`SlowlogEntry`] values
 /// retaining only requests that were slow (`latency >= threshold`),
 /// errored, shed, degraded, or deadline-expired. Healthy fast requests
-/// cost two atomic increments; the ring mutex is taken only on retain
+/// cost one atomic increment; the ring mutex is taken only on retain
 /// and on snapshot.
 #[derive(Debug)]
 pub struct Slowlog {
     capacity: usize,
-    threshold_us: AtomicU64,
+    threshold_us: u64,
     considered: AtomicU64,
     retained: AtomicU64,
     evicted: AtomicU64,
@@ -325,7 +276,7 @@ impl Slowlog {
     pub fn new(capacity: usize, threshold_us: u64) -> Slowlog {
         Slowlog {
             capacity: capacity.max(1),
-            threshold_us: AtomicU64::new(threshold_us),
+            threshold_us,
             considered: AtomicU64::new(0),
             retained: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -333,14 +284,9 @@ impl Slowlog {
         }
     }
 
-    /// The current slow threshold (µs).
+    /// The slow threshold (µs).
     pub fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Change the slow threshold (µs) at runtime.
-    pub fn set_threshold_us(&self, threshold_us: u64) {
-        self.threshold_us.store(threshold_us, Ordering::Relaxed);
+        self.threshold_us
     }
 
     /// Maximum retained entries.
@@ -348,15 +294,13 @@ impl Slowlog {
         self.capacity
     }
 
-    /// Whether a request with this latency and outcome would be retained.
-    /// Atomics only — callers on the hot path may check this before even
-    /// building an entry.
-    pub fn wants(&self, latency_us: u64, outcome: RequestOutcome) -> bool {
-        !outcome.is_ok() || latency_us >= self.threshold_us()
+    /// Whether a request with this latency and outcome is retained.
+    fn wants(&self, latency_us: u64, outcome: RequestOutcome) -> bool {
+        !outcome.is_ok() || latency_us >= self.threshold_us
     }
 
-    /// Offer a finished request. Retains it iff [`Slowlog::wants`] its
-    /// latency/outcome; evicts the oldest entry when full.
+    /// Offer a finished request. Retains it if it was slow or did not end
+    /// [`RequestOutcome::Ok`]; evicts the oldest entry when full.
     pub fn offer(&self, entry: SlowlogEntry) {
         self.considered.fetch_add(1, Ordering::Relaxed);
         if !self.wants(entry.latency_us, entry.outcome) {
@@ -424,7 +368,7 @@ mod tests {
     #[test]
     fn request_recorder_tags_and_buffers_every_event() {
         let sink = AggregatingSink::new();
-        let rec = RequestRecorder::new(&sink, RequestCtx::new(7, "flow"));
+        let rec = RequestRecorder::new(&sink, RequestCtx::with_uniform_budget(7, "flow", 0));
         {
             let mut s = span(&rec, Phase::Place, "m0");
             s.field("cf", 1.5);
@@ -444,10 +388,23 @@ mod tests {
 
     #[test]
     fn over_budget_phases_are_flagged() {
-        let mut ctx = RequestCtx::new(3, "flow");
-        ctx.budget.set(Phase::Place, 1); // 1 µs: any real span blows it
-        ctx.budget.set(Phase::Route, 10_000_000);
-        let rec = RequestRecorder::new(noop(), ctx);
+        // Every phase may spend 60 µs: two place spans sum past it, one
+        // route span stays within it.
+        let rec = RequestRecorder::new(noop(), RequestCtx::with_uniform_budget(3, "flow", 60));
+        for (phase, start_us) in [(Phase::Place, 0), (Phase::Place, 50), (Phase::Route, 100)] {
+            rec.record_span(&SpanRecord {
+                trace_id: 0,
+                phase,
+                name: "m0".into(),
+                start_us,
+                duration_us: 50,
+                fields: Vec::new(),
+            });
+        }
+        let entry = rec.finish(150, RequestOutcome::Ok);
+        assert_eq!(entry.over_budget_phases, vec![Phase::Place]);
+        // A zero budget flags nothing.
+        let rec = RequestRecorder::new(noop(), RequestCtx::with_uniform_budget(4, "flow", 0));
         rec.record_span(&SpanRecord {
             trace_id: 0,
             phase: Phase::Place,
@@ -456,16 +413,10 @@ mod tests {
             duration_us: 50,
             fields: Vec::new(),
         });
-        rec.record_span(&SpanRecord {
-            trace_id: 0,
-            phase: Phase::Route,
-            name: "m0".into(),
-            start_us: 50,
-            duration_us: 50,
-            fields: Vec::new(),
-        });
-        let entry = rec.finish(100, RequestOutcome::Ok);
-        assert_eq!(entry.over_budget_phases, vec![Phase::Place]);
+        assert!(rec
+            .finish(50, RequestOutcome::Ok)
+            .over_budget_phases
+            .is_empty());
     }
 
     #[test]
@@ -477,11 +428,12 @@ mod tests {
         log.offer(entry(4, 10, RequestOutcome::Shed)); // shed: kept
         log.offer(entry(5, 10, RequestOutcome::Degraded)); // degraded: kept
         log.offer(entry(6, 1_000, RequestOutcome::Ok)); // exactly at threshold: kept
-        assert_eq!(log.considered(), 6);
-        assert_eq!(log.retained(), 5);
-        assert_eq!(log.len(), 5);
+        log.offer(entry(7, 0, RequestOutcome::DeadlineExpired)); // expired: kept
+        assert_eq!(log.considered(), 7);
+        assert_eq!(log.retained(), 6);
+        assert_eq!(log.len(), 6);
         let ids: Vec<u64> = log.snapshot(0).iter().map(|e| e.trace_id).collect();
-        assert_eq!(ids, vec![6, 5, 4, 3, 2], "newest first, trace 1 dropped");
+        assert_eq!(ids, vec![7, 6, 5, 4, 3, 2], "newest first, trace 1 dropped");
     }
 
     #[test]
@@ -495,15 +447,6 @@ mod tests {
         let ids: Vec<u64> = log.snapshot(0).iter().map(|e| e.trace_id).collect();
         assert_eq!(ids, vec![5, 4, 3]);
         assert_eq!(log.snapshot(2).len(), 2);
-    }
-
-    #[test]
-    fn threshold_is_runtime_adjustable() {
-        let log = Slowlog::new(4, u64::MAX);
-        assert!(!log.wants(1_000_000, RequestOutcome::Ok));
-        log.set_threshold_us(500);
-        assert!(log.wants(1_000_000, RequestOutcome::Ok));
-        assert!(log.wants(0, RequestOutcome::DeadlineExpired));
     }
 
     #[test]

@@ -227,7 +227,9 @@ pub struct CacheStats {
 }
 
 /// Robustness counters inside a [`StatsReport`]: how often the server
-/// shed, refused, degraded, or absorbed failure instead of crashing.
+/// shed, refused, degraded, or absorbed failure instead of crashing. The
+/// counts are the server's `serve.*` counters (`/metrics`:
+/// `tms_serve_shed_total`, ..., `tms_serve_store_error_total`).
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct RobustnessReport {
     /// Whether the server demoted itself to memory-only caching after
@@ -246,8 +248,8 @@ pub struct RobustnessReport {
     /// Lines that were not valid UTF-8 or not a valid request envelope;
     /// each got a structured error reply (never a silent drop).
     pub malformed: u64,
-    /// Store puts that failed even after retrying (the input to the
-    /// degrade decision).
+    /// Store puts that failed even after retrying, each booked on the
+    /// request whose fill it was as `serve.store_error`.
     pub store_put_failures: u64,
     /// Faults injected by the server's `FaultPlan`, all points summed
     /// (0 when no plan is armed).
@@ -263,11 +265,12 @@ pub struct IntegrityReport {
     /// violation, or corruption that broke the record's encoding). Each
     /// was answered by a transparent recompute, never an error.
     pub verify_failures: u64,
-    /// Cache entries quarantined by verified reads.
+    /// Cache entries quarantined by verified reads: every failed read
+    /// quarantines its entry, so this equals `verify_failures`.
     pub quarantined: u64,
     /// Inserts rejected by the pre-insert legality audit.
     pub insert_rejected: u64,
-    /// Background scrub passes completed so far.
+    /// Background scrub passes completed so far (`serve.scrub.pass`).
     pub scrub_passes: u64,
     /// What the most recent scrub pass covered (`None` before the first
     /// pass, or when the server runs without a store).

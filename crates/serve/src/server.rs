@@ -92,6 +92,19 @@ const MAX_HTTP_HEADER_LINE: usize = 8 * 1024;
 /// Byte bound on the whole HTTP header section of a `GET` request.
 const MAX_HTTP_HEADERS: usize = 64 * 1024;
 
+/// The server's own event counters on the shared sink, each the one count
+/// of its event: `stats` reads them into its robustness and integrity
+/// reports, and `/metrics` shows them as `tms_serve_*_total`. They are
+/// registered at 0 on start, so a fresh server's page shows every one.
+const SERVE_COUNTERS: [&str; 6] = [
+    "serve.shed",
+    "serve.deadline_expired",
+    "serve.oversized",
+    "serve.malformed",
+    "serve.store_error",
+    "serve.scrub.pass",
+];
+
 /// Server configuration.
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
@@ -230,8 +243,8 @@ struct ServerState {
     cache: parking_lot::RwLock<ImplementationCache>,
     metrics: Metrics,
     /// Shared by workers *and* (as an `Arc<dyn Recorder>`) by the
-    /// persistent store's telemetry, so `store.*` spans and counters land
-    /// on the same page as the pipeline phases.
+    /// persistent store's telemetry, so the store's spans land on the same
+    /// page as the pipeline phases. It holds the [`SERVE_COUNTERS`].
     sink: Arc<AggregatingSink>,
     shutdown: AtomicBool,
     /// Ensures the final store checkpoint runs exactly once even though
@@ -275,16 +288,16 @@ impl ServerState {
         }
     }
 
-    /// Snapshot the robustness counters for `stats` and `/metrics`. The
-    /// event counts are the `serve.*` counters on the shared sink.
-    fn robustness_report(&self, cache: &ImplementationCache) -> RobustnessReport {
+    /// Snapshot the robustness counters for `stats`. The event counts are
+    /// the `serve.*` counters on the shared sink.
+    fn robustness_report(&self) -> RobustnessReport {
         RobustnessReport {
             degraded: self.degraded.load(Ordering::SeqCst),
             shed: self.sink.counter("serve.shed"),
             deadline_expired: self.sink.counter("serve.deadline_expired"),
             oversized: self.sink.counter("serve.oversized"),
             malformed: self.sink.counter("serve.malformed"),
-            store_put_failures: cache.store_put_failures(),
+            store_put_failures: self.sink.counter("serve.store_error"),
             faults_injected: self.fault.as_ref().map(|p| p.injected_total()).unwrap_or(0),
         }
     }
@@ -298,11 +311,13 @@ impl ServerState {
         }
     }
 
-    /// Snapshot the integrity counters for `stats` and `/metrics`.
+    /// Snapshot the integrity counters for `stats` and `/metrics`. A
+    /// failed verified read quarantines its entry, so one count serves
+    /// both fields.
     fn integrity_report(&self, cache: &ImplementationCache) -> IntegrityReport {
         IntegrityReport {
             verify_failures: cache.verify_failures(),
-            quarantined: cache.quarantined(),
+            quarantined: cache.verify_failures(),
             insert_rejected: cache.insert_rejected(),
             scrub_passes: self.sink.counter("serve.scrub.pass"),
             last_scrub: cache.store().and_then(|s| s.last_scrub()),
@@ -397,6 +412,9 @@ pub fn serve(
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let sink = Arc::new(AggregatingSink::new());
+    for key in SERVE_COUNTERS {
+        sink.count(key, 0);
+    }
     // Store mode opens (and crash-recovers) the persistent library before
     // accepting a single connection: the warm start is part of startup.
     // If the open itself fails, the server comes up memory-only and
@@ -522,19 +540,12 @@ pub fn serve(
                 let Some(store) = state.store() else {
                     break;
                 };
-                match store.scrub_with(bytes_per_sec, |k, v| auditor.audit(k, v)) {
-                    Ok(report) => {
-                        state.sink.count("serve.scrub.pass", 1);
-                        if report.quarantined > 0 {
-                            state
-                                .sink
-                                .count("serve.scrub.quarantined", report.quarantined);
-                        }
-                    }
-                    Err(_) => {
-                        state.sink.count("serve.scrub.failed", 1);
-                    }
-                }
+                // The store counts what a pass audits and quarantines.
+                let counter = match store.scrub_with(bytes_per_sec, |k, v| auditor.audit(k, v)) {
+                    Ok(_) => "serve.scrub.pass",
+                    Err(_) => "serve.scrub.failed",
+                };
+                state.sink.count(counter, 1);
             }
         })
     });
@@ -918,7 +929,8 @@ fn mem_pack_config(mem_pack: Option<&str>, seed: u64) -> Result<tms_flow::MemPac
 /// Demote the server to memory-only caching once the store-put failure
 /// streak reaches the configured threshold: the cache's live entries are
 /// carried over, the store `Arc` is dropped (its final flush is
-/// best-effort), and the degraded flag turns on in `stats`/`/metrics`.
+/// best-effort), and the degraded flag turns on in `stats`/`/metrics` —
+/// the one record of the degrade, which happens at most once.
 /// Serving continues uninterrupted — only persistence is lost.
 fn maybe_degrade(state: &ServerState) {
     let threshold = state.limits.degrade_after;
@@ -937,7 +949,6 @@ fn maybe_degrade(state: &ServerState) {
     let carried = cache.degrade_to_memory();
     drop(cache);
     state.degraded.store(true, Ordering::SeqCst);
-    state.sink.count("serve.degraded", 1);
     state.sink.count("serve.degraded.carried", carried as u64);
 }
 
@@ -1101,7 +1112,7 @@ fn module_of(design: &CnvDesign, idx: usize) -> (&str, &Netlist) {
 fn fill(state: &ServerState, lookup: &CacheLookup, obs: &RequestRecorder<'_>) {
     let failed = {
         let _store_span = span(obs, Phase::Store, "fill");
-        state.cache.write().fill(lookup, obs)
+        state.cache.write().fill(lookup)
     };
     if failed > 0 {
         obs.count("serve.store_error", failed);
@@ -1190,7 +1201,7 @@ fn do_stats(state: &ServerState) -> StatsReport {
             misses: cache.misses(),
         },
         store: cache.store_stats(),
-        robustness: state.robustness_report(&cache),
+        robustness: state.robustness_report(),
         integrity: state.integrity_report(&cache),
         memo: state.memo_report(),
         pipeline: state.sink.snapshot(),
@@ -1198,8 +1209,10 @@ fn do_stats(state: &ServerState) -> StatsReport {
 }
 
 /// Render the whole server state as one Prometheus text page: the request
-/// metrics of every endpoint, the cache gauges, the robustness counters,
-/// and the pipeline-phase telemetry of the shared sink.
+/// metrics of every endpoint, the cache, store and integrity counters, the
+/// degraded flag, and the pipeline-phase telemetry of the shared sink,
+/// whose `serve.*` counters are the server's event counts. Every count
+/// shows once, under one family.
 fn prometheus_text(state: &ServerState) -> String {
     let mut page = PromText::new();
     page.header(
@@ -1211,12 +1224,6 @@ fn prometheus_text(state: &ServerState) -> String {
         "tms_build_info",
         &[("version", env!("CARGO_PKG_VERSION"))],
         1.0,
-    );
-    page.header("tms_uptime_us", "Microseconds since server start", "gauge");
-    page.sample(
-        "tms_uptime_us",
-        &[],
-        state.started.elapsed().as_micros() as f64,
     );
     page.header("tms_uptime_seconds", "Seconds since server start", "gauge");
     page.sample(
@@ -1272,9 +1279,9 @@ fn prometheus_text(state: &ServerState) -> String {
         if let Some(store) = cache.store_stats() {
             store_prometheus(&mut page, &store);
         }
-        robust_prometheus(&mut page, &state.robustness_report(&cache));
         integrity_prometheus(&mut page, &state.integrity_report(&cache));
     }
+    robust_prometheus(&mut page, state);
     memo_prometheus(&mut page, &state.memo_report());
     slo_prometheus(&mut page, state);
     slowlog_prometheus(&mut page, state);
@@ -1379,76 +1386,41 @@ fn slowlog_prometheus(page: &mut PromText, state: &ServerState) {
     );
 }
 
-/// The robustness gauge/counter family on the Prometheus page.
-fn robust_prometheus(page: &mut PromText, r: &RobustnessReport) {
+/// The robustness family on the Prometheus page that the sink does not
+/// carry: the degraded flag and the fault plan's injections. The shed,
+/// deadline, oversized, malformed and failed-put counts are the sink's
+/// `tms_serve_*_total` families.
+fn robust_prometheus(page: &mut PromText, state: &ServerState) {
+    let r = state.robustness_report();
     page.header(
         "tms_degraded",
         "1 when the server fell back to memory-only caching",
         "gauge",
     );
     page.sample("tms_degraded", &[], if r.degraded { 1.0 } else { 0.0 });
-    let counters: [(&str, &str, u64); 6] = [
-        (
-            "tms_shed_total",
-            "Connections shed with an overloaded reply",
-            r.shed,
-        ),
-        (
-            "tms_deadline_expired_total",
-            "Requests whose result missed the deadline",
-            r.deadline_expired,
-        ),
-        (
-            "tms_oversized_lines_total",
-            "Request lines rejected for exceeding the byte limit",
-            r.oversized,
-        ),
-        (
-            "tms_malformed_lines_total",
-            "Non-UTF-8 or unparseable request lines answered with an error",
-            r.malformed,
-        ),
-        (
-            "tms_store_put_failures_total",
-            "Store puts that failed after retrying",
-            r.store_put_failures,
-        ),
-        (
-            "tms_faults_injected_total",
-            "Faults injected by the armed fault plan, all points",
-            r.faults_injected,
-        ),
-    ];
-    for (name, help, value) in counters {
-        page.header(name, help, "counter");
-        page.sample(name, &[], value as f64);
-    }
+    page.header(
+        "tms_faults_injected_total",
+        "Faults injected by the armed fault plan, all points",
+        "counter",
+    );
+    page.sample("tms_faults_injected_total", &[], r.faults_injected as f64);
 }
 
 /// The integrity gauge/counter family on the Prometheus page: what the
-/// verified read path caught, what the pre-insert audit refused, and what
-/// the background scrubber covered.
+/// verified read path caught (each failure quarantines its entry), what
+/// the pre-insert audit refused, and what the last scrub pass covered.
+/// Scrub passes are the sink's `tms_serve_scrub_pass_total`.
 fn integrity_prometheus(page: &mut PromText, r: &IntegrityReport) {
-    let counters: [(&str, &str, u64); 4] = [
+    let counters: [(&str, &str, u64); 2] = [
         (
             "tms_verify_failures_total",
-            "Verified cache reads that failed and were healed by recompute",
+            "Verified cache reads that failed, quarantined their entry, and were healed by recompute",
             r.verify_failures,
-        ),
-        (
-            "tms_quarantine_total",
-            "Cache entries quarantined by verified reads",
-            r.quarantined,
         ),
         (
             "tms_verify_insert_rejected_total",
             "Inserts rejected by the pre-insert legality audit",
             r.insert_rejected,
-        ),
-        (
-            "tms_scrub_passes_total",
-            "Background scrub passes completed",
-            r.scrub_passes,
         ),
     ];
     for (name, help, value) in counters {
@@ -1504,9 +1476,7 @@ fn store_prometheus(page: &mut PromText, s: &tms_store::StoreSnapshot) {
         page.header(name, help, "gauge");
         page.sample(name, &[], value);
     }
-    let counters: [(&str, &str, u64); 9] = [
-        ("tms_store_hits_total", "Store lookup hits", s.hits),
-        ("tms_store_misses_total", "Store lookup misses", s.misses),
+    let counters: [(&str, &str, u64); 7] = [
         (
             "tms_store_quarantined_total",
             "Store entries or log regions quarantined",

@@ -102,7 +102,6 @@ fn corrupted_entry_heals_by_recompute_and_repersists_clean() {
     assert_eq!(stats.integrity.verify_failures, 1);
     assert_eq!(stats.integrity.insert_rejected, 0);
     let page = client.metrics_text().expect("metrics");
-    assert_eq!(metric(&page, "tms_quarantine_total"), 1.0);
     assert_eq!(metric(&page, "tms_verify_failures_total"), 1.0);
 
     // The recompute re-persisted a clean record: the next run reuses
@@ -258,7 +257,7 @@ fn scrubber_quarantines_forged_entries_and_requests_heal_them() {
     assert_eq!(store_stats.quarantined, 1);
     let page = client.metrics_text().expect("metrics");
     assert_eq!(metric(&page, "tms_scrub_last_quarantined"), 1.0);
-    assert!(metric(&page, "tms_scrub_passes_total") >= 1.0);
+    assert!(metric(&page, "tms_serve_scrub_pass_total") >= 1.0);
 
     // Repair is recompute-on-next-request: the quarantined module is a
     // miss, the fresh implementation re-persists, and serves warm after.

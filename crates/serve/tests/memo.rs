@@ -70,16 +70,23 @@ fn sans_micros(r: &FlowResponse) -> String {
     )
 }
 
-/// What one request added to the server's pipeline telemetry: span
-/// counts per phase, counters, and observation counts and sums.
+/// What one request added to the server's cache reads (hits, misses) and
+/// to its pipeline telemetry: span counts per phase, counters, and
+/// observation counts and sums.
 #[derive(Debug, PartialEq)]
 struct Added {
+    reads: (u64, u64),
     spans: Vec<(Phase, u64)>,
     counters: Vec<(String, u64)>,
     observations: Vec<(String, u64, f64)>,
 }
 
-fn added(before: &ObsSnapshot, after: &ObsSnapshot) -> Added {
+fn added(before: &StatsReport, after: &StatsReport) -> Added {
+    let reads = (
+        after.cache.hits - before.cache.hits,
+        after.cache.misses - before.cache.misses,
+    );
+    let (before, after) = (&before.pipeline, &after.pipeline);
     let spans = |s: &ObsSnapshot, p: Phase| s.phase(p).map_or(0, |x| x.spans);
     let observed = |s: &ObsSnapshot, key: &str| {
         s.observations
@@ -88,6 +95,7 @@ fn added(before: &ObsSnapshot, after: &ObsSnapshot) -> Added {
             .map_or((0, 0.0), |o| (o.count, o.sum))
     };
     Added {
+        reads,
         spans: after
             .phases
             .iter()
@@ -145,6 +153,7 @@ impl Added {
                 .cloned()
                 .collect()
         };
+        assert_eq!(self.reads, other.reads, "{what}: cache reads");
         assert_eq!(self.spans, other.spans, "{what}: spans");
         assert_eq!(work(self), work(other), "{what}: counters");
         assert_eq!(
@@ -173,7 +182,7 @@ fn traced_flow(
     let reply = client.flow(seed, device, None).expect("flow");
     let after = client.stats().expect("stats");
     let appended = |s: &StatsReport| s.store.as_ref().map_or(0, |s| s.appended);
-    let work = added(&before.pipeline, &after.pipeline);
+    let work = added(&before, &after);
     (reply, work, appended(&after) - appended(&before), after)
 }
 
@@ -219,7 +228,7 @@ fn memo_served_replies_equal_a_restarted_servers() {
             for counter in STITCH_WORK {
                 assert_eq!(work.counter(counter), 0, "{seed}/{device}: {counter}");
             }
-            assert_eq!(work.counter("cache.hit"), 74);
+            assert_eq!(work.reads, (74, 0), "{seed}/{device}");
             assert_eq!(appended, 0, "an all-hit flow appends nothing");
             assert_eq!(stats.memo.design_entries, DESIGNS.len());
             assert_eq!(stats.memo.capacity, MEMO_CAPACITY);
@@ -270,7 +279,7 @@ fn corrupt_record_of_a_memoised_design_recomputes_exactly_that_module() {
     let mut client = Client::connect(handle.addr()).expect("connect");
     let cold = client.flow(4, "xc7z020", None).expect("cold flow");
     assert_eq!(cold.fresh, 74);
-    let (clean, _, _, before) = traced_flow(&mut client, 4, "xc7z020");
+    let (clean, _, _, _) = traced_flow(&mut client, 4, "xc7z020");
     assert_eq!(clean.reused, 74);
 
     plan.fail_next(FaultPoint::CacheCorruptMacro, 1);
@@ -282,12 +291,8 @@ fn corrupt_record_of_a_memoised_design_recomputes_exactly_that_module() {
     assert_eq!(healed.placed_count, clean.placed_count);
     assert_eq!(healed.implemented, 74);
     // Each module read once, as on the full path: 73 hits, one miss.
-    assert_eq!(work.counter("cache.hit"), 73);
-    assert_eq!(work.counter("cache.miss"), 1);
-    assert_eq!(work.counter("cache.quarantined"), 1);
     assert_eq!(work.spans(Phase::Cache), 1);
-    assert_eq!(after.cache.hits - before.cache.hits, 73);
-    assert_eq!(after.cache.misses - before.cache.misses, 1);
+    assert_eq!(work.reads, (73, 1));
     assert_eq!(after.integrity.quarantined, 1);
 
     let again = client.flow(4, "xc7z020", None).expect("clean again");

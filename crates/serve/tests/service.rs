@@ -222,15 +222,14 @@ fn prometheus_page_agrees_with_the_stats_report() {
     assert_eq!(samples["tms_cache_misses_total"] as u64, stats.cache.misses);
     assert_eq!(samples["tms_cache_len"] as usize, stats.cache.len);
 
+    // One cache miss and one hit, counted once: by the cache, not again
+    // in the pipeline telemetry.
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
+    assert!(!samples.contains_key("tms_cache_hit_total"));
     // The pipeline telemetry is present on both sides and agrees: one
-    // estimate span, one cache miss + one hit, and the cold preimpl's
-    // placement work.
-    assert_eq!(samples["tms_cache_hit_total"] as u64, 1);
-    assert_eq!(samples["tms_cache_miss_total"] as u64, 1);
+    // estimate span and the cold preimpl's placement work.
     assert!(samples["tms_phase_spans_total{phase=\"estimate\"}"] as u64 >= 1);
     assert!(samples["tms_phase_spans_total{phase=\"place\"}"] as u64 >= 1);
-    assert_eq!(stats.pipeline.counter("cache.hit"), 1);
-    assert_eq!(stats.pipeline.counter("cache.miss"), 1);
     assert_eq!(
         stats.pipeline.counter("pblock.search.tool_runs"),
         u64::from(cold.attempts),
@@ -253,6 +252,146 @@ fn prometheus_page_agrees_with_the_stats_report() {
     );
     assert_eq!(samples["tms_memo_capacity"] as usize, stats.memo.capacity);
     handle.stop();
+}
+
+/// The families that showed a count another family already showed.
+const REMOVED_FAMILIES: [&str; 15] = [
+    "tms_uptime_us",
+    "tms_cache_hit_total",
+    "tms_cache_miss_total",
+    "tms_store_hits_total",
+    "tms_store_misses_total",
+    "tms_store_hit_total",
+    "tms_store_miss_total",
+    "tms_store_append_total",
+    "tms_quarantine_total",
+    "tms_shed_total",
+    "tms_deadline_expired_total",
+    "tms_oversized_lines_total",
+    "tms_malformed_lines_total",
+    "tms_store_put_failures_total",
+    "tms_scrub_passes_total",
+];
+
+/// The metric families a page declares.
+fn families(page: &str) -> Vec<&str> {
+    page.lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect()
+}
+
+/// Every count on a store-backed server's page shows once, under one
+/// family, and equals the `stats` field that reads the same counter.
+#[test]
+fn every_count_shows_once_and_equals_its_stats_field() {
+    let dir = std::env::temp_dir().join(format!(
+        "tms_service_one_count_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    }
+    .with_store_dir(&dir);
+    let handle = serve(config, tiny_estimator(), FeatureSet::Additional).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    // A fresh server shows each of its event counts at 0.
+    let page = client.metrics_text().expect("metrics");
+    let samples = tms_serve::prometheus::parse(&page).expect("prometheus page parses");
+    for event in [
+        "shed",
+        "deadline_expired",
+        "oversized",
+        "malformed",
+        "store_error",
+        "scrub_pass",
+    ] {
+        assert_eq!(samples[&format!("tms_serve_{event}_total")], 0.0, "{event}");
+    }
+    for family in REMOVED_FAMILIES {
+        assert!(!families(&page).contains(&family), "fresh page: {family}");
+    }
+
+    // A cold and a warm preimpl, then a cold and a warm cnvW1A1 flow.
+    let s = spec(ModuleRole::Mvau, 40, "once_m");
+    assert!(!client.preimpl(&s, "xc7z020", None).expect("preimpl").cached);
+    assert!(client.preimpl(&s, "xc7z020", None).expect("preimpl").cached);
+    assert_eq!(client.flow(1, "xc7z020", None).expect("flow").fresh, 74);
+    assert_eq!(client.flow(1, "xc7z020", None).expect("flow").reused, 74);
+
+    let page = client.metrics_text().expect("metrics");
+    let stats = client.stats().expect("stats");
+    // `parse` refuses a family declared twice or a repeated sample.
+    let samples = tms_serve::prometheus::parse(&page).expect("prometheus page parses");
+    for family in REMOVED_FAMILIES {
+        assert!(!families(&page).contains(&family), "{family}");
+    }
+    // Every read counted once, by the cache.
+    assert_eq!((stats.cache.hits, stats.cache.misses), (75, 75));
+    let store = stats.store.as_ref().expect("store mode");
+    let fields = [
+        ("tms_cache_len", stats.cache.len as u64),
+        ("tms_cache_capacity", stats.cache.capacity as u64),
+        ("tms_cache_hits_total", stats.cache.hits),
+        ("tms_cache_misses_total", stats.cache.misses),
+        ("tms_store_entries", store.entries as u64),
+        ("tms_store_bytes", store.bytes),
+        ("tms_store_byte_budget", store.byte_budget),
+        ("tms_store_wal_bytes", store.wal_bytes),
+        ("tms_store_quarantined_total", store.quarantined),
+        ("tms_store_scrubbed_total", store.scrubbed),
+        ("tms_store_evicted_total", store.evicted),
+        ("tms_store_recovered_total", store.recovered),
+        ("tms_store_appended_total", store.appended),
+        ("tms_store_compactions_total", store.compactions),
+        ("tms_store_io_errors_total", store.io_errors),
+        ("tms_verify_failures_total", stats.integrity.verify_failures),
+        ("tms_verify_failures_total", stats.integrity.quarantined),
+        (
+            "tms_verify_insert_rejected_total",
+            stats.integrity.insert_rejected,
+        ),
+        ("tms_serve_scrub_pass_total", stats.integrity.scrub_passes),
+        ("tms_serve_shed_total", stats.robustness.shed),
+        (
+            "tms_serve_deadline_expired_total",
+            stats.robustness.deadline_expired,
+        ),
+        ("tms_serve_oversized_total", stats.robustness.oversized),
+        ("tms_serve_malformed_total", stats.robustness.malformed),
+        (
+            "tms_serve_store_error_total",
+            stats.robustness.store_put_failures,
+        ),
+        (
+            "tms_faults_injected_total",
+            stats.robustness.faults_injected,
+        ),
+        ("tms_memo_capacity", stats.memo.capacity as u64),
+    ];
+    for (name, want) in fields {
+        assert_eq!(samples[name] as u64, want, "{name}");
+    }
+    // The cache and the store show only those families.
+    for family in families(&page) {
+        if family.starts_with("tms_cache_") || family.starts_with("tms_store_") {
+            assert!(
+                fields.iter().any(|&(name, _)| name == family),
+                "{family} is not a stats field"
+            );
+        }
+    }
+    // Every pipeline counter shows as the family it renders to.
+    for (key, value) in &stats.pipeline.counters {
+        let name = format!("tms_{}_total", tms_serve::prometheus::sanitize(key));
+        assert_eq!(samples[&name] as u64, *value, "{name}");
+    }
+    handle.stop();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -569,11 +708,11 @@ fn zero_threshold_retains_every_request_with_its_span_tree() {
         "a cold preimpl leaves real pipeline spans in its trace"
     );
     assert!(
-        preimpl
-            .events
-            .iter()
-            .any(|e| matches!(e, tms_obs::TraceEvent::Count { key, .. } if key == "cache.miss")),
-        "the cache miss is booked on the request's own trace"
+        preimpl.events.iter().any(|e| matches!(
+            e,
+            tms_obs::TraceEvent::Span(s) if s.name == "lookup" && s.field("misses") == Some(1.0)
+        )),
+        "the cache miss is booked on the request's own trace, by its lookup span"
     );
     // The limit parameter bounds the reply without touching retention —
     // and under a zero threshold the *previous* slowlog request was

@@ -11,11 +11,12 @@
 //!   changes, so a failed write leaves the map as it was. A crash
 //!   mid-append leaves a torn tail that the next open truncates, so every
 //!   *committed* write survives bit-identically.
-//! * **One scanner** — open and [`verify()`] read the log the same way: a
-//!   damaged frame with valid records after it is skipped and the scan
-//!   keeps reading, so a flipped bit costs exactly one record. Open cuts
-//!   the damage out and parks it under `quarantine/`; `verify` only
-//!   reports it, as corruption.
+//! * **One scanner** — open, [`verify()`] and [`read_entries`] read the log
+//!   the same way: a damaged frame with valid records after it is skipped
+//!   and the scan keeps reading, so a flipped bit costs exactly one record.
+//!   Open cuts the damage out, parks it under `quarantine/` and truncates a
+//!   torn tail; `verify` only reports them, and `read_entries` replays the
+//!   live entries past them, as open does, without writing anything.
 //! * **Compaction by rename** — [`Store::compact`] writes every live
 //!   entry to a temp file, fsyncs it and renames it over `wal.log`; later
 //!   appends go to the new file. A crash at any point leaves either the
@@ -30,9 +31,11 @@
 //!   [`Store::checkpoint`] is flush + compact (what a graceful shutdown
 //!   runs).
 //! * **Telemetry** — opened with [`Store::open_faulty`], the store records
-//!   `store.append`/`store.compact`/`store.recover` spans (phase `store`)
-//!   and `store.hit`/`store.miss`/`store.evict` counters to any
-//!   [`tms_obs::Recorder`].
+//!   `recover`/`append`/`compact` spans (phase `store`) and `scrub` spans
+//!   (phase `verify`) to any [`tms_obs::Recorder`]. It counts only what it
+//!   writes, recovers and audits, in the [`StoreSnapshot`] of
+//!   [`Store::stats`]; a read counts nothing here, since the cache above
+//!   the store counts its own reads.
 //!
 //! The store is generic over its key and value (anything that round-trips
 //! through the workspace's JSON data model); `tms-flow` instantiates it
@@ -61,7 +64,7 @@ pub mod store;
 pub mod verify;
 pub mod wal;
 
-pub use stats::{CompactReport, ScrubReport, StoreCounters, StoreSnapshot, VerifyReport};
-pub use store::{Store, StoreConfig, StoreKey, StoreValue, QUARANTINE_DIR, WAL_FILE};
+pub use stats::{CompactReport, ScrubReport, StoreSnapshot, VerifyReport};
+pub use store::{read_entries, Store, StoreConfig, StoreKey, StoreValue, QUARANTINE_DIR, WAL_FILE};
 pub use verify::verify;
 pub use wal::crc32;

@@ -1,33 +1,5 @@
-//! Store statistics: lock-free counters and their serializable snapshots
-//! (what the serve layer's `stats` endpoint and Prometheus page expose).
-
-use std::sync::atomic::AtomicU64;
-
-/// Lock-free lifetime counters of one store.
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    /// Lookup hits.
-    pub hits: AtomicU64,
-    /// Lookup misses.
-    pub misses: AtomicU64,
-    /// Entries evicted by the byte budget.
-    pub evicted: AtomicU64,
-    /// Log records applied at open.
-    pub recovered: AtomicU64,
-    /// `put` records appended to the log.
-    pub appended: AtomicU64,
-    /// Log compactions performed.
-    pub compactions: AtomicU64,
-    /// Append/decode failures (undecodable-but-checksummed records at
-    /// recovery, or log write and fsync errors surfaced to the caller).
-    pub io_errors: AtomicU64,
-    /// Entries (or log regions) moved to the `quarantine/` directory:
-    /// checksum-failing records cut out at recovery, plus entries an
-    /// audit rejected during a scrub or a verified read.
-    pub quarantined: AtomicU64,
-    /// Entries audited by [`crate::Store::scrub_with`].
-    pub scrubbed: AtomicU64,
-}
+//! Store statistics: the serializable snapshots and reports the serve
+//! layer's `stats` endpoint and Prometheus page expose.
 
 /// A point-in-time view of a store: sizes and counters.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -41,10 +13,6 @@ pub struct StoreSnapshot {
     /// Log bytes that count toward the next compaction: appended since
     /// the last one (at open, the log bytes that hold no live entry).
     pub wal_bytes: u64,
-    /// Lookup hits.
-    pub hits: u64,
-    /// Lookup misses.
-    pub misses: u64,
     /// Entries evicted by the byte budget.
     pub evicted: u64,
     /// Log records applied when the store was opened.

@@ -4,8 +4,9 @@
 //! Concurrency model — concurrent readers, single writer:
 //!
 //! * [`Store::get`] takes the read side of a `parking_lot::RwLock`, so any
-//!   number of server workers look up concurrently; recency stamps and
-//!   hit/miss counters are atomics.
+//!   number of server workers look up concurrently; recency stamps are
+//!   atomics. A read counts nothing: the cache above the store counts its
+//!   own reads, and the store counts only what it writes.
 //! * [`Store::put`], [`Store::remove`] and eviction take the write side
 //!   and, still under it, write their own frame to the log before they
 //!   change the map: log order is apply order, and a failed write leaves
@@ -16,7 +17,7 @@
 //!   every live entry to a temp file, fsyncs it and renames it over
 //!   `wal.log`; appends then go to the new file.
 
-use crate::stats::{CompactReport, ScrubReport, StoreCounters, StoreSnapshot};
+use crate::stats::{CompactReport, ScrubReport, StoreSnapshot};
 use crate::wal::{self, WalFile};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize, Value};
@@ -102,6 +103,47 @@ struct Inner<K, V> {
     bytes: u64,
 }
 
+impl<K: StoreKey, V> Inner<K, V> {
+    /// Insert or replace an entry, keeping the byte total.
+    fn insert(&mut self, key: K, entry: Entry<V>) {
+        self.bytes += entry.bytes;
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.bytes -= old.bytes;
+        }
+    }
+
+    /// Remove an entry, keeping the byte total. Returns whether it existed.
+    fn remove(&mut self, key: &K) -> bool {
+        let old = self.entries.remove(key);
+        if let Some(old) = &old {
+            self.bytes -= old.bytes;
+        }
+        old.is_some()
+    }
+}
+
+/// Lifetime counters of one store: what it wrote, recovered and audited.
+#[derive(Default)]
+struct Counters {
+    /// Entries evicted by the byte budget.
+    evicted: AtomicU64,
+    /// Log records applied at open.
+    recovered: AtomicU64,
+    /// `put` records appended to the log.
+    appended: AtomicU64,
+    /// Log compactions performed.
+    compactions: AtomicU64,
+    /// Append/decode failures (undecodable-but-checksummed records at
+    /// recovery, or log write and fsync errors surfaced to the caller).
+    io_errors: AtomicU64,
+    /// Entries (or log regions) moved to the `quarantine/` directory:
+    /// checksum-failing records cut out at recovery, plus entries an
+    /// audit rejected during a scrub or a verified read.
+    quarantined: AtomicU64,
+    /// Entries audited by [`Store::scrub_with`].
+    scrubbed: AtomicU64,
+}
+
 /// A crash-safe, content-addressed, LRU-bounded artifact store.
 ///
 /// See the [module docs](self) for the concurrency and durability model.
@@ -115,7 +157,7 @@ pub struct Store<K: StoreKey, V: StoreValue> {
     fault: Arc<dyn FaultInjector>,
     clock: AtomicU64,
     wal_bytes: AtomicU64,
-    counters: StoreCounters,
+    counters: Counters,
     /// Sequence for unique quarantine file names within this process.
     qseq: AtomicU64,
     /// The most recent scrub pass, if any ran on this handle.
@@ -162,14 +204,81 @@ fn decode<K: Deserialize, V: Deserialize>(payload: &[u8]) -> Result<Decoded<K, V
     }
 }
 
+/// Log records replayed in order, the last writer winning per key and a
+/// `del` removing it: the live entries, each stamped with the position of
+/// its `put`, so log order is LRU order.
+struct Replay<K, V> {
+    inner: Inner<K, V>,
+    /// The stamp of the last `put`.
+    clock: u64,
+    /// Records applied.
+    applied: u64,
+    /// Records that passed their checksum but do not decode: written by an
+    /// incompatible version, and skipped rather than lose the rest of the
+    /// log.
+    undecodable: u64,
+}
+
+impl<K: StoreKey, V: StoreValue> Replay<K, V> {
+    fn of(records: &[Vec<u8>]) -> Replay<K, V> {
+        let mut replay = Replay {
+            inner: Inner {
+                entries: HashMap::new(),
+                bytes: 0,
+            },
+            clock: 0,
+            applied: 0,
+            undecodable: 0,
+        };
+        for payload in records {
+            match decode::<K, V>(payload) {
+                Ok(Decoded::Put(key, value)) => {
+                    replay.clock += 1;
+                    let entry = Entry {
+                        value,
+                        bytes: payload.len() as u64,
+                        last_used: AtomicU64::new(replay.clock),
+                    };
+                    replay.inner.insert(key, entry);
+                }
+                Ok(Decoded::Del(key)) => {
+                    replay.inner.remove(&key);
+                }
+                Err(_) => {
+                    replay.undecodable += 1;
+                    continue;
+                }
+            }
+            replay.applied += 1;
+        }
+        replay
+    }
+}
+
+/// The live entries of the log under `dir`, in log order, read without
+/// changing anything: the records of one [`wal::scan_file`] pass, replayed
+/// as [`Store::open`] replays them. Unlike an open, this leaves a torn
+/// tail in place, skips damaged records without cutting them out, and
+/// makes no directory; a missing log reads as empty.
+pub fn read_entries<K: StoreKey, V: StoreValue>(dir: &Path) -> io::Result<Vec<(K, V)>> {
+    let scan = wal::scan_file(&wal_path(dir))?;
+    let mut live: Vec<(K, Entry<V>)> = Replay::of(&scan.records)
+        .inner
+        .entries
+        .into_iter()
+        .collect();
+    live.sort_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed));
+    Ok(live.into_iter().map(|(k, e)| (k, e.value)).collect())
+}
+
 impl<K: StoreKey, V: StoreValue> Store<K, V> {
     /// Open (or create) the store at `config.dir` with no telemetry.
     pub fn open(config: StoreConfig) -> io::Result<Store<K, V>> {
         Store::open_faulty(config, Arc::new(NoopRecorder), Arc::new(NoopInjector))
     }
 
-    /// Open (or create) the store, recording spans and counters to `obs`
-    /// and consulting `fault` at the store's failure sites: `store.open`
+    /// Open (or create) the store, recording its spans to `obs` and
+    /// consulting `fault` at the store's failure sites: `store.open`
     /// here, `store.append` on every [`put`](Store::put), `store.fsync` at
     /// each [`flush`](Store::flush), and `store.fsync`/`store.rename`
     /// inside the log rewrite of [`compact`](Store::compact). Injected
@@ -190,13 +299,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         check_io(&*fault, FaultPoint::StoreOpen)?;
         std::fs::create_dir_all(&config.dir)?;
         let mut sp = span(&*obs, Phase::Store, "recover");
-        let counters = StoreCounters::default();
-        let mut inner = Inner {
-            entries: HashMap::new(),
-            bytes: 0,
-        };
-        let mut clock = 0u64;
-
         let outcome = wal::recover_file(&config.wal_path())?;
         for (i, region) in outcome.corrupt_regions.iter().enumerate() {
             quarantine_write(
@@ -205,43 +307,19 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
                 i as u64,
                 &region.bytes,
             )?;
-            counters.quarantined.fetch_add(1, Ordering::Relaxed);
-            obs.count("store.quarantine", 1);
         }
-        let mut applied = 0u64;
-        for payload in &outcome.records {
-            match decode::<K, V>(payload) {
-                Ok(Decoded::Put(k, v)) => {
-                    clock += 1;
-                    applied += 1;
-                    let bytes = payload.len() as u64;
-                    if let Some(old) = inner.entries.insert(
-                        k,
-                        Entry {
-                            value: v,
-                            bytes,
-                            last_used: AtomicU64::new(clock),
-                        },
-                    ) {
-                        inner.bytes -= old.bytes;
-                    }
-                    inner.bytes += bytes;
-                }
-                Ok(Decoded::Del(k)) => {
-                    applied += 1;
-                    if let Some(old) = inner.entries.remove(&k) {
-                        inner.bytes -= old.bytes;
-                    }
-                }
-                // The record passed its CRC but does not decode: written
-                // by an incompatible version. Skip it rather than lose the
-                // rest of the log.
-                Err(_) => {
-                    counters.io_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        counters.recovered.fetch_add(applied, Ordering::Relaxed);
+        let Replay {
+            inner,
+            clock,
+            applied,
+            undecodable,
+        } = Replay::<K, V>::of(&outcome.records);
+        let counters = Counters {
+            recovered: AtomicU64::new(applied),
+            io_errors: AtomicU64::new(undecodable),
+            quarantined: AtomicU64::new(outcome.corrupt_regions.len() as u64),
+            ..Counters::default()
+        };
         sp.field("entries", inner.entries.len() as f64);
         sp.field("wal_records", outcome.records.len() as f64);
         sp.field("torn_bytes", outcome.torn_bytes as f64);
@@ -281,19 +359,13 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         match inner.entries.get(key) {
             Some(entry) => {
                 entry.last_used.store(now, Ordering::Relaxed);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.obs.count("store.hit", 1);
                 Some(entry.value.clone())
             }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                self.obs.count("store.miss", 1);
-                None
-            }
+            None => None,
         }
     }
 
-    /// Whether `key` is present, without touching LRU or hit/miss state.
+    /// Whether `key` is present, without touching LRU state.
     pub fn contains(&self, key: &K) -> bool {
         self.inner.read().entries.contains_key(key)
     }
@@ -309,7 +381,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             // Fail before touching the log or the map, like a refused
             // write.
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
-            self.obs.count("store.fault.append", 1);
             return Err(e);
         }
         let payload = encode_put(&key, &value)?;
@@ -325,10 +396,7 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
                     bytes,
                     last_used: AtomicU64::new(now),
                 };
-                if let Some(old) = inner.entries.insert(key, entry) {
-                    inner.bytes -= old.bytes;
-                }
-                inner.bytes += bytes;
+                inner.insert(key, entry);
                 self.evict_locked(&mut inner)
             })
         };
@@ -337,7 +405,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             return Err(e);
         }
         self.counters.appended.fetch_add(1, Ordering::Relaxed);
-        self.obs.count("store.append", 1);
         drop(sp);
 
         if self.config.compact_wal_bytes > 0
@@ -356,10 +423,7 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             return Ok(false);
         }
         self.append_locked(&wal::frame(&encode_del(key)?))?;
-        if let Some(old) = inner.entries.remove(key) {
-            inner.bytes -= old.bytes;
-        }
-        Ok(true)
+        Ok(inner.remove(key))
     }
 
     /// Write one framed record to the log. The caller holds the map's
@@ -385,11 +449,8 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
                 break;
             };
             self.append_locked(&wal::frame(&encode_del(&lru)?))?;
-            if let Some(old) = inner.entries.remove(&lru) {
-                inner.bytes -= old.bytes;
-            }
+            inner.remove(&lru);
             self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-            self.obs.count("store.evict", 1);
         }
         Ok(())
     }
@@ -407,7 +468,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             check_io(&*self.fault, FaultPoint::StoreFsync).and_then(|()| self.log.lock().sync());
         if let Err(e) = result {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
-            self.obs.count("store.fault.fsync", 1);
             return Err(e);
         }
         Ok(())
@@ -442,12 +502,10 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             .and_then(|()| wal::sync_parent(&path));
         if let Err(e) = replaced {
             self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
-            self.obs.count("store.fault.compact", 1);
             return Err(e);
         }
         self.wal_bytes.store(0, Ordering::Relaxed);
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
-        self.obs.count("store.compact", 1);
         let report = CompactReport {
             entries: inner.entries.len(),
             bytes: inner.bytes,
@@ -489,7 +547,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         let existed = self.remove(key)?;
         if existed {
             self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.obs.count("store.quarantine", 1);
         }
         Ok(existed)
     }
@@ -546,7 +603,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
         };
         sp.field("entries", entries as f64);
         sp.field("quarantined", quarantined as f64);
-        self.obs.count("store.scrub", 1);
         *self.last_scrub.lock() = Some(report.clone());
         Ok(report)
     }
@@ -608,8 +664,6 @@ impl<K: StoreKey, V: StoreValue> Store<K, V> {
             bytes: inner.bytes,
             byte_budget: self.config.byte_budget,
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
             evicted: self.counters.evicted.load(Ordering::Relaxed),
             recovered: self.counters.recovered.load(Ordering::Relaxed),
             appended: self.counters.appended.load(Ordering::Relaxed),
@@ -833,9 +887,6 @@ mod tests {
                 });
             }
         });
-        let stats = store.stats();
-        assert_eq!(stats.hits, 8 * 50);
-        assert_eq!(stats.misses, 8);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -857,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_store_traffic() {
+    fn telemetry_records_spans_and_the_statistics_count() {
         use tms_obs::AggregatingSink;
         let dir = tmp_dir("obs");
         let sink = Arc::new(AggregatingSink::new());
@@ -868,14 +919,41 @@ mod tests {
         assert!(store.get(&"k".to_string()).is_some());
         assert!(store.get(&"missing".to_string()).is_none());
         store.compact().unwrap();
-        assert_eq!(sink.counter("store.append"), 1);
-        assert_eq!(sink.counter("store.hit"), 1);
-        assert_eq!(sink.counter("store.miss"), 1);
-        assert_eq!(sink.counter("store.compact"), 1);
-        assert!(
-            sink.phase_spans(Phase::Store) >= 3,
-            "recover+append+compact spans"
+        assert_eq!(sink.phase_spans(Phase::Store), 3, "recover+append+compact");
+        assert!(sink.snapshot().counters.is_empty(), "one count per event");
+        let stats = store.stats();
+        assert_eq!((stats.appended, stats.compactions), (1, 1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_entries_replays_the_log_and_changes_nothing() {
+        let dir = tmp_dir("read_entries");
+        assert!(read_entries::<String, String>(&dir).unwrap().is_empty());
+        assert!(!dir.exists(), "reading makes no directory");
+        {
+            let store = open(&dir);
+            for i in 0..4 {
+                store.put(format!("k{i}"), format!("v{i}")).unwrap();
+            }
+            store.put("k1".into(), "new".into()).unwrap();
+            store.remove(&"k2".to_string()).unwrap();
+        }
+        // A torn tail stays where it is.
+        let path = wal_path(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"torn tail!!");
+        std::fs::write(&path, &bytes).unwrap();
+        let entries: Vec<(String, String)> = read_entries(&dir).unwrap();
+        let want = [("k0", "v0"), ("k3", "v3"), ("k1", "new")];
+        assert_eq!(
+            entries,
+            want.map(|(k, v)| (k.to_string(), v.to_string())),
+            "live entries in log order"
         );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the log is untouched");
+        let reopened = open(&dir);
+        assert_eq!(reopened.len(), entries.len(), "the replay an open runs");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,11 +30,7 @@ fn well_formed(payload: &[u8]) -> bool {
 /// opening the store, nothing is truncated or cut out — this is safe to
 /// run against a live directory.
 pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    let scan = match wal::scan_file(&wal_path(dir)) {
-        Ok(scan) => scan,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => wal::ReadOutcome::default(),
-        Err(e) => return Err(e),
-    };
+    let scan = wal::scan_file(&wal_path(dir))?;
     Ok(VerifyReport {
         wal_records: scan.records.len() as u64,
         wal_torn_bytes: scan.torn_bytes,

@@ -173,12 +173,7 @@ pub fn read_records(bytes: &[u8]) -> ReadOutcome {
 /// quarantine, and a plain torn tail is truncated. Missing files read as
 /// empty.
 pub fn recover_file(path: &Path) -> io::Result<ReadOutcome> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ReadOutcome::default()),
-        Err(e) => return Err(e),
-    };
-    let outcome = read_records(&bytes);
+    let outcome = scan_file(path)?;
     if !outcome.corrupt_regions.is_empty() {
         // Rewrite the log from the surviving records so the damage
         // cannot be re-read (or re-replayed) on the next open.
@@ -196,10 +191,14 @@ pub fn recover_file(path: &Path) -> io::Result<ReadOutcome> {
     Ok(outcome)
 }
 
-/// Scan a framed file without modifying it (for `verify`-style audits).
+/// Scan a framed file without modifying it: what `verify` audits, what
+/// [`recover_file`] repairs. Missing files read as empty.
 pub fn scan_file(path: &Path) -> io::Result<ReadOutcome> {
-    let bytes = std::fs::read(path)?;
-    Ok(read_records(&bytes))
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(read_records(&bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(ReadOutcome::default()),
+        Err(e) => Err(e),
+    }
 }
 
 /// Append-side handle of the log: every frame goes straight to the file,

@@ -503,19 +503,20 @@ fn cmd_store(args: &[String], flags: &HashMap<String, String>) {
 }
 
 /// Independent end-to-end integrity audit. With `--dir` the persistent
-/// macro library is audited in place and read-only: every sealed record's
-/// content digest is recomputed and its placement legality re-derived
-/// from first principles by the dependency-light `tms-verify` auditor —
-/// nothing is quarantined (that is `tms scrub`). Without `--dir` the
-/// named cnvW1A1 module (or all of them under `--all`) is implemented
-/// fresh and the flow's own output is audited, proving the toolchain
-/// produces artifacts that pass its own verifier.
+/// macro library is audited in place and read-only: its log is read by the
+/// store's read-only scan (a torn tail stays where it is), every sealed
+/// record's content digest is recomputed and its placement legality
+/// re-derived from first principles by the dependency-light `tms-verify`
+/// auditor — nothing is quarantined (that is `tms scrub`). Without
+/// `--dir` the named cnvW1A1 module (or all of them under `--all`) is
+/// implemented fresh and the flow's own output is audited, proving the
+/// toolchain produces artifacts that pass its own verifier.
 fn cmd_verify(args: &[String], flags: &HashMap<String, String>) {
     use tailored_macro_sizes::flow::{
-        audit_module, implement_module, module_digest, verify_sealed, CfPolicy, MacroStore,
-        RwFlowConfig,
+        audit_module, implement_module, module_digest, verify_sealed, CfPolicy, ModuleFingerprint,
+        RwFlowConfig, SealedModule,
     };
-    use tailored_macro_sizes::store::{Store, StoreConfig};
+    use tailored_macro_sizes::store::read_entries;
     use tailored_macro_sizes::verify::Auditor;
 
     let all = flags.contains_key("all");
@@ -527,21 +528,21 @@ fn cmd_verify(args: &[String], flags: &HashMap<String, String>) {
 
     let (mut checked, mut violations) = (0u64, 0u64);
     if let Some(dir) = flags.get("dir") {
-        let opened: std::io::Result<MacroStore> =
-            Store::open(StoreConfig::at(std::path::Path::new(dir)));
-        let store = match opened {
-            Ok(s) => s,
+        let read: std::io::Result<Vec<(ModuleFingerprint, SealedModule)>> =
+            read_entries(std::path::Path::new(dir));
+        let entries = match read {
+            Ok(entries) => entries,
             Err(e) => {
-                eprintln!("could not open store at {dir}: {e}");
+                eprintln!("could not read store at {dir}: {e}");
                 std::process::exit(1);
             }
         };
         println!(
             "auditing {} stored records in {dir} (read-only) ...",
-            store.len()
+            entries.len()
         );
         let mut devices = HashMap::new();
-        for (key, sealed) in store.export() {
+        for (key, sealed) in entries {
             if let Some(name) = &wanted {
                 if &sealed.module.name != name {
                     continue;

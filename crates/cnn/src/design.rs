@@ -56,19 +56,6 @@ impl CnvDesign {
     pub fn instances_of(&self, name: &str) -> u32 {
         self.find_module(name).map_or(0, |m| m.instances)
     }
-
-    /// Instance ids of a given unique module.
-    pub fn instance_ids_of(&self, name: &str) -> Vec<u32> {
-        let Some(idx) = self.modules.iter().position(|m| m.name == name) else {
-            return Vec::new();
-        };
-        self.instances
-            .iter()
-            .enumerate()
-            .filter(|(_, (m, _))| *m == idx)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
 }
 
 /// Deterministic size jitter in `[1 - amp, 1 + amp]`.
@@ -515,18 +502,5 @@ mod tests {
         // weights_14 is deep enough that LUTRAM (depth ≤ 1024) is illegal.
         let w14 = d.find_module("weights_14").unwrap().mem.unwrap();
         assert!(w14.bank_depth() > 1024, "w14 depth = {}", w14.bank_depth());
-    }
-
-    #[test]
-    fn instance_ids_resolve() {
-        let d = cnvw1a1(1);
-        let ids = d.instance_ids_of("mvau_18");
-        assert_eq!(ids.len(), 4);
-        for id in ids {
-            let (midx, name) = &d.instances[id as usize];
-            assert_eq!(d.modules[*midx].name, "mvau_18");
-            assert!(name.starts_with("mvau_18["));
-        }
-        assert!(d.instance_ids_of("nonexistent").is_empty());
     }
 }

@@ -57,22 +57,6 @@ impl Rect {
             && other.top() <= self.top()
     }
 
-    /// Whether the grid point `(cx, cy)` lies inside the rectangle.
-    #[inline]
-    pub fn contains_point(&self, cx: u32, cy: u32) -> bool {
-        cx >= self.x && cx < self.right() && cy >= self.y && cy < self.top()
-    }
-
-    /// Centre of the rectangle in continuous coordinates, used as the pin
-    /// location for inter-macro wirelength in the stitcher.
-    #[inline]
-    pub fn center(&self) -> (f64, f64) {
-        (
-            f64::from(self.x) + f64::from(self.w) / 2.0,
-            f64::from(self.y) + f64::from(self.h) / 2.0,
-        )
-    }
-
     /// The same rectangle translated to a new origin.
     #[inline]
     pub fn at(&self, x: u32, y: u32) -> Rect {
@@ -121,14 +105,11 @@ mod tests {
         assert!(outer.contains(&inner));
         assert!(!inner.contains(&outer));
         assert!(outer.contains(&outer));
-        assert!(outer.contains_point(9, 9));
-        assert!(!outer.contains_point(10, 9));
     }
 
     #[test]
-    fn center_and_translation() {
+    fn translation_keeps_the_size() {
         let r = Rect::new(2, 2, 4, 2);
-        assert_eq!(r.center(), (4.0, 3.0));
         let moved = r.at(0, 0);
         assert_eq!(moved, Rect::new(0, 0, 4, 2));
     }

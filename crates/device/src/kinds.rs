@@ -33,12 +33,6 @@ impl ColumnKind {
         matches!(self, ColumnKind::ClbL | ColumnKind::ClbM)
     }
 
-    /// Whether the column contributes *any* placeable sites.
-    #[inline]
-    pub fn is_placeable(self) -> bool {
-        !matches!(self, ColumnKind::Clock)
-    }
-
     /// Short mnemonic used in signatures and debug dumps.
     pub fn mnemonic(self) -> char {
         match self {
@@ -94,13 +88,6 @@ mod tests {
         assert!(!ColumnKind::Bram.is_clb());
         assert!(!ColumnKind::Dsp.is_clb());
         assert!(!ColumnKind::Clock.is_clb());
-    }
-
-    #[test]
-    fn placeability() {
-        assert!(ColumnKind::Bram.is_placeable());
-        assert!(ColumnKind::Dsp.is_placeable());
-        assert!(!ColumnKind::Clock.is_placeable());
     }
 
     #[test]

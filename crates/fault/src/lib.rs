@@ -20,10 +20,10 @@
 //!   `(seed, point, hit-index)`, so a chaos test that fails replays
 //!   byte-for-byte from its seed. Rates can be changed or cleared at
 //!   runtime (all state is atomic) to model faults that come and go.
-//! * [`Retry`] is a deterministic retry/backoff policy — max attempts,
-//!   exponential backoff with seeded jitter, and an overall deadline —
-//!   used by the store-backed cache writes and the module-implementation
-//!   tool-run loop.
+//! * [`Retry`] is a deterministic retry/backoff policy — max attempts
+//!   and exponential backoff with deterministic jitter — used by the
+//!   store-backed cache writes and the module-implementation tool-run
+//!   loop.
 //!
 //! ```
 //! use tms_fault::{FaultInjector, FaultPlan, FaultPoint};

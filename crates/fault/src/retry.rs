@@ -1,18 +1,21 @@
 //! Deterministic retry/backoff policies.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::plan::splitmix64;
 
-/// A retry policy: bounded attempts, exponential backoff with
-/// deterministic seeded jitter, and an optional overall deadline.
+/// Growth factor of the backoff per attempt (classic doubling).
+const MULTIPLIER: f64 = 2.0;
+
+/// A retry policy: bounded attempts and exponential backoff with
+/// deterministic jitter.
 ///
 /// The backoff for attempt *k* is a pure function of `(policy, k)` —
-/// `base * multiplier^(k-1)`, capped at `max_backoff`, stretched by up to
-/// `jitter` of itself using a SplitMix64 hash of `(seed, k)`. No RNG
-/// state, no wall-clock input: two runs with the same policy sleep the
-/// same schedule, which keeps chaos tests reproducible.
+/// `base * 2^(k-1)`, capped at `max_backoff`, stretched by up to
+/// `jitter` of itself using a SplitMix64 hash of `k`. No RNG state, no
+/// wall-clock input: two runs with the same policy sleep the same
+/// schedule, which keeps chaos tests reproducible.
 ///
 /// ```
 /// use tms_fault::Retry;
@@ -32,17 +35,11 @@ pub struct Retry {
     pub max_attempts: u32,
     /// Backoff before the second attempt.
     pub base_backoff: Duration,
-    /// Growth factor per attempt (`2.0` = classic doubling).
-    pub multiplier: f64,
     /// Ceiling on any single backoff.
     pub max_backoff: Duration,
     /// Jitter fraction in `0.0..=1.0`: each backoff is stretched by up to
-    /// this share of itself, deterministically from `seed`.
+    /// this share of itself, deterministically.
     pub jitter: f64,
-    /// Seed for the jitter hash.
-    pub seed: u64,
-    /// Overall budget across all attempts and backoffs; `None` = no cap.
-    pub overall_deadline: Option<Duration>,
 }
 
 impl Default for Retry {
@@ -52,11 +49,8 @@ impl Default for Retry {
         Retry {
             max_attempts: 3,
             base_backoff: Duration::from_millis(1),
-            multiplier: 2.0,
             max_backoff: Duration::from_millis(50),
             jitter: 0.5,
-            seed: 0,
-            overall_deadline: None,
         }
     }
 }
@@ -81,13 +75,10 @@ impl Retry {
     /// Deterministic backoff before attempt `attempt + 1` (so
     /// `backoff_for(1)` is the sleep after the first failure).
     pub fn backoff_for(&self, attempt: u32) -> Duration {
-        let exp = self
-            .multiplier
-            .max(1.0)
-            .powi(attempt.saturating_sub(1) as i32);
+        let exp = MULTIPLIER.powi(attempt.saturating_sub(1) as i32);
         let raw = self.base_backoff.as_secs_f64() * exp;
         let capped = raw.min(self.max_backoff.as_secs_f64());
-        let u = splitmix64(self.seed ^ attempt as u64) as f64 / u64::MAX as f64;
+        let u = splitmix64(u64::from(attempt)) as f64 / u64::MAX as f64;
         let stretched = capped * (1.0 + self.jitter.clamp(0.0, 1.0) * u);
         Duration::from_secs_f64(stretched)
     }
@@ -95,76 +86,43 @@ impl Retry {
     /// Run `op` under this policy. `op` receives the 1-based attempt
     /// number. Errors for which `is_transient` answers `false` abort
     /// immediately; transient errors are retried with backoff until the
-    /// attempt budget or the overall deadline runs out.
+    /// attempt budget runs out.
     pub fn run<T, E>(
         &self,
         is_transient: impl Fn(&E) -> bool,
         mut op: impl FnMut(u32) -> Result<T, E>,
     ) -> Result<T, RetryError<E>> {
-        let started = Instant::now();
         let budget = self.max_attempts.max(1);
         let mut attempt = 0;
         loop {
             attempt += 1;
             match op(attempt) {
                 Ok(v) => return Ok(v),
-                Err(e) => {
-                    if !is_transient(&e) {
-                        return Err(RetryError {
-                            last: e,
-                            attempts: attempt,
-                            deadline_hit: false,
-                        });
-                    }
-                    if attempt >= budget {
-                        return Err(RetryError {
-                            last: e,
-                            attempts: attempt,
-                            deadline_hit: false,
-                        });
-                    }
-                    let pause = self.backoff_for(attempt);
-                    if let Some(deadline) = self.overall_deadline {
-                        if started.elapsed() + pause >= deadline {
-                            return Err(RetryError {
-                                last: e,
-                                attempts: attempt,
-                                deadline_hit: true,
-                            });
-                        }
-                    }
-                    std::thread::sleep(pause);
+                Err(e) if !is_transient(&e) || attempt >= budget => {
+                    return Err(RetryError {
+                        last: e,
+                        attempts: attempt,
+                    });
                 }
+                Err(_) => std::thread::sleep(self.backoff_for(attempt)),
             }
         }
     }
 }
 
-/// Terminal failure of a [`Retry::run`]: the last error, how many
-/// attempts were spent, and whether the overall deadline (rather than
-/// the attempt budget) ended the run.
+/// Terminal failure of a [`Retry::run`]: the last error and how many
+/// attempts were spent.
 #[derive(Debug)]
 pub struct RetryError<E> {
     /// The error from the final attempt.
     pub last: E,
     /// Attempts actually made (1-based).
     pub attempts: u32,
-    /// `true` when the overall deadline expired before the attempt
-    /// budget did.
-    pub deadline_hit: bool,
 }
 
 impl<E: fmt::Display> fmt::Display for RetryError<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.deadline_hit {
-            write!(
-                f,
-                "deadline hit after {} attempts: {}",
-                self.attempts, self.last
-            )
-        } else {
-            write!(f, "gave up after {} attempts: {}", self.attempts, self.last)
-        }
+        write!(f, "gave up after {} attempts: {}", self.attempts, self.last)
     }
 }
 
@@ -205,7 +163,6 @@ mod tests {
         let err = out.unwrap_err();
         assert_eq!(err.attempts, 4);
         assert_eq!(calls, 4);
-        assert!(!err.deadline_hit);
         assert!(err.to_string().contains("gave up after 4 attempts"));
     }
 
@@ -252,24 +209,36 @@ mod tests {
         // Cap plus full jitter bounds every backoff.
         assert!(b9 <= retry.max_backoff.mul_f64(1.0 + retry.jitter));
         assert_eq!(retry.backoff_for(3), retry.backoff_for(3));
-        // Different seeds jitter differently.
-        let other = Retry { seed: 99, ..retry };
-        assert_ne!(retry.backoff_for(2), other.backoff_for(2));
     }
 
+    /// The schedules of the default policy and of the 50 µs policy the
+    /// chaos tests build, in nanoseconds for attempts 0..=10.
     #[test]
-    fn overall_deadline_ends_the_run_early() {
-        let retry = Retry {
-            max_attempts: 100,
-            base_backoff: Duration::from_millis(5),
-            overall_deadline: Some(Duration::from_millis(1)),
-            ..Retry::default()
+    fn backoff_schedule_is_pinned() {
+        let fast = Retry {
+            base_backoff: Duration::from_micros(50),
+            ..Retry::attempts(4)
         };
-        let out: Result<u32, _> = retry.run(|_e: &&str| true, |_| Err("down"));
-        let err = out.unwrap_err();
-        assert!(err.deadline_hit);
-        assert!(err.attempts < 100);
-        assert!(err.to_string().contains("deadline hit"));
+        let pins: [(Retry, [u128; 11]); 2] = [
+            (
+                Retry::default(),
+                [
+                    1_441_655, 1_283_281, 2_591_190, 4_226_901, 9_725_823, 19_094_144, 43_837_072,
+                    59_745_744, 65_462_616, 67_059_068, 50_832_776,
+                ],
+            ),
+            (
+                fast,
+                [
+                    72_083, 64_164, 129_559, 211_345, 486_291, 954_707, 2_191_854, 3_823_728,
+                    8_379_215, 17_167_122, 26_026_381,
+                ],
+            ),
+        ];
+        for (retry, want) in pins {
+            let got = (0..=10).map(|k| retry.backoff_for(k).as_nanos());
+            assert!(got.eq(want), "{retry:?}");
+        }
     }
 
     #[test]

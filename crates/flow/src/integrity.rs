@@ -103,11 +103,11 @@ pub fn verify_sealed(auditor: &Auditor<'_>, sealed: &SealedModule) -> Result<(),
     }
 }
 
-/// A device-caching audit closure for scrubbing a whole macro store: the
-/// store only hands back `(fingerprint, sealed record)` pairs, so the
-/// auditor's device is re-derived from the fingerprint's device name and
-/// cached across entries. Returns `true` for clean entries (the contract
-/// of [`tms_store::Store::scrub_with`]).
+/// A device-caching auditor for a whole macro store, as a scrub pass or
+/// [`tms_store::verify()`] walks it: the store only hands back
+/// `(fingerprint, sealed record)` pairs, so the auditor's device is
+/// re-derived from the fingerprint's device name and cached across
+/// entries.
 #[derive(Default)]
 pub struct StoreAuditor {
     devices: HashMap<DeviceName, Device>,
@@ -119,14 +119,14 @@ impl StoreAuditor {
         StoreAuditor::default()
     }
 
-    /// Audit one stored record; `true` = clean.
-    pub fn audit(&mut self, key: &ModuleFingerprint, sealed: &SealedModule) -> bool {
+    /// Audit one stored record with [`verify_sealed`]: `Ok` = clean, else
+    /// why not.
+    pub fn audit(&mut self, key: &ModuleFingerprint, sealed: &SealedModule) -> Result<(), String> {
         let device = self
             .devices
             .entry(key.device())
             .or_insert_with(|| Device::from_name(key.device()));
-        let auditor = Auditor::new(device);
-        verify_sealed(&auditor, sealed).is_ok()
+        verify_sealed(&Auditor::new(device), sealed)
     }
 }
 
@@ -238,8 +238,9 @@ mod tests {
             else {
                 panic!("warm cache misses {}", m.name);
             };
-            assert!(
+            assert_eq!(
                 auditor.audit(&key, &SealedModule::seal(module)),
+                Ok(()),
                 "genuine module must audit clean"
             );
             audited += 1;

@@ -84,22 +84,6 @@ impl Dataset {
         }
     }
 
-    /// Project the data set onto a subset of feature columns (by index).
-    pub fn select_features(&self, cols: &[usize]) -> Dataset {
-        Dataset {
-            feature_names: cols
-                .iter()
-                .map(|&c| self.feature_names[c].clone())
-                .collect(),
-            features: self
-                .features
-                .iter()
-                .map(|row| cols.iter().map(|&c| row[c]).collect())
-                .collect(),
-            targets: self.targets.clone(),
-        }
-    }
-
     /// Histogram of targets at `bin_width` resolution: `(bin lower edge,
     /// count)`, sorted by edge.
     pub fn target_histogram(&self, bin_width: f64) -> Vec<(f64, usize)> {
@@ -153,16 +137,6 @@ mod tests {
         let hist = capped.target_histogram(0.1);
         assert!(hist.iter().all(|&(_, c)| c <= 10));
         assert_eq!(capped.len(), 15);
-    }
-
-    #[test]
-    fn select_features_projects() {
-        let ds = toy(5);
-        let sel = ds.select_features(&[1]);
-        assert_eq!(sel.dims(), 1);
-        assert_eq!(sel.feature_names, vec!["b".to_string()]);
-        assert_eq!(sel.features[3], vec![9.0]);
-        assert_eq!(sel.targets, ds.targets);
     }
 
     #[test]

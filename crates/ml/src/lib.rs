@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cv;
 pub mod data;
 pub mod forest;
 pub mod gbt;
@@ -40,7 +39,6 @@ pub mod metrics;
 pub mod nn;
 pub mod tree;
 
-pub use cv::{k_fold, CvScores};
 pub use data::Dataset;
 pub use forest::{ForestConfig, RandomForest};
 pub use gbt::{GbtConfig, GradientBoost};

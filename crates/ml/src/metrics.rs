@@ -48,21 +48,6 @@ pub fn median_relative_error(pred: &[f64], actual: &[f64]) -> f64 {
     }
 }
 
-/// Fraction of predictions within `tol` relative error (Section VIII:
-/// "31.75% have an error below 4%").
-pub fn fraction_within(pred: &[f64], actual: &[f64], tol: f64) -> f64 {
-    assert_eq!(pred.len(), actual.len());
-    if pred.is_empty() {
-        return 0.0;
-    }
-    let hits = pred
-        .iter()
-        .zip(actual)
-        .filter(|(p, a)| ((*p - **a) / **a).abs() < tol)
-        .count();
-    hits as f64 / pred.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,13 +80,5 @@ mod tests {
         let act = vec![1.0, 1.0];
         let m = median_relative_error(&pred, &act);
         assert!((m - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_within_counts_hits() {
-        let pred = vec![1.0, 1.05, 1.5];
-        let act = vec![1.0, 1.0, 1.0];
-        let f = fraction_within(&pred, &act, 0.1);
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
     }
 }

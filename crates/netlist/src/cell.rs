@@ -104,21 +104,6 @@ impl CellKind {
             _ => None,
         }
     }
-
-    /// Whether the cell demands an M-type slice.
-    #[inline]
-    pub fn needs_m_slice(&self) -> bool {
-        matches!(self, CellKind::LutRam { .. } | CellKind::Srl { .. })
-    }
-
-    /// Whether the cell consumes a LUT site (as logic, RAM, or SRL).
-    #[inline]
-    pub fn uses_lut_site(&self) -> bool {
-        matches!(
-            self,
-            CellKind::Lut { .. } | CellKind::LutRam { .. } | CellKind::Srl { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -148,29 +133,6 @@ mod tests {
         }
         .is_combinational());
         assert!(!CellKind::Dsp.is_combinational());
-    }
-
-    #[test]
-    fn m_slice_demand() {
-        let cs = ControlSet::basic();
-        assert!(CellKind::LutRam { cs }.needs_m_slice());
-        assert!(CellKind::Srl { cs }.needs_m_slice());
-        assert!(!CellKind::Lut { inputs: 2 }.needs_m_slice());
-        assert!(!CellKind::Bram.needs_m_slice());
-    }
-
-    #[test]
-    fn lut_site_usage() {
-        let cs = ControlSet::basic();
-        assert!(CellKind::Lut { inputs: 1 }.uses_lut_site());
-        assert!(CellKind::LutRam { cs }.uses_lut_site());
-        assert!(CellKind::Srl { cs }.uses_lut_site());
-        assert!(!CellKind::Ff { cs }.uses_lut_site());
-        assert!(!CellKind::Carry {
-            chain: 0,
-            position: 0
-        }
-        .uses_lut_site());
     }
 
     #[test]

@@ -21,13 +21,6 @@ pub struct LutRamParams {
     pub depth: u32,
 }
 
-impl LutRamParams {
-    /// Number of 64×1 LUTRAM primitives the memory maps to.
-    pub fn lutram_count(&self) -> u32 {
-        self.width * self.depth.div_ceil(LUTRAM_DEPTH)
-    }
-}
-
 impl Generator for LutRamParams {
     fn generate(&self, seed: u64) -> Netlist {
         let name = format!("lutram_w{}_d{}_s{seed}", self.width, self.depth);
@@ -75,27 +68,6 @@ impl Generator for LutRamParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lutram_count_formula() {
-        assert_eq!(
-            LutRamParams {
-                width: 8,
-                depth: 64
-            }
-            .lutram_count(),
-            8
-        );
-        assert_eq!(
-            LutRamParams {
-                width: 8,
-                depth: 65
-            }
-            .lutram_count(),
-            16
-        );
-        assert_eq!(LutRamParams { width: 1, depth: 1 }.lutram_count(), 1);
-    }
 
     #[test]
     fn no_registers_at_all() {

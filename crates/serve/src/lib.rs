@@ -92,6 +92,6 @@ pub use protocol::{
     RobustnessReport, ShutdownResponse, SloReport, SlowlogReport, SlowlogRequest, StatsReport,
     StoreSnapshot,
 };
-pub use server::{default_slos, serve, ServeConfig, ServerHandle};
+pub use server::{serve, ServeConfig, ServerHandle};
 pub use tms_obs::prometheus;
 pub use tms_store::StoreConfig;

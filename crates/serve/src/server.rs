@@ -142,17 +142,10 @@ pub struct ServeConfig {
     /// handed to the store and flow layers. `None` (the default) serves
     /// fault-free with near-zero overhead.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Ring capacity of the tail-sampling slowlog: how many full request
-    /// span trees are retained for the `slowlog` endpoint.
-    pub slowlog_capacity: usize,
     /// A healthy request slower than this is retained in the slowlog
     /// (errored/shed/degraded/deadline-expired requests are retained
     /// regardless of latency).
     pub slow_threshold: Duration,
-    /// Per-endpoint service-level objectives; each gets multi-window
-    /// burn-rate gauges on `/metrics` and in `stats`. Defaults to
-    /// [`default_slos`].
-    pub slos: Vec<SloSpec>,
     /// Interval between background scrub passes over the persistent
     /// library (store mode only). Each pass re-audits every stored entry
     /// at the configured byte/s budget and quarantines violators; repair
@@ -178,21 +171,24 @@ impl Default for ServeConfig {
             degrade_after: 3,
             retry: Retry::default(),
             fault: None,
-            slowlog_capacity: 64,
             slow_threshold: Duration::from_secs(1),
-            slos: default_slos(),
             scrub_interval: None,
             scrub_bytes_per_sec: 8 * 1024 * 1024,
         }
     }
 }
 
-/// The default per-endpoint service-level objectives: 99.9% availability
+/// Ring capacity of the tail-sampling slowlog: how many full request span
+/// trees are retained for the `slowlog` endpoint.
+const SLOWLOG_CAPACITY: usize = 64;
+
+/// The per-endpoint service-level objectives, each with multi-window
+/// burn-rate gauges on `/metrics` and in `stats`: 99.9% availability
 /// everywhere, with latency targets scaled to what each endpoint does —
 /// cheap lookups answer within 50 ms, a `preimpl` may place-and-route one
 /// module (10 s), a `flow` may compile a whole design (60 s). 99% of
 /// requests must meet the latency target.
-pub fn default_slos() -> Vec<SloSpec> {
+fn default_slos() -> Vec<SloSpec> {
     vec![
         SloSpec::new("estimate", 50_000),
         SloSpec::new("preimpl", 10_000_000),
@@ -465,11 +461,8 @@ pub fn serve(
         fault: config.fault.clone(),
         degraded: AtomicBool::new(degraded_at_open),
         traces: TraceIdGen::new(),
-        slowlog: Slowlog::new(
-            config.slowlog_capacity,
-            config.slow_threshold.as_micros() as u64,
-        ),
-        slo: config.slos.iter().map(|&s| SloTracker::new(s)).collect(),
+        slowlog: Slowlog::new(SLOWLOG_CAPACITY, config.slow_threshold.as_micros() as u64),
+        slo: default_slos().into_iter().map(SloTracker::new).collect(),
         designs: Memo::new(MEMO_CAPACITY),
         specs: Memo::new(MEMO_CAPACITY),
     });
@@ -541,10 +534,11 @@ pub fn serve(
                     break;
                 };
                 // The store counts what a pass audits and quarantines.
-                let counter = match store.scrub_with(bytes_per_sec, |k, v| auditor.audit(k, v)) {
-                    Ok(_) => "serve.scrub.pass",
-                    Err(_) => "serve.scrub.failed",
-                };
+                let counter =
+                    match store.scrub_with(bytes_per_sec, |k, v| auditor.audit(k, v).is_ok()) {
+                        Ok(_) => "serve.scrub.pass",
+                        Err(_) => "serve.scrub.failed",
+                    };
                 state.sink.count(counter, 1);
             }
         })

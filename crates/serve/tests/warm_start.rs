@@ -6,8 +6,15 @@
 
 use tms_cnn::ModuleRole;
 use tms_estimator::{CfEstimator, EstimatorKind, FeatureSet};
+use tms_flow::{ModuleFingerprint, SealedModule};
 use tms_ml::Dataset;
 use tms_serve::{serve, Client, ModuleSpec, ServeConfig};
+
+/// The read-only audit of the library's log, with every entry accepted:
+/// these tests check what the checkpoint left, not the records.
+fn verify_log(dir: &std::path::Path) -> tms_store::VerifyReport {
+    tms_store::verify(dir, |_: &ModuleFingerprint, _: &SealedModule| true).expect("verify")
+}
 
 /// Same tiny deterministic estimator as `service.rs`: the store tests care
 /// about persistence, not model quality.
@@ -74,7 +81,7 @@ fn restarted_server_serves_the_flow_from_the_library() {
     };
 
     // The checkpoint rewrote the log to exactly the live entries.
-    let report = tms_store::verify(&dir).expect("verify");
+    let report = verify_log(&dir);
     assert!(report.clean(), "{report}");
     assert_eq!(
         report.wal_records, 75,
@@ -151,7 +158,7 @@ fn client_shutdown_checkpoints_before_the_server_exits() {
     // the graceful stop (join + checkpoint) — exactly what the CLI does.
     handle.serve_forever();
 
-    let report = tms_store::verify(&dir).expect("verify");
+    let report = verify_log(&dir);
     assert!(report.clean(), "{report}");
     assert_eq!(report.wal_records, 1, "checkpoint left exactly the entry");
     assert_eq!(report.wal_torn_bytes, 0);

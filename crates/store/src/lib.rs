@@ -11,12 +11,13 @@
 //!   changes, so a failed write leaves the map as it was. A crash
 //!   mid-append leaves a torn tail that the next open truncates, so every
 //!   *committed* write survives bit-identically.
-//! * **One scanner** — open, [`verify()`] and [`read_entries`] read the log
-//!   the same way: a damaged frame with valid records after it is skipped
-//!   and the scan keeps reading, so a flipped bit costs exactly one record.
-//!   Open cuts the damage out, parks it under `quarantine/` and truncates a
-//!   torn tail; `verify` only reports them, and `read_entries` replays the
-//!   live entries past them, as open does, without writing anything.
+//! * **One scanner, one replay** — open and [`verify()`] read the log the
+//!   same way: a damaged frame with valid records after it is skipped and
+//!   the scan keeps reading, so a flipped bit costs exactly one record,
+//!   and the records are decoded and replayed by one typed decoder. Open
+//!   cuts the damage out, parks it under `quarantine/` and truncates a
+//!   torn tail; `verify` only reports them, runs the caller's audit over
+//!   the live entries, and writes nothing.
 //! * **Compaction by rename** — [`Store::compact`] writes every live
 //!   entry to a temp file, fsyncs it and renames it over `wal.log`; later
 //!   appends go to the new file. A crash at any point leaves either the
@@ -65,6 +66,6 @@ pub mod verify;
 pub mod wal;
 
 pub use stats::{CompactReport, ScrubReport, StoreSnapshot, VerifyReport};
-pub use store::{read_entries, Store, StoreConfig, StoreKey, StoreValue, QUARANTINE_DIR, WAL_FILE};
+pub use store::{Store, StoreConfig, StoreKey, StoreValue, QUARANTINE_DIR, WAL_FILE};
 pub use verify::verify;
 pub use wal::crc32;

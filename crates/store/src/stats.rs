@@ -58,7 +58,7 @@ pub struct CompactReport {
     pub log_bytes: u64,
 }
 
-/// What a read-only [`crate::verify()`] audit of the log found.
+/// What a read-only [`crate::verify()`] audit of a library found.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct VerifyReport {
     /// CRC-verified records in the log.
@@ -69,17 +69,22 @@ pub struct VerifyReport {
     /// Bytes of damaged frames with valid records after them: in-place
     /// corruption, which the next open cuts out and quarantines.
     pub wal_corrupt_bytes: u64,
-    /// Records that passed their checksum but do not parse as store
-    /// records (version skew or corruption the CRC cannot see).
+    /// Records that passed their checksum but do not decode as the
+    /// store's records (version skew or corruption the CRC cannot see).
     pub decode_errors: u64,
+    /// Live entries the audit ran over.
+    pub audited: u64,
+    /// Live entries the audit rejected.
+    pub audit_failures: u64,
 }
 
 impl VerifyReport {
-    /// Whether the on-disk state is fully intact: every record checksums
-    /// and parses. A torn *tail* alone does not fail verification — that
-    /// is the crash case recovery handles.
+    /// Whether the library is fully intact: every frame checksums, every
+    /// record decodes and every live entry passes the audit. A torn
+    /// *tail* alone does not fail verification — that is the crash case
+    /// recovery handles.
     pub fn clean(&self) -> bool {
-        self.wal_corrupt_bytes == 0 && self.decode_errors == 0
+        self.wal_corrupt_bytes == 0 && self.decode_errors == 0 && self.audit_failures == 0
     }
 }
 
@@ -91,6 +96,11 @@ impl std::fmt::Display for VerifyReport {
             self.wal_records, self.wal_corrupt_bytes, self.wal_torn_bytes
         )?;
         writeln!(f, "decode errors: {}", self.decode_errors)?;
+        writeln!(
+            f,
+            "audited:  {} live entries, {} failed",
+            self.audited, self.audit_failures
+        )?;
         write!(
             f,
             "verdict:  {}",

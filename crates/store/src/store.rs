@@ -206,8 +206,9 @@ fn decode<K: Deserialize, V: Deserialize>(payload: &[u8]) -> Result<Decoded<K, V
 
 /// Log records replayed in order, the last writer winning per key and a
 /// `del` removing it: the live entries, each stamped with the position of
-/// its `put`, so log order is LRU order.
-struct Replay<K, V> {
+/// its `put`, so log order is LRU order. Open and [`crate::verify()`]
+/// replay the log this one way.
+pub(crate) struct Replay<K, V> {
     inner: Inner<K, V>,
     /// The stamp of the last `put`.
     clock: u64,
@@ -216,11 +217,11 @@ struct Replay<K, V> {
     /// Records that passed their checksum but do not decode: written by an
     /// incompatible version, and skipped rather than lose the rest of the
     /// log.
-    undecodable: u64,
+    pub(crate) undecodable: u64,
 }
 
 impl<K: StoreKey, V: StoreValue> Replay<K, V> {
-    fn of(records: &[Vec<u8>]) -> Replay<K, V> {
+    pub(crate) fn of(records: &[Vec<u8>]) -> Replay<K, V> {
         let mut replay = Replay {
             inner: Inner {
                 entries: HashMap::new(),
@@ -253,22 +254,13 @@ impl<K: StoreKey, V: StoreValue> Replay<K, V> {
         }
         replay
     }
-}
 
-/// The live entries of the log under `dir`, in log order, read without
-/// changing anything: the records of one [`wal::scan_file`] pass, replayed
-/// as [`Store::open`] replays them. Unlike an open, this leaves a torn
-/// tail in place, skips damaged records without cutting them out, and
-/// makes no directory; a missing log reads as empty.
-pub fn read_entries<K: StoreKey, V: StoreValue>(dir: &Path) -> io::Result<Vec<(K, V)>> {
-    let scan = wal::scan_file(&wal_path(dir))?;
-    let mut live: Vec<(K, Entry<V>)> = Replay::of(&scan.records)
-        .inner
-        .entries
-        .into_iter()
-        .collect();
-    live.sort_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed));
-    Ok(live.into_iter().map(|(k, e)| (k, e.value)).collect())
+    /// The live entries in log order.
+    pub(crate) fn live(self) -> Vec<(K, V)> {
+        let mut live: Vec<(K, Entry<V>)> = self.inner.entries.into_iter().collect();
+        live.sort_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed));
+        live.into_iter().map(|(k, e)| (k, e.value)).collect()
+    }
 }
 
 impl<K: StoreKey, V: StoreValue> Store<K, V> {
@@ -927,37 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn read_entries_replays_the_log_and_changes_nothing() {
-        let dir = tmp_dir("read_entries");
-        assert!(read_entries::<String, String>(&dir).unwrap().is_empty());
-        assert!(!dir.exists(), "reading makes no directory");
-        {
-            let store = open(&dir);
-            for i in 0..4 {
-                store.put(format!("k{i}"), format!("v{i}")).unwrap();
-            }
-            store.put("k1".into(), "new".into()).unwrap();
-            store.remove(&"k2".to_string()).unwrap();
-        }
-        // A torn tail stays where it is.
-        let path = wal_path(&dir);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(b"torn tail!!");
-        std::fs::write(&path, &bytes).unwrap();
-        let entries: Vec<(String, String)> = read_entries(&dir).unwrap();
-        let want = [("k0", "v0"), ("k3", "v3"), ("k1", "new")];
-        assert_eq!(
-            entries,
-            want.map(|(k, v)| (k.to_string(), v.to_string())),
-            "live entries in log order"
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the log is untouched");
-        let reopened = open(&dir);
-        assert_eq!(reopened.len(), entries.len(), "the replay an open runs");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn mid_wal_corruption_quarantines_and_keeps_later_records() {
         let dir = tmp_dir("resync");
         {
@@ -1108,7 +1069,7 @@ mod tests {
         }
         store.remove(&"k0".to_string()).unwrap();
         store.checkpoint().unwrap();
-        let report = crate::verify(&dir).unwrap();
+        let report = crate::verify(&dir, |_: &String, _: &String| true).unwrap();
         assert!(report.clean());
         assert_eq!(
             report.wal_records, 4,
@@ -1141,7 +1102,7 @@ mod tests {
         let mut flipped = clean.clone();
         flipped[mid] ^= 0x10;
         std::fs::write(&path, &flipped).unwrap();
-        let report = crate::verify(&dir).unwrap();
+        let report = crate::verify(&dir, |_: &String, _: &String| true).unwrap();
         assert!(!report.clean(), "{report}");
         assert_eq!(report.wal_records, 9);
         assert_eq!(report.wal_corrupt_bytes, frame_len as u64);
@@ -1155,12 +1116,70 @@ mod tests {
 
         // A trailing tear alone stays clean (recoverable).
         std::fs::write(&path, &clean[..clean.len() - 3]).unwrap();
-        let report = crate::verify(&dir).unwrap();
+        let report = crate::verify(&dir, |_: &String, _: &String| true).unwrap();
         assert!(report.clean(), "{report}");
         assert_eq!(report.wal_records, 9);
         assert_eq!(report.wal_corrupt_bytes, 0);
         assert!(report.wal_torn_bytes > 0);
         assert!(report.to_string().contains("RECOVERABLE"), "{report}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_audits_the_live_entries_and_changes_nothing() {
+        let dir = tmp_dir("verify_audit");
+        let err = crate::verify(&dir, |_: &String, _: &String| true).unwrap_err();
+        assert_eq!(
+            err.kind(),
+            io::ErrorKind::NotFound,
+            "a missing log is no library"
+        );
+        assert!(!dir.exists(), "verify makes no directory");
+        {
+            let store = open(&dir);
+            for i in 0..4 {
+                store.put(format!("k{i}"), format!("v{i}")).unwrap();
+            }
+            store.put("k1".into(), "new".into()).unwrap();
+            store.remove(&"k2".to_string()).unwrap();
+        }
+        // A torn tail stays where it is.
+        let path = wal_path(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"torn tail!!");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut seen = Vec::new();
+        let report = crate::verify(&dir, |k: &String, v: &String| {
+            seen.push((k.clone(), v.clone()));
+            k != "k3"
+        })
+        .unwrap();
+        let want = [("k0", "v0"), ("k3", "v3"), ("k1", "new")];
+        assert_eq!(
+            seen,
+            want.map(|(k, v)| (k.to_string(), v.to_string())),
+            "the live entries, in log order"
+        );
+        assert_eq!((report.audited, report.audit_failures), (3, 1));
+        assert!(!report.clean(), "an audit failure is corruption");
+        assert!(report.to_string().contains("CORRUPT"), "{report}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the log is untouched");
+
+        let report = crate::verify(&dir, |_: &String, _: &String| true).unwrap();
+        assert!(report.clean(), "{report}");
+        assert!(report.to_string().contains("RECOVERABLE"), "{report}");
+
+        // A record that checksums but does not decode as a (String, String)
+        // record is corruption the CRC cannot see.
+        let odd = wal::frame(&encode_put(&"k9".to_string(), &9u64).unwrap());
+        let mut with_odd = bytes[..bytes.len() - b"torn tail!!".len()].to_vec();
+        with_odd.extend_from_slice(&odd);
+        std::fs::write(&path, &with_odd).unwrap();
+        let report = crate::verify(&dir, |_: &String, _: &String| true).unwrap();
+        assert_eq!((report.decode_errors, report.audited), (1, 3));
+        assert!(report.to_string().contains("CORRUPT"), "{report}");
+        assert_eq!(open(&dir).len(), 3, "the live entries an open loads");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

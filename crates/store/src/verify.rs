@@ -1,40 +1,35 @@
-//! Read-only integrity audit of a store directory (`tms store verify`).
+//! Read-only audit of a store directory (`tms store verify`).
 
 use crate::stats::VerifyReport;
-use crate::store::wal_path;
+use crate::store::{wal_path, Replay, StoreKey, StoreValue};
 use crate::wal;
-use serde::Value;
 use std::io;
 use std::path::Path;
 
-/// Whether a checksummed payload parses as a store record (`put` or `del`
-/// with the right arity). Checked without knowing the key/value
-/// types, so `verify` works on any store directory.
-fn well_formed(payload: &[u8]) -> bool {
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return false;
-    };
-    let Ok(Value::Array(items)) = serde_json::parse(text) else {
-        return false;
-    };
-    match items.first() {
-        Some(Value::Str(tag)) if tag == "put" => items.len() == 3,
-        Some(Value::Str(tag)) if tag == "del" => items.len() == 2,
-        _ => false,
-    }
-}
-
-/// Audit the log under `dir` without modifying anything: re-verify every
-/// record checksum with the same resynchronizing scan the store opens
-/// with, parse every payload, and report damaged and torn bytes. Unlike
-/// opening the store, nothing is truncated or cut out — this is safe to
-/// run against a live directory.
-pub fn verify(dir: &Path) -> io::Result<VerifyReport> {
-    let scan = wal::scan_file(&wal_path(dir))?;
+/// Audit the library under `dir` without changing a byte of it. The log is
+/// read once: every frame is checked with the resynchronising scan the
+/// store opens with, every record is decoded and replayed as an open
+/// replays it, and `audit` runs over every live entry in log order
+/// (`true` = clean, the contract of [`crate::Store::scrub_with`]). Unlike
+/// an open, nothing is truncated, cut out or quarantined, so this is safe
+/// on a live directory. A missing log is an error, not an empty library.
+pub fn verify<K, V, F>(dir: &Path, mut audit: F) -> io::Result<VerifyReport>
+where
+    K: StoreKey,
+    V: StoreValue,
+    F: FnMut(&K, &V) -> bool,
+{
+    let scan = wal::read_records(&std::fs::read(wal_path(dir))?);
+    let replay = Replay::<K, V>::of(&scan.records);
+    let decode_errors = replay.undecodable;
+    let live = replay.live();
+    let audit_failures = live.iter().filter(|(k, v)| !audit(k, v)).count();
     Ok(VerifyReport {
         wal_records: scan.records.len() as u64,
         wal_torn_bytes: scan.torn_bytes,
         wal_corrupt_bytes: scan.corrupt_bytes(),
-        decode_errors: scan.records.iter().filter(|r| !well_formed(r)).count() as u64,
+        decode_errors,
+        audited: live.len() as u64,
+        audit_failures: audit_failures as u64,
     })
 }

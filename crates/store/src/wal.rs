@@ -191,8 +191,8 @@ pub fn recover_file(path: &Path) -> io::Result<ReadOutcome> {
     Ok(outcome)
 }
 
-/// Scan a framed file without modifying it: what `verify` audits, what
-/// [`recover_file`] repairs. Missing files read as empty.
+/// Scan a framed file without modifying it: what [`recover_file`]
+/// repairs. Missing files read as empty.
 pub fn scan_file(path: &Path) -> io::Result<ReadOutcome> {
     match std::fs::read(path) {
         Ok(bytes) => Ok(read_records(&bytes)),

@@ -7,7 +7,8 @@
 //! tms experiments <targets> [opts]     regenerate paper tables/figures
 //! tms serve [opts]                     start the estimation/pre-impl service
 //! tms client <endpoint> [opts]         query a running service
-//! tms store <inspect|compact|verify>   manage a persistent macro library
+//! tms store <inspect|compact|verify|scrub>
+//!                                      manage a persistent macro library
 //! tms report --trace <path>            render a JSONL trace as a phase table
 //! tms stitch [opts]                    stitch the cnvW1A1 macros: single-run
 //!                                      SA, or the parallel search portfolio
@@ -23,17 +24,11 @@
 //! tms slowlog [opts]                   fetch a server's tail-sampled
 //!                                      slowlog (slow/errored request
 //!                                      traces) and summarise it
-//! tms verify <module|--all> [opts]     independent integrity audit: re-derive
-//!                                      the legality of implemented modules
-//!                                      from first principles (tms-verify) and
-//!                                      check sealed content digests; pass
-//!                                      --dir to audit a persistent macro
-//!                                      library read-only instead of
-//!                                      implementing fresh
-//! tms scrub [opts]                     one scrub pass over a persistent
-//!                                      macro library: audit every sealed
-//!                                      record, quarantine violators into
-//!                                      quarantine/, print the report
+//! tms verify <module|--all> [opts]     independent integrity audit:
+//!                                      implement cnvW1A1 modules fresh and
+//!                                      re-derive their legality from first
+//!                                      principles (tms-verify); a library
+//!                                      is audited by `tms store verify`
 //!
 //! options:
 //!   --device <xc7z010|xc7z020|xc7z030|xc7z045|xc7z100|ultrascale-like>
@@ -64,12 +59,22 @@
 //!   --scrub-bps <N>      scrub byte/s budget (default 8 MiB/s; 0 =
 //!                        unthrottled)
 //!
-//! store options (all subcommands take --dir <path>):
+//! store options (all subcommands take --dir <path>; each exits 1 and
+//! creates nothing when <path>/wal.log does not exist):
 //!   inspect              print the library statistics as JSON
 //!   compact              rewrite the log to hold only the live entries
-//!   verify               read-only integrity audit (checksums, damaged
-//!                        records, torn tails); exits 1 if a record is
-//!                        damaged or undecodable, 0 for a torn tail alone
+//!   verify               the read-only audit, one read of the log: every
+//!                        frame's checksum, every record's decoding, and
+//!                        every live record's sealed digest and placement
+//!                        legality (each failing record is named); exits
+//!                        1 (CORRUPT) on a damaged frame, an undecodable
+//!                        record or a failing record, 0 for a torn tail
+//!                        alone (RECOVERABLE) or nothing found (CLEAN)
+//!   scrub                one scrub pass: open the library, audit every
+//!                        record, quarantine violators into quarantine/,
+//!                        print the report; exits 1 if any was quarantined
+//!   --bps <N>            scrub byte/s budget (0 = unthrottled, the
+//!                        default here; servers default to 8 MiB/s)
 //!
 //! client options (endpoint: estimate | preimpl | flow | stats | metrics
 //!                 | shutdown):
@@ -126,20 +131,11 @@
 //!   --limit <N>          newest entries to fetch (default 16; 0 = all)
 //!   --json               print the raw JSON report instead of the table
 //!
-//! verify options:
-//!   --all                audit every unique cnvW1A1 module (or, with
-//!                        --dir, every stored record)
-//!   --dir <path>         audit a persistent macro library in place
-//!                        (read-only; `tms scrub` is the destructive
-//!                        variant that quarantines)
+//! verify options (`--dir` exits 2: use `tms store verify`):
+//!   --all                audit every unique cnvW1A1 module
 //!   --cf <x>             constant CF for fresh implementation; omit for
 //!                        minimal-CF search
 //!   --device/--seed      as above
-//!
-//! scrub options:
-//!   --dir <path>         the persistent macro library (required)
-//!   --bps <N>            byte/s budget for the pass (0 = unthrottled,
-//!                        the default here; servers default to 8 MiB/s)
 //! ```
 
 use std::collections::HashMap;
@@ -452,38 +448,41 @@ fn cmd_serve(flags: &HashMap<String, String>) {
 }
 
 fn cmd_store(args: &[String], flags: &HashMap<String, String>) {
-    use tailored_macro_sizes::flow::MacroStore;
-    use tailored_macro_sizes::store::{verify, Store, StoreConfig};
-    let Some(dir) = flags.get("dir") else {
-        eprintln!("usage: tms store <inspect|compact|verify> --dir <path>");
+    use tailored_macro_sizes::flow::{MacroStore, ModuleFingerprint, SealedModule, StoreAuditor};
+    use tailored_macro_sizes::store::{verify, Store, StoreConfig, WAL_FILE};
+
+    let sub = args.first().map(String::as_str);
+    let (Some(sub @ ("inspect" | "compact" | "verify" | "scrub")), Some(dir)) =
+        (sub, flags.get("dir"))
+    else {
+        eprintln!("usage: tms store <inspect|compact|verify|scrub> --dir <path> [--bps <N>]");
         std::process::exit(2);
     };
-    let path = std::path::Path::new(dir);
-    match args.first().map(String::as_str) {
-        Some("inspect") => {
-            // Opening replays the log (truncating any torn tail and
-            // quarantining damaged records), so the numbers reflect what
-            // a server would actually load.
-            let opened: std::io::Result<MacroStore> = Store::open(StoreConfig::at(path));
-            match opened {
-                Ok(store) => println!("{}", to_pretty(&store.stats())),
-                Err(e) => {
-                    eprintln!("could not open store at {dir}: {e}");
-                    std::process::exit(1);
+    // Every subcommand works on an existing library: a mistyped path must
+    // neither read as an empty library nor be created as one.
+    let wal = std::path::Path::new(dir).join(WAL_FILE);
+    if !wal.is_file() {
+        eprintln!(
+            "no macro library at {dir}: {} does not exist",
+            wal.display()
+        );
+        std::process::exit(1);
+    }
+    let mut auditor = StoreAuditor::new();
+    if sub == "verify" {
+        // One read of the log; nothing is truncated, cut out or
+        // quarantined, so a torn tail reads RECOVERABLE every time.
+        let audited = verify(
+            dir.as_ref(),
+            |key: &ModuleFingerprint, sealed: &SealedModule| match auditor.audit(key, sealed) {
+                Ok(()) => true,
+                Err(reason) => {
+                    println!("  CORRUPT  {:<20} {reason}", sealed.module.name);
+                    false
                 }
-            }
-        }
-        Some("compact") => {
-            let opened: std::io::Result<MacroStore> = Store::open(StoreConfig::at(path));
-            match opened.and_then(|store| store.compact()) {
-                Ok(report) => println!("{}", to_pretty(&report)),
-                Err(e) => {
-                    eprintln!("could not compact store at {dir}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        Some("verify") => match verify(path) {
+            },
+        );
+        match audited {
             Ok(report) => {
                 println!("{report}");
                 if !report.clean() {
@@ -494,189 +493,154 @@ fn cmd_store(args: &[String], flags: &HashMap<String, String>) {
                 eprintln!("could not verify store at {dir}: {e}");
                 std::process::exit(1);
             }
-        },
-        _ => {
-            eprintln!("usage: tms store <inspect|compact|verify> --dir <path>");
-            std::process::exit(2);
         }
-    }
-}
-
-/// Independent end-to-end integrity audit. With `--dir` the persistent
-/// macro library is audited in place and read-only: its log is read by the
-/// store's read-only scan (a torn tail stays where it is), every sealed
-/// record's content digest is recomputed and its placement legality
-/// re-derived from first principles by the dependency-light `tms-verify`
-/// auditor — nothing is quarantined (that is `tms scrub`). Without
-/// `--dir` the named cnvW1A1 module (or all of them under `--all`) is
-/// implemented fresh and the flow's own output is audited, proving the
-/// toolchain produces artifacts that pass its own verifier.
-fn cmd_verify(args: &[String], flags: &HashMap<String, String>) {
-    use tailored_macro_sizes::flow::{
-        audit_module, implement_module, module_digest, verify_sealed, CfPolicy, ModuleFingerprint,
-        RwFlowConfig, SealedModule,
-    };
-    use tailored_macro_sizes::store::read_entries;
-    use tailored_macro_sizes::verify::Auditor;
-
-    let all = flags.contains_key("all");
-    let wanted = args.first().cloned();
-    if !all && wanted.is_none() && !flags.contains_key("dir") {
-        eprintln!("usage: tms verify <module|--all> [--dir <store>] [options]");
-        std::process::exit(2);
+        return;
     }
 
-    let (mut checked, mut violations) = (0u64, 0u64);
-    if let Some(dir) = flags.get("dir") {
-        let read: std::io::Result<Vec<(ModuleFingerprint, SealedModule)>> =
-            read_entries(std::path::Path::new(dir));
-        let entries = match read {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("could not read store at {dir}: {e}");
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "auditing {} stored records in {dir} (read-only) ...",
-            entries.len()
-        );
-        let mut devices = HashMap::new();
-        for (key, sealed) in entries {
-            if let Some(name) = &wanted {
-                if &sealed.module.name != name {
-                    continue;
-                }
-            }
-            checked += 1;
-            let device = devices
-                .entry(key.device())
-                .or_insert_with(|| Device::from_name(key.device()));
-            let auditor = Auditor::new(device);
-            match verify_sealed(&auditor, &sealed) {
-                Ok(()) => println!(
-                    "  ok       {:<20} digest {:#018x}",
-                    sealed.module.name, sealed.digest
-                ),
-                Err(reason) => {
-                    violations += 1;
-                    println!("  CORRUPT  {:<20} {reason}", sealed.module.name);
-                }
-            }
-        }
-    } else {
-        let device = device_of(flags);
-        let seed = num(flags, "seed", 2024);
-        let design = cnvw1a1(seed);
-        let mut cfg = RwFlowConfig::rapidwright_default(seed);
-        // Minimal-CF search is the policy the cached flows implement
-        // under, so it is what fresh verification should reproduce; a
-        // constant CF is opt-in and may legitimately fail to route.
-        cfg.policy = match flags.get("cf").and_then(|v| v.parse::<f64>().ok()) {
-            Some(cf) => CfPolicy::Constant(cf),
-            None => CfPolicy::Minimal(tailored_macro_sizes::pblock::CfSearch::wide()),
-        };
-        println!(
-            "implementing + auditing cnvW1A1 modules on {} (seed {seed}) ...",
-            device.name()
-        );
-        let auditor = Auditor::new(&device);
-        for m in &design.modules {
-            if let Some(name) = &wanted {
-                if &m.name != name {
-                    continue;
-                }
-            }
-            checked += 1;
-            match implement_module(&m.name, &m.netlist, &device, &cfg) {
-                Ok(module) => {
-                    let found = audit_module(&auditor, &module);
-                    if found.is_empty() {
-                        println!(
-                            "  ok       {:<20} cf {:>5.2}  digest {:#018x}",
-                            module.name,
-                            module.cf,
-                            module_digest(&module)
-                        );
-                    } else {
-                        violations += 1;
-                        println!(
-                            "  ILLEGAL  {:<20} {} violations; first: {}",
-                            module.name,
-                            found.len(),
-                            found[0]
-                        );
-                    }
-                }
-                Err(e) => {
-                    violations += 1;
-                    println!("  FAILED   {:<20} {e}", m.name);
-                }
-            }
-        }
-        if checked == 0 {
-            eprintln!(
-                "no module named '{}' in cnvW1A1",
-                wanted.unwrap_or_default()
-            );
-            std::process::exit(2);
-        }
-    }
-    println!("verified {checked} artifacts: {violations} violations");
-    if violations > 0 {
-        std::process::exit(1);
-    }
-}
-
-/// One scrub pass over a persistent macro library: walk every stored
-/// record under the byte/s budget, audit each (sealed digest + legality),
-/// and quarantine violators into `quarantine/` — they are recomputed on
-/// the next request that needs them. Exits 1 if anything was quarantined
-/// so scripted health checks can alarm.
-fn cmd_scrub(flags: &HashMap<String, String>) {
-    use tailored_macro_sizes::flow::{MacroStore, StoreAuditor};
-    use tailored_macro_sizes::store::{Store, StoreConfig};
-
-    let Some(dir) = flags.get("dir") else {
-        eprintln!("usage: tms scrub --dir <path> [--bps <N>]");
-        std::process::exit(2);
-    };
-    let opened: std::io::Result<MacroStore> =
-        Store::open(StoreConfig::at(std::path::Path::new(dir)));
+    // Opening replays the log (truncating any torn tail and quarantining
+    // damaged records), so the numbers reflect what a server would
+    // actually load.
+    let opened: std::io::Result<MacroStore> = Store::open(StoreConfig::at(dir));
     let store = match opened {
-        Ok(s) => s,
+        Ok(store) => store,
         Err(e) => {
             eprintln!("could not open store at {dir}: {e}");
             std::process::exit(1);
         }
     };
-    let bps = num(flags, "bps", 0);
-    println!(
-        "scrubbing {} records in {dir} ({}) ...",
-        store.len(),
-        if bps == 0 {
-            "unthrottled".to_string()
-        } else {
-            format!("{bps} byte/s budget")
-        }
-    );
-    let mut auditor = StoreAuditor::new();
-    match store.scrub_with(bps, |key, sealed| auditor.audit(key, sealed)) {
-        Ok(report) => {
-            println!("{}", to_pretty(&report));
-            if report.quarantined > 0 {
-                println!(
-                    "{} record(s) quarantined into {} — they will be recomputed on demand",
-                    report.quarantined,
-                    store.quarantine_path().display()
-                );
+    match sub {
+        "inspect" => println!("{}", to_pretty(&store.stats())),
+        "compact" => match store.compact() {
+            Ok(report) => println!("{}", to_pretty(&report)),
+            Err(e) => {
+                eprintln!("could not compact store at {dir}: {e}");
                 std::process::exit(1);
             }
+        },
+        _ => {
+            // One scrub pass: audit every record under the byte/s budget
+            // and quarantine violators into `quarantine/`; they are
+            // recomputed on the next request that needs them. Exits 1 if
+            // anything was quarantined so scripted health checks can
+            // alarm.
+            let bps = num(flags, "bps", 0);
+            println!(
+                "scrubbing {} records in {dir} ({}) ...",
+                store.len(),
+                if bps == 0 {
+                    "unthrottled".to_string()
+                } else {
+                    format!("{bps} byte/s budget")
+                }
+            );
+            match store.scrub_with(bps, |key, sealed| auditor.audit(key, sealed).is_ok()) {
+                Ok(report) => {
+                    println!("{}", to_pretty(&report));
+                    if report.quarantined > 0 {
+                        println!(
+                            "{} record(s) quarantined into {} — they will be recomputed on demand",
+                            report.quarantined,
+                            store.quarantine_path().display()
+                        );
+                        std::process::exit(1);
+                    }
+                }
+                Err(e) => {
+                    eprintln!("scrub failed: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
-        Err(e) => {
-            eprintln!("scrub failed: {e}");
-            std::process::exit(1);
+    }
+}
+
+/// Independent end-to-end integrity audit of the flow's own output: the
+/// named cnvW1A1 module (or all of them under `--all`) is implemented
+/// fresh, its placement legality re-derived from first principles by the
+/// dependency-light `tms-verify` auditor, proving the toolchain produces
+/// artifacts that pass its own verifier. A persistent macro library is
+/// audited by `tms store verify`; `--dir` is refused here, so a script
+/// meant for the library cannot silently audit fresh modules instead.
+fn cmd_verify(args: &[String], flags: &HashMap<String, String>) {
+    use tailored_macro_sizes::flow::{
+        audit_module, implement_module, module_digest, CfPolicy, RwFlowConfig,
+    };
+    use tailored_macro_sizes::verify::Auditor;
+
+    if let Some(dir) = flags.get("dir") {
+        eprintln!(
+            "tms verify audits freshly implemented modules and takes no --dir; \
+             audit the library with `tms store verify --dir {dir}`"
+        );
+        std::process::exit(2);
+    }
+    let all = flags.contains_key("all");
+    let wanted = args.first().cloned();
+    if !all && wanted.is_none() {
+        eprintln!("usage: tms verify <module|--all> [options]");
+        std::process::exit(2);
+    }
+
+    let device = device_of(flags);
+    let seed = num(flags, "seed", 2024);
+    let design = cnvw1a1(seed);
+    let mut cfg = RwFlowConfig::rapidwright_default(seed);
+    // Minimal-CF search is the policy the cached flows implement under, so
+    // it is what fresh verification should reproduce; a constant CF is
+    // opt-in and may legitimately fail to route.
+    cfg.policy = match flags.get("cf").and_then(|v| v.parse::<f64>().ok()) {
+        Some(cf) => CfPolicy::Constant(cf),
+        None => CfPolicy::Minimal(tailored_macro_sizes::pblock::CfSearch::wide()),
+    };
+    println!(
+        "implementing + auditing cnvW1A1 modules on {} (seed {seed}) ...",
+        device.name()
+    );
+    let auditor = Auditor::new(&device);
+    let (mut checked, mut violations) = (0u64, 0u64);
+    for m in &design.modules {
+        if let Some(name) = &wanted {
+            if &m.name != name {
+                continue;
+            }
         }
+        checked += 1;
+        match implement_module(&m.name, &m.netlist, &device, &cfg) {
+            Ok(module) => {
+                let found = audit_module(&auditor, &module);
+                if found.is_empty() {
+                    println!(
+                        "  ok       {:<20} cf {:>5.2}  digest {:#018x}",
+                        module.name,
+                        module.cf,
+                        module_digest(&module)
+                    );
+                } else {
+                    violations += 1;
+                    println!(
+                        "  ILLEGAL  {:<20} {} violations; first: {}",
+                        module.name,
+                        found.len(),
+                        found[0]
+                    );
+                }
+            }
+            Err(e) => {
+                violations += 1;
+                println!("  FAILED   {:<20} {e}", m.name);
+            }
+        }
+    }
+    if checked == 0 {
+        eprintln!(
+            "no module named '{}' in cnvW1A1",
+            wanted.unwrap_or_default()
+        );
+        std::process::exit(2);
+    }
+    println!("verified {checked} artifacts: {violations} violations");
+    if violations > 0 {
+        std::process::exit(1);
     }
 }
 
@@ -1268,11 +1232,10 @@ fn main() {
         Some("loadgen") => cmd_loadgen(&flags),
         Some("slowlog") => cmd_slowlog(&flags),
         Some("verify") => cmd_verify(&positional[1..], &flags),
-        Some("scrub") => cmd_scrub(&flags),
         _ => {
             eprintln!(
                 "usage: tms <devices|train|compile|experiments|serve|client|store|report|stitch\
-                 |pack|chaos|loadgen|slowlog|verify|scrub> [options]"
+                 |pack|chaos|loadgen|slowlog|verify> [options]"
             );
             eprintln!("see the module docs in src/bin/tms.rs for the option list");
             std::process::exit(2);
